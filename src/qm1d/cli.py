@@ -5,7 +5,8 @@ rejected) before any computation runs.  Data outputs are byte-identical
 across repeated runs: floats are serialized with their shortest round-trip
 representation and row order is fixed.  Run metadata that legitimately
 varies (timestamps, library versions) goes to a ``<output>.meta.json``
-sidecar, never into the data files.
+sidecar, never into the data files.  A run writes all of its files or none
+of them, and never writes a non-finite value.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
@@ -15,13 +16,17 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -39,7 +44,7 @@ from .analytic import (
 from .constants import PhysicalConstants, si_constants
 from .core import Grid, WaveFunction, make_grid, normalize
 from .eigensolver import Spectrum, build_hamiltonian, solve_bound_states
-from .errors import QmError
+from .errors import QmError, SolverError
 from .evolution import EvolutionConfig, Trajectory, evolve
 from .observables import (
     momentum_operator,
@@ -60,8 +65,6 @@ from .scattering import transmission_sweep
 
 OUTPUT_DIR_ENV = "QM1D_OUTPUT_DIR"
 
-COMMANDS = ("spectrum", "scatter", "evolve", "packet", "blackbody", "uncertainty")
-
 
 class SchemaError(Exception):
     """Scenario file violates the schema; nothing was computed."""
@@ -77,7 +80,8 @@ def _obj(value, where: str) -> dict:
     return value
 
 
-def _keys(obj: dict, where: str, required: dict, optional: dict | None = None) -> dict:
+def _keys(obj, where: str, required: dict, optional: dict | None = None) -> dict:
+    obj = _obj(obj, where)
     optional = optional or {}
     out = {}
     for key in obj:
@@ -96,9 +100,13 @@ def _keys(obj: dict, where: str, required: dict, optional: dict | None = None) -
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
-    if not math.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise SchemaError(f"{where} must be finite")
-    return float(value)
+    return x
 
 
 def _positive(value, where: str) -> float:
@@ -108,17 +116,12 @@ def _positive(value, where: str) -> float:
     return x
 
 
-def _integer(value, where: str) -> int:
+def _positive_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer")
-    return value
-
-
-def _positive_int(value, where: str) -> int:
-    n = _integer(value, where)
-    if n < 1:
+    if value < 1:
         raise SchemaError(f"{where} must be at least 1")
-    return n
+    return value
 
 
 def _boolean(value, where: str) -> bool:
@@ -144,6 +147,8 @@ def _choice(options):
 
 
 def _raw(value, where: str):
+    """For the blocks load_scenario parses after the rest: the constants,
+    and the potential, which needs the grid and the mass."""
     return value
 
 
@@ -157,14 +162,17 @@ def _range_or_list(value, where: str) -> list[float]:
     """Either an explicit array or {start, stop, count} (endpoints included)."""
     if isinstance(value, list):
         return _number_list(value, where)
-    spec = _keys(
-        _obj(value, where),
-        where,
-        {"start": _number, "stop": _number, "count": _positive_int},
-    )
+    spec = _keys(value, where, {"start": _number, "stop": _number, "count": _positive_int})
     if spec["count"] == 1:
         return [spec["start"]]
     return [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
+
+
+def _relative_path(value, where: str) -> str:
+    path = Path(_string(value, where))
+    if path.is_absolute() or ".." in path.parts:
+        raise SchemaError(f"{where} must be a relative path inside the output directory")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +181,7 @@ def _range_or_list(value, where: str) -> list[float]:
 
 def _parse_constants(obj, where: str) -> tuple[PhysicalConstants, float]:
     """Returns the constants profile and the particle mass."""
-    spec = _keys(
-        _obj(obj, where),
-        where,
-        {"profile": _choice({"natural", "si"})},
-        {"mass": _positive},
-    )
+    spec = _keys(obj, where, {"profile": _choice({"natural", "si"})}, {"mass": _positive})
     if spec["profile"] == "si":
         if "mass" not in spec:
             raise SchemaError(f"{where}: the si profile requires an explicit mass")
@@ -188,15 +191,7 @@ def _parse_constants(obj, where: str) -> tuple[PhysicalConstants, float]:
 
 
 def _parse_grid(obj, where: str) -> Grid:
-    spec = _keys(
-        _obj(obj, where),
-        where,
-        {"x_min": _number, "x_max": _number, "n": _positive_int},
-    )
-    if spec["x_max"] <= spec["x_min"]:
-        raise SchemaError(f"{where}: x_max must exceed x_min")
-    if spec["n"] < 8:
-        raise SchemaError(f"{where}: n must be at least 8")
+    spec = _keys(obj, where, {"x_min": _number, "x_max": _number, "n": _positive_int})
     return make_grid(spec["x_min"], spec["x_max"], spec["n"])
 
 
@@ -213,74 +208,85 @@ def _parse_segments(value, where: str) -> tuple:
     return tuple(segs)
 
 
-def _parse_potential(obj, where: str, mass: float, grid: Grid | None) -> Potential:
+def _kind(obj, where: str) -> tuple[dict, str]:
+    """A block whose ``kind`` key selects the rest of its schema."""
     body = _obj(obj, where)
     if "kind" not in body:
         raise SchemaError(f"missing key 'kind' in {where}")
-    kind = _string(body["kind"], f"{where}.kind")
-    try:
-        if kind == "infinite_well":
-            spec = _keys(body, where, {"kind": _string, "a": _positive})
-            return InfiniteWell(a=spec["a"])
-        if kind == "barrier":
-            spec = _keys(body, where, {"kind": _string, "v0": _positive, "a": _positive})
-            return Barrier(v0=spec["v0"], a=spec["a"])
-        if kind == "harmonic":
-            spec = _keys(body, where, {"kind": _string, "omega": _positive})
-            return Harmonic(omega=spec["omega"], mass=mass)
-        if kind == "linear_ramp":
-            spec = _keys(body, where, {"kind": _string, "lam": _positive})
-            return LinearRamp(lam=spec["lam"])
-        if kind == "piecewise_constant":
-            spec = _keys(body, where, {"kind": _string, "segments": _parse_segments})
-            return PiecewiseConstant(segments=spec["segments"])
-        if kind == "sampled":
-            spec = _keys(body, where, {"kind": _string, "values": _number_list})
-            if grid is None:
-                raise SchemaError(f"{where}: a sampled potential requires a grid block")
-            if len(spec["values"]) != grid.n:
-                raise SchemaError(
-                    f"{where}: {len(spec['values'])} values for a {grid.n}-point grid"
-                )
-            return Sampled(values=np.asarray(spec["values"]), grid=grid)
-    except QmError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}.kind: unknown potential kind {kind!r}")
+    return body, _string(body["kind"], f"{where}.kind")
+
+
+_POTENTIALS = {
+    "infinite_well": (InfiniteWell, {"a": _positive}),
+    "barrier": (Barrier, {"v0": _positive, "a": _positive}),
+    "harmonic": (Harmonic, {"omega": _positive}),
+    "linear_ramp": (LinearRamp, {"lam": _positive}),
+    "piecewise_constant": (PiecewiseConstant, {"segments": _parse_segments}),
+    "sampled": (Sampled, {"values": _number_list}),
+}
+
+
+def _parse_potential(obj, where: str, mass: float, grid: Grid | None) -> Potential:
+    body, kind = _kind(obj, where)
+    if kind not in _POTENTIALS:
+        raise SchemaError(f"{where}.kind: unknown potential kind {kind!r}")
+    cls, keys = _POTENTIALS[kind]
+    params = _keys(body, where, {"kind": _string, **keys})
+    del params["kind"]
+    if cls is Harmonic:
+        params["mass"] = mass
+    elif cls is Sampled:
+        if grid is None:
+            raise SchemaError(f"{where}: a sampled potential requires a grid block")
+        params["grid"] = grid
+    return cls(**params)
+
+
+def _parse_state(obj, where: str) -> dict:
+    body, kind = _kind(obj, where)
+    if kind == "gaussian":
+        return _keys(
+            body, where, {"kind": _string, "alpha": _positive, "k0": _number}, {"x0": _number}
+        )
+    if kind == "eigenstate":
+        return _keys(body, where, {"kind": _string, "n": _positive_int})
+    raise SchemaError(f"{where}.kind must be 'gaussian' or 'eigenstate'")
 
 
 def _parse_output(obj, where: str) -> dict:
-    return _keys(
-        _obj(obj, where),
-        where,
-        {"format": _choice({"csv", "json"}), "path": _string},
-    )
+    return _keys(obj, where, {"format": _choice({"csv", "json"}), "path": _relative_path})
 
 
 def _parse_gaussian(obj, where: str) -> dict:
-    return _keys(
-        _obj(obj, where),
-        where,
-        {"alpha": _positive, "k0": _number},
-        {"x0": _number},
-    )
+    return _keys(obj, where, {"alpha": _positive, "k0": _number}, {"x0": _number})
 
 
 # ---------------------------------------------------------------------------
 # Tidy plot rows
 
 
+def _cells(column):
+    """Native Python values of an array; a list as it is; any other value is
+    one cell repeated on every row."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column if isinstance(column, list) else repeat(column)
+
+
+def _long_rows(series: str, t, x, value) -> list[list]:
+    """Rows [series, t, x, value] of one series; ``value`` is an array or a
+    list, ``t`` and ``x`` are too or are one shared cell."""
+    return [[series, ti, xi, vi] for ti, xi, vi in zip(_cells(t), _cells(x), _cells(value))]
+
+
 def emit_plot_data(result) -> tuple[list[str], list[list]]:
     """Long-format (series, t, x, value) rows for spectra, trajectories,
     and transmission sweeps."""
-    columns = ["series", "t", "x", "value"]
     rows: list[list] = []
     if isinstance(result, Spectrum):
         for i, state in enumerate(result.states):
-            xs = state.grid.points
-            for x, v in zip(xs, state.values.real):
-                rows.append([f"state_{i}", "", float(x), float(v)])
-        return columns, rows
-    if isinstance(result, Trajectory):
+            rows += _long_rows(f"state_{i}", "", state.grid.points, state.values.real)
+    elif isinstance(result, Trajectory):
         for name, series in (
             ("width", result.x_spread),
             ("x_mean", result.x_mean),
@@ -288,94 +294,45 @@ def emit_plot_data(result) -> tuple[list[str], list[list]]:
             ("norm", result.norm),
             ("energy", result.energy),
         ):
-            for t, v in zip(result.times, series):
-                rows.append([name, float(t), "", float(v)])
-        return columns, rows
-    if isinstance(result, list):  # transmission sweep
-        for row in result:
-            rows.append(["prob_T", "", float(row.energy), float(row.prob_t)])
-        for row in result:
-            rows.append(["prob_R", "", float(row.energy), float(row.prob_r)])
-        return columns, rows
-    raise QmError(f"no plot-data emitter for {type(result).__name__}")
-
-
-def _trajectory_density_rows(trajectory: Trajectory) -> tuple[list[str], list[list]]:
-    columns = ["series", "t", "x", "value"]
-    rows = []
-    for t, snap in zip(trajectory.times, trajectory.snapshots):
-        xs = snap.grid.points
-        density = np.abs(snap.values) ** 2
-        for x, v in zip(xs, density):
-            rows.append(["density", float(t), float(x), float(v)])
-    return columns, rows
+            rows += _long_rows(name, result.times, "", series)
+    elif isinstance(result, list):  # transmission sweep
+        energies = [float(r.energy) for r in result]
+        rows += _long_rows("prob_T", "", energies, [float(r.prob_t) for r in result])
+        rows += _long_rows("prob_R", "", energies, [float(r.prob_r) for r in result])
+    else:
+        raise QmError(f"no plot-data emitter for {type(result).__name__}")
+    return ["series", "t", "x", "value"], rows
 
 
 # ---------------------------------------------------------------------------
-# Commands: a parse step (schema only) and an execute step (numerics)
+# Commands: each executor turns a parsed spec into {output path: table}
 
 
-def _parse_spectrum(body, mass):
-    spec = _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "grid": _parse_grid,
-            "potential": _raw,
-            "count": _positive_int,
-            "output": _parse_output,
-        },
-        {"emit_states": _boolean},
-    )
-    spec["potential"] = _parse_potential(
-        spec["potential"], "scenario.potential", mass, spec["grid"]
-    )
-    return spec
+def _derived_path(path: str, tag: str) -> str:
+    p = Path(path)
+    return str(p.with_name(f"{p.stem}_{tag}{p.suffix}"))
 
 
 def _execute_spectrum(spec, constants, mass):
-    grid = spec["grid"]
     potential = spec["potential"]
-    h = build_hamiltonian(grid, potential, mass, constants)
+    h = build_hamiltonian(spec["grid"], potential, mass, constants)
     spectrum = solve_bound_states(h, spec["count"])
 
     columns = ["n", "E_numeric", "E_analytic", "rel_error"]
     rows = []
-    for i, energy in enumerate(spectrum.energies):
-        level = i + 1
+    for level, energy in enumerate(spectrum.energies.tolist(), start=1):
         if isinstance(potential, InfiniteWell):
             reference = well_energy(level, potential.a, constants)
         elif isinstance(potential, Harmonic):
             reference = oscillator_energy(level - 1, potential.omega, constants)
         else:
-            reference = None
-        if reference is None:
-            rows.append([level, float(energy), "", ""])
-        else:
-            rel = abs(float(energy) - reference) / abs(reference)
-            rows.append([level, float(energy), reference, rel])
+            rows.append([level, energy, "", ""])
+            continue
+        rows.append([level, energy, reference, abs(energy - reference) / abs(reference)])
     outputs = {spec["output"]["path"]: (columns, rows)}
     if spec.get("emit_states"):
         outputs[_derived_path(spec["output"]["path"], "states")] = emit_plot_data(spectrum)
     return outputs
-
-
-def _parse_scatter(body, mass):
-    spec = _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "potential": _raw,
-            "energies": _range_or_list,
-            "output": _parse_output,
-        },
-    )
-    spec["potential"] = _parse_potential(spec["potential"], "scenario.potential", mass, None)
-    return spec
 
 
 def _execute_scatter(spec, constants, mass):
@@ -398,32 +355,8 @@ def _initial_packet(grid: Grid, init: dict, mass: float,
     return normalize(WaveFunction(grid, values))
 
 
-def _parse_evolve(body, mass):
-    spec = _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "grid": _parse_grid,
-            "potential": _raw,
-            "initial": _parse_gaussian,
-            "method": _choice({"crank_nicolson", "split_step"}),
-            "dt": _positive,
-            "steps": _positive_int,
-            "output": _parse_output,
-        },
-        {"observables_every": _positive_int, "emit_density": _boolean},
-    )
-    spec["potential"] = _parse_potential(
-        spec["potential"], "scenario.potential", mass, spec["grid"]
-    )
-    return spec
-
-
 def _execute_evolve(spec, constants, mass):
-    grid = spec["grid"]
-    psi0 = _initial_packet(grid, spec["initial"], mass, constants)
+    psi0 = _initial_packet(spec["grid"], spec["initial"], mass, constants)
     config = EvolutionConfig(
         dt=spec["dt"],
         steps=spec["steps"],
@@ -432,42 +365,19 @@ def _execute_evolve(spec, constants, mass):
     )
     trajectory = evolve(psi0, spec["potential"], config, mass, constants)
     columns = ["t", "norm", "x_mean", "p_mean", "x_spread", "p_spread", "energy"]
-    rows = [
-        [
-            float(trajectory.times[i]),
-            float(trajectory.norm[i]),
-            float(trajectory.x_mean[i]),
-            float(trajectory.p_mean[i]),
-            float(trajectory.x_spread[i]),
-            float(trajectory.p_spread[i]),
-            float(trajectory.energy[i]),
-        ]
-        for i in range(len(trajectory.times))
-    ]
+    rows = np.column_stack([
+        trajectory.times, trajectory.norm, trajectory.x_mean, trajectory.p_mean,
+        trajectory.x_spread, trajectory.p_spread, trajectory.energy,
+    ]).tolist()
     outputs = {spec["output"]["path"]: (columns, rows)}
     if spec.get("emit_density"):
+        density = []
+        for t, snap in zip(trajectory.times.tolist(), trajectory.snapshots):
+            density += _long_rows("density", t, snap.grid.points, np.abs(snap.values) ** 2)
         outputs[_derived_path(spec["output"]["path"], "density")] = (
-            _trajectory_density_rows(trajectory)
+            ["series", "t", "x", "value"], density
         )
     return outputs
-
-
-def _parse_packet(body, mass):
-    spec = _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "packet": _parse_gaussian,
-            "times": _number_list,
-            "output": _parse_output,
-        },
-        {"grid": _parse_grid, "emit_density": _boolean},
-    )
-    if spec.get("emit_density") and "grid" not in spec:
-        raise SchemaError("scenario: emit_density requires a grid block")
-    return spec
 
 
 def _execute_packet(spec, constants, mass):
@@ -475,31 +385,13 @@ def _execute_packet(spec, constants, mass):
         alpha=spec["packet"]["alpha"], k0=spec["packet"]["k0"],
         mass=mass, constants=constants,
     )
-    columns = ["series", "t", "x", "value"]
-    rows = []
-    for t in spec["times"]:
-        rows.append(["width", float(t), "", packet_width(params, t)])
+    times = spec["times"]
+    rows = _long_rows("width", times, "", [packet_width(params, t) for t in times])
     if spec.get("emit_density"):
         xs = spec["grid"].points
-        for t in spec["times"]:
-            density = np.abs(free_packet_xt(params, xs, t)) ** 2
-            for x, v in zip(xs, density):
-                rows.append(["density", float(t), float(x), float(v)])
-    return {spec["output"]["path"]: (columns, rows)}
-
-
-def _parse_blackbody(body, mass):
-    return _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "temperature": _positive,
-            "frequencies": _range_or_list,
-            "output": _parse_output,
-        },
-    )
+        for t in times:
+            rows += _long_rows("density", t, xs, np.abs(free_packet_xt(params, xs, t)) ** 2)
+    return {spec["output"]["path"]: (["series", "t", "x", "value"], rows)}
 
 
 def _execute_blackbody(spec, constants, mass):
@@ -508,47 +400,8 @@ def _execute_blackbody(spec, constants, mass):
     for nu in spec["frequencies"]:
         planck = blackbody_density(nu, spec["temperature"], "planck", constants)
         rj = blackbody_density(nu, spec["temperature"], "rayleigh_jeans", constants)
-        rows.append([float(nu), planck, rj, planck / rj])
+        rows.append([nu, planck, rj, planck / rj])
     return {spec["output"]["path"]: (columns, rows)}
-
-
-def _parse_uncertainty(body, mass):
-    spec = _keys(
-        body,
-        "scenario",
-        {
-            "command": _string,
-            "constants": _raw,
-            "grid": _parse_grid,
-            "state": _raw,
-            "output": _parse_output,
-        },
-        {"potential": _raw},
-    )
-    state_body = _obj(spec["state"], "scenario.state")
-    if "kind" not in state_body:
-        raise SchemaError("missing key 'kind' in scenario.state")
-    kind = _string(state_body["kind"], "scenario.state.kind")
-    if kind == "gaussian":
-        spec["state"] = _keys(
-            state_body, "scenario.state",
-            {"kind": _string, "alpha": _positive, "k0": _number},
-            {"x0": _number},
-        )
-    elif kind == "eigenstate":
-        spec["state"] = _keys(
-            state_body, "scenario.state",
-            {"kind": _string, "n": _positive_int},
-        )
-        if "potential" not in spec:
-            raise SchemaError("scenario: an eigenstate state requires a potential")
-    else:
-        raise SchemaError("scenario.state.kind must be 'gaussian' or 'eigenstate'")
-    if "potential" in spec:
-        spec["potential"] = _parse_potential(
-            spec["potential"], "scenario.potential", mass, spec["grid"]
-        )
-    return spec
 
 
 def _execute_uncertainty(spec, constants, mass):
@@ -575,22 +428,70 @@ def _execute_uncertainty(spec, constants, mass):
     return {spec["output"]["path"]: (columns, rows)}
 
 
-_PARSERS = {
-    "spectrum": _parse_spectrum,
-    "scatter": _parse_scatter,
-    "evolve": _parse_evolve,
-    "packet": _parse_packet,
-    "blackbody": _parse_blackbody,
-    "uncertainty": _parse_uncertainty,
-}
+def _density_needs_grid(spec: dict) -> str | None:
+    if spec.get("emit_density") and "grid" not in spec:
+        return "emit_density requires a grid block"
+    return None
 
-_EXECUTORS = {
-    "spectrum": _execute_spectrum,
-    "scatter": _execute_scatter,
-    "evolve": _execute_evolve,
-    "packet": _execute_packet,
-    "blackbody": _execute_blackbody,
-    "uncertainty": _execute_uncertainty,
+
+def _eigenstate_needs_potential(spec: dict) -> str | None:
+    if spec["state"]["kind"] == "eigenstate" and "potential" not in spec:
+        return "an eigenstate state requires a potential"
+    return None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One scenario command.  ``required`` and ``optional`` map the keys it
+    takes besides ``command``, ``constants`` and ``output`` to their parsers;
+    ``rule`` returns what is wrong across keys, if anything."""
+
+    required: dict
+    optional: dict
+    execute: Callable[[dict, PhysicalConstants, float], dict]
+    rule: Callable[[dict], str | None] = lambda spec: None
+
+
+COMMANDS = {
+    "spectrum": Command(
+        {"grid": _parse_grid, "potential": _raw, "count": _positive_int},
+        {"emit_states": _boolean},
+        _execute_spectrum,
+    ),
+    "scatter": Command(
+        {"potential": _raw, "energies": _range_or_list},
+        {},
+        _execute_scatter,
+    ),
+    "evolve": Command(
+        {
+            "grid": _parse_grid,
+            "potential": _raw,
+            "initial": _parse_gaussian,
+            "method": _choice({"crank_nicolson", "split_step"}),
+            "dt": _positive,
+            "steps": _positive_int,
+        },
+        {"observables_every": _positive_int, "emit_density": _boolean},
+        _execute_evolve,
+    ),
+    "packet": Command(
+        {"packet": _parse_gaussian, "times": _number_list},
+        {"grid": _parse_grid, "emit_density": _boolean},
+        _execute_packet,
+        _density_needs_grid,
+    ),
+    "blackbody": Command(
+        {"temperature": _positive, "frequencies": _range_or_list},
+        {},
+        _execute_blackbody,
+    ),
+    "uncertainty": Command(
+        {"grid": _parse_grid, "state": _parse_state},
+        {"potential": _raw},
+        _execute_uncertainty,
+        _eigenstate_needs_potential,
+    ),
 }
 
 
@@ -598,51 +499,57 @@ _EXECUTORS = {
 # Serialization
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # coerce numpy scalars so repr is the shortest round-trip form
-        return repr(float(value))
-    return str(value)
+def _check_finite(name: str, rows: list[list]):
+    for i, row in enumerate(rows):
+        for value in row:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SolverError(f"{name}: row {i + 1} holds the non-finite value {value!r}")
 
 
-def _derived_path(path: str, tag: str) -> str:
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}_{tag}{p.suffix}"))
-
-
-def _write_table(path: Path, fmt: str, columns: list[str], rows: list[list]):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
-    else:
-        clean = [
-            [float(v) if isinstance(v, float) else v for v in row] for row in rows
-        ]
-        payload = {"columns": columns, "rows": clean}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-
-def _write_sidecar(path: Path, scenario_path: str, command: str):
-    meta = {
-        "tool": "qm1d",
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "command": command,
-        "scenario": str(scenario_path),
-        "written_unix_time": time.time(),
-    }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+def _write_table(fh, fmt: str, columns: list[str], rows: list[list]):
+    if fmt == "json":
+        json.dump({"columns": columns, "rows": rows}, fh, indent=2)
         fh.write("\n")
+        return
+    if rows and any(isinstance(v, bool) for v in rows[0]):
+        # csv would write True/False; spell booleans the way JSON does
+        rows = [[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def _staged(final: Path, staged: list[tuple[Path, Path]]):
+    """Open a temporary file beside ``final`` and record the pair."""
+    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    staged.append((tmp, final))
+    return open(tmp, "w", newline="")
+
+
+def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path]:
+    """Write every table and its sidecar under a temporary name in its
+    target directory, then rename them all into place.  If any step fails,
+    every file of the run is removed again and the error propagates."""
+    staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+    try:
+        for rel_path, (columns, rows) in outputs.items():
+            target = base / rel_path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with _staged(target, staged) as fh:
+                _write_table(fh, fmt, columns, rows)
+            with _staged(target.with_name(target.name + ".meta.json"), staged) as fh:
+                json.dump(meta, fh, indent=2)
+                fh.write("\n")
+        for tmp, final in staged:
+            os.replace(tmp, final)
+            placed.append(final)
+    except BaseException:
+        for path in [tmp for tmp, _ in staged] + placed:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise
+    return [base / rel_path for rel_path in outputs]
 
 
 def load_scenario(path: str) -> dict:
@@ -654,15 +561,30 @@ def load_scenario(path: str) -> dict:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
-    body = _obj(body, "scenario")
-    if "command" not in body or body["command"] not in COMMANDS:
+    name = _obj(body, "scenario").get("command")
+    if not isinstance(name, str) or name not in COMMANDS:
         raise SchemaError(f"scenario.command must be one of {list(COMMANDS)}")
-    if "constants" not in body:
-        raise SchemaError("missing key 'constants' in scenario")
-    constants, mass = _parse_constants(body["constants"], "scenario.constants")
-    spec = _PARSERS[body["command"]](body, mass)
-    spec["_constants"] = constants
-    spec["_mass"] = mass
+    command = COMMANDS[name]
+    try:
+        spec = _keys(
+            body,
+            "scenario",
+            {"command": _string, "constants": _raw, **command.required,
+             "output": _parse_output},
+            command.optional,
+        )
+        spec["_constants"], spec["_mass"] = _parse_constants(
+            spec["constants"], "scenario.constants"
+        )
+        problem = command.rule(spec)
+        if problem:
+            raise SchemaError(f"scenario: {problem}")
+        if "potential" in spec:
+            spec["potential"] = _parse_potential(
+                spec["potential"], "scenario.potential", spec["_mass"], spec.get("grid")
+            )
+    except QmError as exc:  # a grid or potential rejected its parameters
+        raise SchemaError(f"scenario: {exc}") from exc
     return spec
 
 
@@ -674,31 +596,39 @@ def run_scenario(
     """Validate, compute, and write the declared outputs.
 
     Returns the list of data files written (sidecars not included).  No
-    file is touched unless the whole computation succeeded.
+    file is touched unless the whole computation succeeded and every cell
+    is finite, and either every output is written or none is.
     """
     spec = load_scenario(scenario_path)
-    constants, mass = spec["_constants"], spec["_mass"]
-    outputs = _EXECUTORS[spec["command"]](spec, constants, mass)
+    try:
+        outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"], spec["_mass"])
+    except ArithmeticError as exc:
+        raise SolverError(f"{type(exc).__name__}: {exc}") from exc
+    for rel_path, (_, rows) in outputs.items():
+        _check_finite(rel_path, rows)
 
+    meta = {
+        "tool": "qm1d",
+        "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "command": spec["command"],
+        "scenario": str(scenario_path),
+        "written_unix_time": time.time(),
+    }
     base = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
     fmt = format_override or spec["output"]["format"]
-    written = []
-    for rel_path, (columns, rows) in outputs.items():
-        target = base / rel_path
-        _write_table(target, fmt, columns, rows)
-        _write_sidecar(target, scenario_path, spec["command"])
-        written.append(target)
-    return written
+    return _write_outputs(base, fmt, outputs, meta)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
 
-def _error_object(exit_code: int, exc: Exception) -> str:
-    return json.dumps(
-        {"error": {"exit_code": exit_code, "type": type(exc).__name__, "message": str(exc)}}
-    )
+def _fail(exit_code: int, exc: Exception) -> int:
+    error = {"exit_code": exit_code, "type": type(exc).__name__, "message": str(exc)}
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -724,31 +654,20 @@ def main(argv: list[str] | None = None) -> int:
         print(__version__)
         return 0
 
-    if args.subcommand == "validate":
-        try:
-            spec = load_scenario(args.scenario)
-        except SchemaError as exc:
-            print(_error_object(2, exc), file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(_error_object(4, exc), file=sys.stderr)
-            return 4
-        print(f"{args.scenario}: valid {spec['command']} scenario")
-        return 0
-
     try:
-        written = run_scenario(args.scenario, args.out, args.format)
+        if args.subcommand == "validate":
+            spec = load_scenario(args.scenario)
+            lines = [f"{args.scenario}: valid {spec['command']} scenario"]
+        else:
+            lines = run_scenario(args.scenario, args.out, args.format)
     except SchemaError as exc:
-        print(_error_object(2, exc), file=sys.stderr)
-        return 2
+        return _fail(2, exc)
     except QmError as exc:
-        print(_error_object(3, exc), file=sys.stderr)
-        return 3
+        return _fail(3, exc)
     except OSError as exc:
-        print(_error_object(4, exc), file=sys.stderr)
-        return 4
-    for path in written:
-        print(path)
+        return _fail(4, exc)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -39,9 +39,13 @@ from .observables import (
     uncertainty,
 )
 from .potentials import Potential, sample_on_grid
-from .spectral import momentum_grid, to_momentum_space, to_position_space
-
-EDGE_GUARD = 1e-10
+from .spectral import (
+    EDGE_AMPLITUDE_TOL,
+    hot_edge_amplitude,
+    momentum_grid,
+    to_momentum_space,
+    to_position_space,
+)
 
 METHOD_CRANK_NICOLSON = "crank_nicolson"
 METHOD_SPLIT_STEP = "split_step"
@@ -143,16 +147,6 @@ def crank_nicolson_step(
     return psi.with_values(stepper.step_values(psi.values))
 
 
-def _check_edges(values: np.ndarray):
-    peak = np.max(np.abs(values))
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge > EDGE_GUARD * max(1.0, peak):
-        raise EdgeAmplitudeError(
-            f"edge amplitude {edge:.2e} exceeds the periodic-wrap guard "
-            f"{EDGE_GUARD:.0e}; enlarge the domain or stop earlier"
-        )
-
-
 class _SplitStep:
     """Reusable phases for split-step propagation of one potential."""
 
@@ -170,7 +164,12 @@ class _SplitStep:
         self.kinetic = np.exp(-0.5j * p**2 * dt / (mass * hbar))
 
     def step(self, psi: WaveFunction) -> WaveFunction:
-        _check_edges(psi.values)
+        edge = hot_edge_amplitude(psi.values)
+        if edge:
+            raise EdgeAmplitudeError(
+                f"edge amplitude {edge:.2e} exceeds the periodic-wrap guard "
+                f"{EDGE_AMPLITUDE_TOL:.0e}; enlarge the domain or stop earlier"
+            )
         half = psi.with_values(self.half_potential * psi.values)
         phi = to_momentum_space(half, self.constants)
         phi = phi.with_values(self.kinetic * phi.values)

@@ -19,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ScatteringResult
+from .analytic import _EQUAL_ENERGY_RTOL, ScatteringResult
 from .constants import NATURAL, PhysicalConstants
 from .errors import ParameterError, UnsupportedMethodError
 from .potentials import Potential, segment_list
 
-_EQUAL_ENERGY_RTOL = 1e-12
 _SCALE_EXTRACT_THRESHOLD = 300.0
 
 
@@ -110,8 +109,7 @@ def _wavenumbers(E: float, region_v: list[float], mass: float, hbar: float):
     kinds: list[str] = []
     ks: list[complex] = []
     for v in region_v:
-        scale = max(abs(E), abs(v), 1.0)
-        if abs(E - v) <= _EQUAL_ENERGY_RTOL * scale:
+        if abs(E - v) <= _EQUAL_ENERGY_RTOL * max(abs(E), abs(v)):
             kinds.append("linear")
             ks.append(0.0)
         else:

@@ -40,25 +40,27 @@ def momentum_grid(grid: Grid, constants: PhysicalConstants) -> MomentumGrid:
     return MomentumGrid(p=p, dp=dp)
 
 
-def _warn_if_edges_hot(values: np.ndarray, what: str):
+def hot_edge_amplitude(values: np.ndarray) -> float:
+    """The larger end-point modulus when it exceeds EDGE_AMPLITUDE_TOL *
+    max(1, peak), else 0.0: a state that large at the edges wraps around
+    in a periodic transform."""
     peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return
     edge = max(abs(values[0]), abs(values[-1]))
-    if edge > EDGE_AMPLITUDE_TOL * max(1.0, peak):
-        warnings.warn(
-            f"{what} has edge amplitude {edge:.2e}; the periodic transform "
-            "will not approximate the continuum integral accurately",
-            EdgeAmplitudeWarning,
-            stacklevel=3,
-        )
+    return edge if edge > EDGE_AMPLITUDE_TOL * max(1.0, peak) else 0.0
 
 
 def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Forward transform of a position-space state onto the conjugate grid."""
     if psi.space is not Space.POSITION:
         raise SpaceTagError("to_momentum_space expects a position-space state")
-    _warn_if_edges_hot(psi.values, "position-space state")
+    edge = hot_edge_amplitude(psi.values)
+    if edge:
+        warnings.warn(
+            f"position-space state has edge amplitude {edge:.2e}; the periodic "
+            "transform will not approximate the continuum integral accurately",
+            EdgeAmplitudeWarning,
+            stacklevel=2,
+        )
     grid = psi.grid
     mgrid = momentum_grid(grid, constants)
     raw = np.fft.fftshift(np.fft.fft(psi.values))

@@ -232,6 +232,13 @@ def test_unknown_nested_key_rejected(tmp_path):
     assert main(["run", scenario, "--out", str(tmp_path)]) == 2
 
 
+def test_integer_beyond_float_range_rejected(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(spectrum_scenario()).replace('"a": 1.0', '"a": 1' + "0" * 400))
+    assert main(["validate", str(scenario)]) == 2
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_si_profile_requires_mass(tmp_path):
     body = spectrum_scenario()
     body["constants"] = {"profile": "si"}
@@ -303,3 +310,124 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {
+            "command": "scatter",
+            "constants": {"profile": "natural"},
+            "potential": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, -1e308]]},
+            "energies": [1.0],
+            "output": {"format": "csv", "path": "sweep.csv"},
+        },
+        {
+            "command": "blackbody",
+            "constants": {"profile": "natural"},
+            "temperature": 1.0,
+            "frequencies": [1e-320],  # nu**2 underflows to zero
+            "output": {"format": "csv", "path": "bb.csv"},
+        },
+    ],
+    ids=["nan_cells", "arithmetic_error"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exits_3_without_output(tmp_path, capsys, body):
+    scenario = write_scenario(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["exit_code"] == 3
+    assert err["error"]["type"] == "SolverError"
+
+
+def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys):
+    body = spectrum_scenario(emit_states=True)
+    body["grid"]["n"] = 201
+    scenario = write_scenario(tmp_path, body)
+    out = tmp_path / "out"
+    (out / "levels_states.csv").mkdir(parents=True)
+    assert main(["run", scenario, "--out", str(out)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 4
+    assert sorted(p.name for p in out.iterdir()) == ["levels_states.csv"]
+    assert list((out / "levels_states.csv").iterdir()) == []
+
+
+@pytest.mark.parametrize("path", ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv"])
+def test_output_path_must_stay_inside_out(tmp_path, capsys, path):
+    body = spectrum_scenario(out_name=path.format(tmp=tmp_path))
+    scenario = write_scenario(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out)]) == 2
+    assert "output.path" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out.exists()
+    assert not (tmp_path / "escape.csv").exists()
+
+
+FORMAT_SCENARIOS = {
+    "spectrum": {
+        "grid": {"x_min": -8.0, "x_max": 8.0, "n": 161},
+        "potential": {"kind": "harmonic", "omega": 1.0},
+        "count": 2,
+        "emit_states": True,
+    },
+    "scatter": {
+        "potential": {"kind": "barrier", "v0": 2.0, "a": 1.0},
+        "energies": {"start": 0.5, "stop": 3.0, "count": 4},
+    },
+    "evolve": {
+        "grid": {"x_min": -12.0, "x_max": 12.0, "n": 128},
+        "potential": {"kind": "piecewise_constant", "segments": []},
+        "initial": {"alpha": 1.0, "k0": 0.5},
+        "method": "crank_nicolson",
+        "dt": 0.05,
+        "steps": 4,
+        "observables_every": 2,
+        "emit_density": True,
+    },
+    "packet": {
+        "packet": {"alpha": 1.0, "k0": 1.0},
+        "times": [0.0, 1.0],
+        "grid": {"x_min": -4.0, "x_max": 4.0, "n": 9},
+        "emit_density": True,
+    },
+    "blackbody": {"temperature": 1.0, "frequencies": [0.5, 1.0]},
+    "uncertainty": {
+        "grid": {"x_min": -16.0, "x_max": 16.0, "n": 256},
+        "state": {"kind": "gaussian", "alpha": 1.0, "k0": 0.0},
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_SCENARIOS))
+def test_csv_and_json_cells_agree(tmp_path, command):
+    body = {
+        "command": command,
+        "constants": {"profile": "natural"},
+        "output": {"format": "csv", "path": "table.dat"},
+        **FORMAT_SCENARIOS[command],
+    }
+    scenario = write_scenario(tmp_path, body)
+    csv_files = run_scenario(scenario, out_dir=str(tmp_path / "csv"))
+    json_files = run_scenario(scenario, out_dir=str(tmp_path / "json"), format_override="json")
+    assert [p.name for p in csv_files] == [p.name for p in json_files]
+    for csv_path, json_path in zip(csv_files, json_files):
+        header, rows = read_rows(csv_path)
+        payload = json.loads(json_path.read_text())
+        assert payload["columns"] == header
+        assert len(payload["rows"]) == len(rows) > 0
+        for csv_row, json_row in zip(rows, payload["rows"]):
+            # JSON true/false and "" cells appear verbatim in the CSV; numbers
+            # as their shortest round-trip text
+            expected = [
+                json.dumps(v) if isinstance(v, bool) else v if isinstance(v, str) else repr(v)
+                for v in json_row
+            ]
+            assert csv_row == expected
+    cells = [v for p in json_files for row in json.loads(p.read_text())["rows"] for v in row]
+    if command == "uncertainty":
+        assert any(v is True for v in cells)
+    if command in ("spectrum", "packet"):
+        assert "" in cells

@@ -9,6 +9,7 @@ from qm1d import (
     PiecewiseConstant,
     barrier_scattering,
     region_waves,
+    si_constants,
     transfer_scattering,
     transmission_sweep,
 )
@@ -186,3 +187,15 @@ def test_evanescent_channel_rejected():
         transfer_scattering(raised, 1.0)
     with pytest.raises(ParameterError):
         transfer_scattering(Barrier(v0=1.0, a=1.0), -0.5)
+
+
+def test_si_barrier_matches_closed_form():
+    # 1 eV electron on a 4 eV, 1 angstrom barrier: every energy is ~1e-19 J,
+    # so an E == V test with an absolute floor would call every region linear.
+    m_e, ev = 9.1093837015e-31, 1.602176634e-19
+    si = si_constants(m_e)
+    numeric = transfer_scattering(Barrier(v0=4.0 * ev, a=1e-10), 1.0 * ev, m_e, si)
+    closed = barrier_scattering(1.0 * ev, 4.0 * ev, 1e-10, m_e, si)
+    assert numeric.prob_t == pytest.approx(closed.prob_t, rel=1e-12, abs=0.0)
+    assert abs(numeric.t - closed.t) <= 1e-12 * abs(closed.t)
+    assert abs(numeric.r - closed.r) <= 1e-12 * abs(closed.r)
