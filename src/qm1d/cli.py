@@ -601,7 +601,9 @@ def run_scenario(
     """
     spec = load_scenario(scenario_path)
     try:
-        outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"], spec["_mass"])
+        # Keep stderr to the JSON error: _check_finite rejects what numpy warns of.
+        with np.errstate(all="ignore"):
+            outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"], spec["_mass"])
     except ArithmeticError as exc:
         raise SolverError(f"{type(exc).__name__}: {exc}") from exc
     for rel_path, (_, rows) in outputs.items():

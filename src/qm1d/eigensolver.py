@@ -27,7 +27,9 @@ from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, S
 from .potentials import Potential, sample_on_grid
 
 EDGE_DECAY_TOL = 1e-12
-_GAP_WARN = 1e-10
+# Gaps below this fraction of hbar^2 / (m dx^2), twice the largest stencil
+# coupling, warn as near-degenerate (1e-10 at dx = 0.01 in natural units).
+_GAP_WARN_RTOL = 1e-14
 _STENCIL_ORDERS = (2, 4)
 # Amplitudes below this fraction of the peak are tail and do not orient a
 # 5-point state: the stencil's sign-alternating parasitic mode ripples its
@@ -258,9 +260,10 @@ def solve_bound_states(h: DiscreteHamiltonian, count: int) -> Spectrum:
         raise SolverError(f"order-{h.order} eigensolve failed: {exc}") from exc
 
     gaps = np.diff(energies)
-    if gaps.size and gaps.min() < _GAP_WARN:
+    gap_warn = _GAP_WARN_RTOL * 2.0 * np.max(np.abs(h.off_diagonal), initial=0.0)
+    if gaps.size and gaps.min() < gap_warn:
         warnings.warn(
-            f"eigenvalue gap {gaps.min():.2e} is below {_GAP_WARN:.0e}; "
+            f"eigenvalue gap {gaps.min():.2e} is below {gap_warn:.2e}; "
             "near-degenerate pair returned as-is",
             NearDegeneracyWarning,
             stacklevel=2,

@@ -2,12 +2,15 @@
 
 Each region carries a two-component amplitude for its forward and backward
 basis solutions; 2x2 interface matrices chain them left to right by
-matching the wavefunction and its derivative.  Amplitudes are referenced to
-the left edge of each region, and evanescent regions have their exponential
-growth factored into a separate log-domain scale, so thick barriers neither
-overflow nor lose the transmitted amplitude to cancellation: with the total
-chain M, the results are R = -M21/M22 and T = det(M)/M22, where det(M)
-telescopes to k_left/k_right.
+matching the wavefunction and its derivative (Ando & Itoh, J. Appl. Phys.
+61, 1497 (1987)).  One kernel does this for an array of energies at once:
+``transmission_sweep`` is that kernel and ``transfer_scattering`` its
+one-energy case.  Amplitudes are referenced to the left edge of each region,
+and evanescent regions have their exponential growth factored into a
+separate log-domain scale, so thick barriers neither overflow nor lose the
+transmitted amplitude to cancellation: with the total chain M, the results
+are R = -M21/M22 and T = det(M)/M22, where det(M) telescopes to
+k_left/k_right.
 """
 
 from __future__ import annotations
@@ -76,68 +79,154 @@ def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
             if math.isfinite(bound) and (not interfaces or bound > interfaces[-1]):
                 interfaces.append(bound)
 
-    def value_at(x: float) -> float:
-        for start, end, v in segments:
-            if start <= x < end:
-                return v
-        return 0.0
-
-    if not interfaces:
-        return [], [value_at(0.0)]
-    probes = [interfaces[0] - 1.0]
-    for left, right in zip(interfaces[:-1], interfaces[1:]):
-        probes.append(0.5 * (left + right))
-    probes.append(interfaces[-1] + 1.0)
-    return interfaces, [value_at(x) for x in probes]
+    mids = [0.5 * (left + right) for left, right in zip(interfaces[:-1], interfaces[1:])]
+    probes = [interfaces[0] - 1.0, *mids, interfaces[-1] + 1.0] if interfaces else [0.0]
+    return interfaces, [next((v for a, b, v in segments if a <= x < b), 0.0) for x in probes]
 
 
-def _basis_matrix(kind: str, k: complex, delta: float, shift: float = 0.0) -> np.ndarray:
-    """Values and derivatives of the two basis solutions at offset delta.
+def _prepare(potential, energies, mass, constants, sweep=False):
+    """Layout, energies, (nE, regions) wavenumbers and the E == V mask.
 
-    `shift` subtracts a real log-scale inside the exponent, so strongly
-    evanescent regions never overflow; callers account for exp(shift)
-    separately.
+    Rows are checked in input order: sign, equal asymptotes, open incident
+    channel.  A sweep converts each row with float() first and prefixes its
+    errors with the row.
     """
-    if kind == "linear":
-        return np.array([[1.0, delta], [0.0, 1.0]], dtype=np.complex128)
-    up = np.exp(1j * k * delta - shift)
-    down = np.exp(-1j * k * delta - shift)
-    return np.array([[up, down], [1j * k * up, -1j * k * down]], dtype=np.complex128)
-
-
-def _wavenumbers(E: float, region_v: list[float], mass: float, hbar: float):
-    kinds: list[str] = []
-    ks: list[complex] = []
-    for v in region_v:
-        if abs(E - v) <= _EQUAL_ENERGY_RTOL * max(abs(E), abs(v)):
-            kinds.append("linear")
-            ks.append(0.0)
-        else:
-            kinds.append("exp")
-            ks.append(complex(np.sqrt(np.complex128(2.0 * mass * (E - v))) / hbar))
-    return kinds, ks
-
-
-def _validated_layout(potential, E, mass, constants):
-    if E <= 0.0:
-        raise ParameterError(f"energy must be positive, got {E}")
     interfaces, region_v = _region_layout(potential)
     v_left, v_right = region_v[0], region_v[-1]
-    if v_left != v_right:
-        raise UnsupportedMethodError(
-            f"asymptotic potentials differ ({v_left} vs {v_right}); "
-            "flux-normalized transmission is not supported"
-        )
-    if E <= max(v_left, v_right):
-        raise ParameterError(
-            f"E={E} does not propagate in the asymptotic regions (V={v_left}); "
-            "the incident channel is evanescent"
-        )
-    kinds, ks = _wavenumbers(E, region_v, mass, constants.hbar)
-    # Region 0 is referenced to its right edge, every later region to its
-    # left edge, so interface matrices only contain one region's width.
-    refs = ([interfaces[0]] + interfaces) if interfaces else []
-    return interfaces, region_v, kinds, ks, refs
+    same_asymptotes = v_left == v_right
+    checked = []
+    for i, E in enumerate(energies):
+        prefix = ""
+        if sweep:
+            prefix = f"sweep row {i} (E={E}): "
+            try:
+                E = float(E)
+            except (TypeError, ValueError, OverflowError) as exc:
+                exc.args = (prefix + str(exc),)
+                raise
+        if E <= 0.0:
+            raise ParameterError(f"{prefix}energy must be positive, got {E}")
+        if not same_asymptotes:
+            raise UnsupportedMethodError(
+                f"{prefix}asymptotic potentials differ ({v_left} vs {v_right}); "
+                "flux-normalized transmission is not supported"
+            )
+        if E <= v_left:
+            raise ParameterError(
+                f"{prefix}E={E} does not propagate in the asymptotic regions "
+                f"(V={v_left}); the incident channel is evanescent"
+            )
+        checked.append(E)
+    E = np.array(checked, dtype=float).reshape(-1, 1)
+    v = np.array(region_v, dtype=float)
+    diff = E - v
+    linear = np.abs(diff) <= _EQUAL_ENERGY_RTOL * np.maximum(np.abs(E), np.abs(v))
+    k = (2.0 * mass * diff).astype(np.complex128)
+    np.sqrt(k, out=k)
+    k /= constants.hbar
+    k[linear] = 0.0
+    return interfaces, E[:, 0], linear, k
+
+
+def _basis_matrix(linear, k, delta: float, shift=0.0) -> np.ndarray:
+    """(nE, 2, 2) values and derivatives of the two basis solutions at delta.
+
+    `shift` subtracts a real log-scale inside the exponent, so evanescent
+    regions never overflow; callers account for exp(shift) separately.
+    """
+    up = np.exp(1j * k * delta - shift)
+    down = np.exp(-1j * k * delta - shift)
+    w = np.empty(k.shape + (2, 2), dtype=np.complex128)
+    w[:, 0, 0], w[:, 0, 1] = up, down
+    w[:, 1, 0], w[:, 1, 1] = 1j * k * up, -1j * k * down
+    w[linear] = ((1.0, delta), (0.0, 1.0))
+    return w
+
+
+def _interface_matrices(interfaces, linear, k, extract: bool):
+    """Yield (shift, M) for each interface, left to right.
+
+    M (nE, 2, 2) maps region j's amplitudes to region j+1's.  Region 0 is
+    referenced to its right edge and every later region to its left edge,
+    so M only contains one region's width.  With `extract`, an evanescent
+    region wider than _SCALE_EXTRACT_THRESHOLD e-folds has its growth
+    exp(shift) taken out of M.
+    """
+    refs = interfaces[:1] + interfaces
+    for j, x_c in enumerate(interfaces):
+        delta = x_c - refs[j]
+        shift = 0.0
+        if extract:
+            # e-folds across region j; zero unless it is evanescent (k = i beta)
+            beta_w = np.where(k[:, j].real == 0.0, k[:, j].imag * delta, 0.0)
+            shift = np.where(beta_w > _SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
+        w_left = _basis_matrix(linear[:, j], k[:, j], delta, shift)
+        w_right = _basis_matrix(linear[:, j + 1], k[:, j + 1], x_c - refs[j + 1])
+        yield shift, np.linalg.solve(w_right, w_left)
+
+
+def _times(a, b):
+    """a * b rounded as scalar complex math rounds it: numpy's array loop may
+    fuse multiply-adds, which moves results by an ulp from one CPU to another."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _chain(interfaces, linear, k):
+    """r, t, c_plus and c_minus per energy for unit incidence from the left."""
+    n = k.shape[0]
+    if not interfaces:  # uniform potential: the incident wave passes unchanged
+        return np.zeros(n, np.complex128), np.ones(n, np.complex128), [None] * n, [None] * n
+    log_scale = np.zeros(n)
+    m_total = np.eye(2, dtype=np.complex128)
+    for j, (shift, m) in enumerate(_interface_matrices(interfaces, linear, k, extract=True)):
+        log_scale += shift
+        m_total = m @ m_total
+        if j == 0:
+            m_after_first = m_total
+
+    k0, x0, xm = k[:, 0], interfaces[0], interfaces[-1]
+    r = _times(-(m_total[:, 1, 0] / m_total[:, 1, 1]), np.exp(2j * k0 * x0))
+    # T from the determinant identity avoids the catastrophic cancellation of
+    # M11 - M12 M21 / M22 for thick barriers; equal asymptotes make det(M) = 1
+    # but for the scale.  The complex exp calls libm's exp, like math.exp
+    # (numpy's real exp loop is vectorised per CPU, an ulp apart).
+    det_total = np.exp(-log_scale + 0j).real
+    t = np.exp(1j * k0 * (x0 - xm)) * det_total / m_total[:, 1, 1]
+
+    c_plus = c_minus = [None] * n
+    if len(interfaces) == 2 and x0 == 0.0:
+        incoming = np.stack([np.exp(1j * k0 * x0), r * np.exp(-1j * k0 * x0)], axis=-1)
+        f1, b1 = (m_after_first @ incoming[:, :, None])[:, :, 0].T
+        # Below the barrier top the forward basis decays, so the exp(+beta x)
+        # coefficient is the backward amplitude.
+        decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
+        c_plus = np.where(decaying, b1, f1).tolist()
+        c_minus = np.where(decaying, f1, b1).tolist()
+    return r, t, c_plus, c_minus
+
+
+def _scatter(potential, energies, mass, constants, sweep):
+    """The batched kernel: one ScatteringResult per energy, in input order."""
+    interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
+    r, t, c_plus, c_minus = _chain(interfaces, linear, k)
+    return [
+        ScatteringResult(r=ri, t=ti, prob_r=abs(ri) ** 2, prob_t=abs(ti) ** 2,
+                         energy=Ei, c_plus=cp, c_minus=cm)
+        for Ei, ri, ti, cp, cm in zip(E.tolist(), r.tolist(), t.tolist(), c_plus, c_minus)
+    ]
+
+
+def transmission_sweep(
+    potential: Potential,
+    energies: Sequence[float],
+    mass: float = 1.0,
+    constants: PhysicalConstants = NATURAL,
+) -> list[ScatteringResult]:
+    """R, T of a piecewise-constant stack at every energy, in input order."""
+    return _scatter(potential, energies, mass, constants, sweep=True)
 
 
 def transfer_scattering(
@@ -147,60 +236,7 @@ def transfer_scattering(
     constants: PhysicalConstants = NATURAL,
 ) -> ScatteringResult:
     """R, T of a piecewise-constant stack for unit incidence from the left."""
-    interfaces, region_v, kinds, ks, refs = _validated_layout(potential, E, mass, constants)
-    if not interfaces:
-        # Uniform potential: the incident wave is transmitted unchanged.
-        return ScatteringResult(
-            r=0.0 + 0.0j, t=1.0 + 0.0j, prob_r=0.0, prob_t=1.0, energy=float(E)
-        )
-
-    log_scale = 0.0
-    m_total = np.eye(2, dtype=np.complex128)
-    m_after_first = None
-    for j, x_c in enumerate(interfaces):
-        delta = x_c - refs[j]
-        shift = 0.0
-        if kinds[j] == "exp" and ks[j].real == 0.0:
-            beta_w = ks[j].imag * delta
-            if beta_w > _SCALE_EXTRACT_THRESHOLD:
-                shift = beta_w
-                log_scale += beta_w
-        w_left = _basis_matrix(kinds[j], ks[j], delta, shift)
-        w_right = _basis_matrix(kinds[j + 1], ks[j + 1], x_c - refs[j + 1])
-        m_total = np.linalg.solve(w_right, w_left) @ m_total
-        if j == 0:
-            m_after_first = m_total.copy()
-
-    k0, km = ks[0], ks[-1]
-    x0, xm = interfaces[0], interfaces[-1]
-    r = complex(-(m_total[1, 0] / m_total[1, 1]) * cmath.exp(2j * k0 * x0))
-    # T from the determinant identity avoids the catastrophic cancellation of
-    # M11 - M12 M21 / M22 for strongly evanescent stacks.
-    det_total = (k0 / km) * math.exp(-log_scale)
-    t = complex(cmath.exp(1j * k0 * (x0 - xm)) * det_total / m_total[1, 1])
-
-    c_plus = c_minus = None
-    if len(region_v) == 3 and x0 == 0.0:
-        a0 = cmath.exp(1j * k0 * x0)
-        b0 = r * cmath.exp(-1j * k0 * x0)
-        pair = m_after_first @ np.array([a0, b0], dtype=np.complex128)
-        f1, b1 = complex(pair[0]), complex(pair[1])
-        if kinds[1] == "exp" and ks[1].real == 0.0:
-            # Below the barrier top the forward basis decays, so the
-            # exp(+beta x) coefficient is the backward amplitude.
-            c_plus, c_minus = b1, f1
-        else:
-            c_plus, c_minus = f1, b1
-
-    return ScatteringResult(
-        r=r,
-        t=t,
-        prob_r=abs(r) ** 2,
-        prob_t=abs(t) ** 2,
-        energy=float(E),
-        c_plus=c_plus,
-        c_minus=c_minus,
-    )
+    return _scatter(potential, [E], mass, constants, sweep=False)[0]
 
 
 def region_waves(
@@ -214,62 +250,17 @@ def region_waves(
     Chains amplitudes without log-domain rescaling, so it is intended for
     inspection and plotting at moderate opacities.
     """
-    interfaces, region_v, kinds, ks, refs = _validated_layout(potential, E, mass, constants)
-    result = transfer_scattering(potential, E, mass, constants)
-    if not interfaces:
-        return [
-            RegionWave(
-                wavenumber=ks[0], forward=1.0 + 0.0j, backward=0.0j,
-                x_ref=0.0, x_start=-math.inf, x_end=math.inf, kind=kinds[0],
-            )
-        ]
-
-    bounds = [-math.inf] + list(interfaces) + [math.inf]
-    k0, x0 = ks[0], interfaces[0]
-    pair = np.array(
-        [cmath.exp(1j * k0 * x0), result.r * cmath.exp(-1j * k0 * x0)],
-        dtype=np.complex128,
-    )
-    waves = [
-        RegionWave(
-            wavenumber=ks[0],
-            forward=complex(pair[0]),
-            backward=complex(pair[1]),
-            x_ref=refs[0],
-            x_start=bounds[0],
-            x_end=bounds[1],
-            kind=kinds[0],
-        )
+    interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
+    kinds = ["linear" if flag else "exp" for flag in linear[0]]
+    ks = [0.0 if flag else complex(kj) for flag, kj in zip(linear[0], k[0])]
+    r = complex(_chain(interfaces, linear, k)[0][0])
+    refs = (interfaces[:1] or [0.0]) + interfaces
+    k0, x0 = ks[0], refs[0]
+    pairs = [np.array([cmath.exp(1j * k0 * x0), r * cmath.exp(-1j * k0 * x0)])]
+    for _, m in _interface_matrices(interfaces, linear, k, extract=False):
+        pairs.append(m[0] @ pairs[-1])
+    bounds = [-math.inf] + interfaces + [math.inf]
+    return [
+        RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1], kinds[j])
+        for j, (f, b) in enumerate(pairs)
     ]
-    for j, x_c in enumerate(interfaces):
-        w_left = _basis_matrix(kinds[j], ks[j], x_c - refs[j])
-        w_right = _basis_matrix(kinds[j + 1], ks[j + 1], x_c - refs[j + 1])
-        pair = np.linalg.solve(w_right, w_left) @ pair
-        waves.append(
-            RegionWave(
-                wavenumber=ks[j + 1],
-                forward=complex(pair[0]),
-                backward=complex(pair[1]),
-                x_ref=refs[j + 1],
-                x_start=bounds[j + 1],
-                x_end=bounds[j + 2],
-                kind=kinds[j + 1],
-            )
-        )
-    return waves
-
-
-def transmission_sweep(
-    potential: Potential,
-    energies: Sequence[float],
-    mass: float = 1.0,
-    constants: PhysicalConstants = NATURAL,
-) -> list[ScatteringResult]:
-    """transfer_scattering over a list of energies, in input order."""
-    rows = []
-    for i, E in enumerate(energies):
-        try:
-            rows.append(transfer_scattering(potential, float(E), mass, constants))
-        except Exception as exc:
-            raise type(exc)(f"sweep row {i} (E={E}): {exc}") from exc
-    return rows

@@ -343,6 +343,27 @@ def test_non_finite_result_exits_3_without_output(tmp_path, capsys, body):
     assert err["error"]["type"] == "SolverError"
 
 
+def test_overflow_stderr_is_one_json_error(tmp_path):
+    # -1e308 overflows the wavenumbers; numpy's RuntimeWarnings must not
+    # reach stderr ahead of the error object.
+    body = {
+        "command": "scatter",
+        "constants": {"profile": "natural"},
+        "potential": {"kind": "piecewise_constant", "segments": [[0.0, 1.0, -1e308]]},
+        "energies": [1.0],
+        "output": {"format": "csv", "path": "sweep.csv"},
+    }
+    scenario = write_scenario(tmp_path, body)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qm1d.cli", "run", scenario,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert json.loads(result.stderr)["error"]["exit_code"] == 3
+
+
 def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys):
     body = spectrum_scenario(emit_states=True)
     body["grid"]["n"] = 201

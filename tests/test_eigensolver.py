@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qm1d import (
     inner_product,
     make_grid,
     oscillator_state,
+    si_constants,
     solve_bound_states,
     well_energy,
     well_state,
@@ -297,3 +299,18 @@ def test_interior_wall_decouples_regions():
     expected = well_energy(1, half_width)
     assert spectrum.energies[0] == pytest.approx(expected, rel=1e-3)
     assert spectrum.energies[1] == pytest.approx(expected, rel=1e-3)
+
+
+def test_si_well_records_no_degeneracy_warning():
+    # An electron in a 1 nm well: its gaps are ~1e-19 J, tiny in absolute
+    # terms but far apart on the grid's kinetic scale hbar^2 / (m dx^2).
+    m_e = 9.1093837015e-31
+    si = si_constants(m_e)
+    g = make_grid(-0.1e-9, 1.1e-9, 2001)
+    h = build_hamiltonian(g, InfiniteWell(a=1e-9), m_e, si)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spectrum = solve_bound_states(h, 4)
+    assert [str(w.message) for w in caught] == []
+    expected = well_energy(1, 1e-9, si)
+    assert spectrum.energies[0] == pytest.approx(expected, rel=1e-4)

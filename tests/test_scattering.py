@@ -162,6 +162,23 @@ def test_sweep_matches_single_calls():
         assert row.r == single.r and row.t == single.t
         assert abs(row.prob_r + row.prob_t - 1.0) < 1e-12
 
+    # one batch mixing the tunnelling, E == V and above-barrier branches
+    mixed = [0.4, 1.0, 3.9999, 4.0, 4.0001, 6.0, 11.0]
+    barrier = Barrier(v0=4.0, a=1.0)
+    for E, row in zip(mixed, transmission_sweep(barrier, mixed)):
+        single = transfer_scattering(barrier, E)
+        closed = barrier_scattering(E, 4.0, 1.0)
+        for name in ("r", "t", "c_plus", "c_minus"):
+            assert getattr(row, name) == getattr(single, name)
+            assert abs(getattr(row, name) - getattr(closed, name)) < 1e-12
+
+    # a thick barrier whose batch crosses the log-domain threshold
+    thick = np.linspace(0.02, 5.8, 300)
+    rows = transmission_sweep(Barrier(v0=4.0, a=120.0), thick)
+    for E, row in zip(thick, rows):
+        closed = barrier_scattering(float(E), 4.0, 120.0)
+        assert row.prob_t == pytest.approx(closed.prob_t, rel=1e-12, abs=0.0)
+
 
 def test_sweep_below_barrier_monotone_in_energy():
     energies = np.linspace(0.1, 1.9, 19)
@@ -173,6 +190,25 @@ def test_sweep_below_barrier_monotone_in_energy():
 def test_sweep_error_carries_row_index():
     with pytest.raises(ParameterError, match="row 1"):
         transmission_sweep(Barrier(v0=2.0, a=1.0), [1.0, -3.0])
+    # each row runs the single-call checks in order: sign, asymptotes, channel
+    step = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
+    raised = PiecewiseConstant(segments=((-math.inf, math.inf, 2.0),))
+    cases = [
+        (Barrier(v0=2.0, a=1.0), [1.0, 2.0, -3], ParameterError,
+         "sweep row 2 (E=-3): energy must be positive, got -3.0"),
+        (step, [-1.0, 5.0], ParameterError,
+         "sweep row 0 (E=-1.0): energy must be positive, got -1.0"),
+        (step, [5.0, -1.0], UnsupportedMethodError,
+         "sweep row 0 (E=5.0): asymptotic potentials differ (0.0 vs 1.0)"),
+        (raised, [3.0, 1.0], ParameterError,
+         "sweep row 1 (E=1.0): E=1.0 does not propagate in the asymptotic regions (V=2.0)"),
+        (Barrier(v0=2.0, a=1.0), [1.0, "x", -3.0], ValueError,
+         "sweep row 1 (E=x): could not convert string to float: 'x'"),
+    ]
+    for potential, energies, error, message in cases:
+        with pytest.raises(error) as info:
+            transmission_sweep(potential, energies)
+        assert str(info.value).startswith(message)
 
 
 def test_unequal_asymptotes_rejected():
@@ -187,6 +223,12 @@ def test_evanescent_channel_rejected():
         transfer_scattering(raised, 1.0)
     with pytest.raises(ParameterError):
         transfer_scattering(Barrier(v0=1.0, a=1.0), -0.5)
+    # the sign check comes before the equal-asymptote check
+    step = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
+    with pytest.raises(ParameterError, match="^energy must be positive, got -1.0$"):
+        transfer_scattering(step, -1.0)
+    with pytest.raises(ParameterError, match="^energy must be positive, got -1.0$"):
+        region_waves(step, -1.0)
 
 
 def test_si_barrier_matches_closed_form():
