@@ -11,6 +11,7 @@ as an independent cross-check.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     ParameterError,
     SpaceTagError,
 )
-from .spectral import momentum_grid, to_momentum_space, to_position_space
+from .spectral import momentum_grid, to_momentum_space, to_position_space, warn_if_edges_hot
 
 HERMITICITY_TOL = 1e-12
 _NORM_WARN = 1e-8
@@ -98,14 +99,15 @@ def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
     return Operator(kind="custom", grid=grid, dense=m)
 
 
-def _check_normalized(psi: WaveFunction):
-    n2 = norm_squared(psi)
+def _warn_if_unnormalized(n2: float, stacklevel: int):
+    """NormalizationWarning when the norm-squared n2 is off 1 by more than
+    _NORM_WARN; stacklevel is counted from the caller, as in warnings.warn."""
     if abs(n2 - 1.0) > _NORM_WARN:
         warnings.warn(
             f"state norm-squared is {n2:.6g}; expectation values assume a "
             "normalized state",
             NormalizationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
 
 
@@ -115,7 +117,7 @@ def expectation(op: Operator, psi: WaveFunction) -> complex:
     The momentum operator is special-cased to the momentum-space moment
     sum_j p_j |phi_j|^2 dp; all other kinds go through apply().
     """
-    _check_normalized(psi)
+    _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
     if op.kind == "momentum":
         if psi.grid != op.grid:
             raise GridMismatchError("operator and state live on different grids")
@@ -139,7 +141,7 @@ def momentum_expectation_x_route(
 
 def uncertainty(op: Operator, psi: WaveFunction) -> float:
     """Root of the variance <(A - <A>)^2>, computed as ||(A - <A>) psi||."""
-    _check_normalized(psi)
+    _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
     if op.kind == "momentum":
         phi = to_momentum_space(psi, op.constants)
         p = momentum_grid(op.grid, op.constants).p
@@ -151,6 +153,43 @@ def uncertainty(op: Operator, psi: WaveFunction) -> float:
     residual = op.apply(psi).values - mean * psi.values
     var = np.sum(np.abs(residual) ** 2) * psi.spacing
     return float(np.sqrt(max(var, 0.0)))
+
+
+class _SnapshotObservables:
+    """The six evolve series of position-space amplitudes on h's grid.
+
+    Equal to roundoff to norm_squared, then expectation and uncertainty of
+    the position, momentum and Hamiltonian operators, but computed from one
+    density and one unshifted FFT, with each warning at most once per call.
+    """
+
+    def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
+        grid = h.grid
+        mgrid = momentum_grid(grid, constants)
+        self.h = h
+        self.x = grid.points
+        self.dx = grid.dx
+        # Momenta in numpy's FFT order.  The x_min phase of to_momentum_space
+        # has unit modulus, so |fft(psi)|^2 * p_weight is |phi(p)|^2 dp.
+        self.p = np.fft.ifftshift(mgrid.p)
+        self.p_weight = grid.dx**2 * mgrid.dp / (2.0 * np.pi * constants.hbar)
+
+    def __call__(self, values: np.ndarray) -> tuple[float, ...]:
+        """norm, x_mean, p_mean, x_spread, p_spread, energy; warnings point
+        at the caller's caller (the user's evolve call)."""
+        dx = self.dx
+        density = np.abs(values) ** 2
+        norm = float(np.sum(density) * dx)
+        _warn_if_unnormalized(norm, stacklevel=3)
+        warn_if_edges_hot(values, stacklevel=3)
+        x_mean = float(np.sum(self.x * density) * dx)
+        x_var = float(np.sum((self.x - x_mean) ** 2 * density) * dx)
+        p_density = np.abs(np.fft.fft(values)) ** 2 * self.p_weight
+        p_mean = float(np.sum(self.p * p_density))
+        p_var = float(np.sum((self.p - p_mean) ** 2 * p_density))
+        energy = float(np.vdot(values, self.h.apply(values)).real * dx)
+        return (norm, x_mean, p_mean, math.sqrt(max(x_var, 0.0)),
+                math.sqrt(max(p_var, 0.0)), energy)
 
 
 def commutator_expectation(op_a: Operator, op_b: Operator, psi: WaveFunction) -> complex:
@@ -170,13 +209,20 @@ class UncertaintyReport:
     satisfied: bool
 
 
-_BOUND_SLACK = 1e-10
+# dA * dB may fall short of |<[A, B]>| / 2 by this fraction of the larger
+# side, in any unit system: 2e-10 of hbar / 2 is the 1e-10 that the natural-
+# unit x-p check has always allowed.
+_BOUND_RTOL = 2e-10
+
+
+def _bound_satisfied(lhs: float, rhs: float) -> bool:
+    return bool(lhs + _BOUND_RTOL * max(lhs, rhs) >= rhs)
 
 
 def uncertainty_bound_check(
     op_a: Operator, op_b: Operator, psi: WaveFunction
 ) -> UncertaintyReport:
-    """Check dA * dB >= |<[A, B]>| / 2 with a small numerical slack."""
+    """Check dA * dB >= |<[A, B]>| / 2 up to a relative slack of _BOUND_RTOL."""
     lhs = uncertainty(op_a, psi) * uncertainty(op_b, psi)
     rhs = 0.5 * abs(commutator_expectation(op_a, op_b, psi))
-    return UncertaintyReport(lhs=lhs, rhs=rhs, satisfied=bool(lhs + _BOUND_SLACK >= rhs))
+    return UncertaintyReport(lhs=lhs, rhs=rhs, satisfied=_bound_satisfied(lhs, rhs))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,10 @@ from .errors import ParameterError, UnsupportedMethodError
 from .potentials import Potential, segment_list
 
 _SCALE_EXTRACT_THRESHOLD = 300.0
+# region_waves' incident-region amplitudes must reproduce unit incidence and
+# the kernel's r to this absolute error.  Valid stacks give below 1e-13; an
+# amplitude that underflowed or overflowed on the way gives O(1).
+_ASSEMBLY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -143,14 +148,16 @@ def _basis_matrix(linear, k, delta: float, shift=0.0) -> np.ndarray:
     return w
 
 
-def _interface_matrices(interfaces, linear, k, extract: bool):
-    """Yield (shift, M) for each interface, left to right.
+def _interface_bases(interfaces, linear, k, extract: bool):
+    """Yield (shift, w_left, w_right) for each interface, left to right.
 
-    M (nE, 2, 2) maps region j's amplitudes to region j+1's.  Region 0 is
-    referenced to its right edge and every later region to its left edge,
-    so M only contains one region's width.  With `extract`, an evanescent
-    region wider than _SCALE_EXTRACT_THRESHOLD e-folds has its growth
-    exp(shift) taken out of M.
+    w_left and w_right (nE, 2, 2) are the basis matrices of regions j and
+    j+1 at the interface, so solve(w_right, w_left) maps region j's
+    amplitudes to region j+1's.  Region 0 is referenced to its right edge
+    and every later region to its left edge, so only w_left contains a
+    region's width.  With `extract`, an evanescent region wider than
+    _SCALE_EXTRACT_THRESHOLD e-folds has its growth exp(shift) taken out of
+    w_left.
     """
     refs = interfaces[:1] + interfaces
     for j, x_c in enumerate(interfaces):
@@ -162,7 +169,7 @@ def _interface_matrices(interfaces, linear, k, extract: bool):
             shift = np.where(beta_w > _SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
         w_left = _basis_matrix(linear[:, j], k[:, j], delta, shift)
         w_right = _basis_matrix(linear[:, j + 1], k[:, j + 1], x_c - refs[j + 1])
-        yield shift, np.linalg.solve(w_right, w_left)
+        yield shift, w_left, w_right
 
 
 def _times(a, b):
@@ -181,9 +188,10 @@ def _chain(interfaces, linear, k):
         return np.zeros(n, np.complex128), np.ones(n, np.complex128), [None] * n, [None] * n
     log_scale = np.zeros(n)
     m_total = np.eye(2, dtype=np.complex128)
-    for j, (shift, m) in enumerate(_interface_matrices(interfaces, linear, k, extract=True)):
+    bases = _interface_bases(interfaces, linear, k, extract=True)
+    for j, (shift, w_left, w_right) in enumerate(bases):
         log_scale += shift
-        m_total = m @ m_total
+        m_total = np.linalg.solve(w_right, w_left) @ m_total
         if j == 0:
             m_after_first = m_total
 
@@ -247,18 +255,39 @@ def region_waves(
 ) -> list[RegionWave]:
     """The fully assembled per-region solution, outermost regions included.
 
-    Chains amplitudes without log-domain rescaling, so it is intended for
-    inspection and plotting at moderate opacities.
+    Starts from the kernel's transmitted wave (t, 0) and solves for each
+    region's amplitudes right to left, so through an evanescent region the
+    chain follows the growing solution and no error is amplified.  Raises
+    ParameterError when t is below the smallest normal float, or when the
+    incident region does not come back to unit incidence and the kernel's r
+    within _ASSEMBLY_TOL: each region's amplitudes are referenced to its
+    left edge, so one evanescent region wider than about 360 e-folds has a
+    growing amplitude below the float range.
     """
     interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
+    r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])
+    if abs(t) < sys.float_info.min:
+        raise ParameterError(
+            f"E={E}: the transmitted amplitude |t| = {abs(t):.3g} underflows; "
+            "the stack is too opaque to assemble region by region"
+        )
     kinds = ["linear" if flag else "exp" for flag in linear[0]]
     ks = [0.0 if flag else complex(kj) for flag, kj in zip(linear[0], k[0])]
-    r = complex(_chain(interfaces, linear, k)[0][0])
     refs = (interfaces[:1] or [0.0]) + interfaces
+    pairs = [np.array([t * cmath.exp(1j * ks[-1] * refs[-1]), 0.0])]
+    with np.errstate(all="ignore"):  # under- and overflow fail the check below
+        for _, w_left, w_right in reversed(list(_interface_bases(interfaces, linear, k, False))):
+            pairs.append(np.linalg.solve(w_left[0], w_right[0] @ pairs[-1]))
+    pairs.reverse()
     k0, x0 = ks[0], refs[0]
-    pairs = [np.array([cmath.exp(1j * k0 * x0), r * cmath.exp(-1j * k0 * x0)])]
-    for _, m in _interface_matrices(interfaces, linear, k, extract=False):
-        pairs.append(m[0] @ pairs[-1])
+    incident = np.array([cmath.exp(1j * k0 * x0), r * cmath.exp(-1j * k0 * x0)])
+    off = np.max(np.abs(pairs[0] - incident))
+    if not off <= _ASSEMBLY_TOL:  # also catches nan
+        raise ParameterError(
+            f"E={E}: the region amplitudes leave the float range (incident "
+            f"amplitudes off by {off:.2g}); the stack is too opaque to assemble "
+            "region by region"
+        )
     bounds = [-math.inf] + interfaces + [math.inf]
     return [
         RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1], kinds[j])

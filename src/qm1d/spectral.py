@@ -44,23 +44,31 @@ def hot_edge_amplitude(values: np.ndarray) -> float:
     """The larger end-point modulus when it exceeds EDGE_AMPLITUDE_TOL *
     max(1, peak), else 0.0: a state that large at the edges wraps around
     in a periodic transform."""
-    peak = np.max(np.abs(values))
     edge = max(abs(values[0]), abs(values[-1]))
+    if edge <= EDGE_AMPLITUDE_TOL:  # within the bound whatever the peak
+        return 0.0
+    peak = np.max(np.abs(values))
     return edge if edge > EDGE_AMPLITUDE_TOL * max(1.0, peak) else 0.0
+
+
+def warn_if_edges_hot(values: np.ndarray, stacklevel: int):
+    """EdgeAmplitudeWarning when hot_edge_amplitude flags values; stacklevel
+    is counted from the caller, as in warnings.warn."""
+    edge = hot_edge_amplitude(values)
+    if edge:
+        warnings.warn(
+            f"position-space state has edge amplitude {edge:.2e}; the periodic "
+            "transform will not approximate the continuum integral accurately",
+            EdgeAmplitudeWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Forward transform of a position-space state onto the conjugate grid."""
     if psi.space is not Space.POSITION:
         raise SpaceTagError("to_momentum_space expects a position-space state")
-    edge = hot_edge_amplitude(psi.values)
-    if edge:
-        warnings.warn(
-            f"position-space state has edge amplitude {edge:.2e}; the periodic "
-            "transform will not approximate the continuum integral accurately",
-            EdgeAmplitudeWarning,
-            stacklevel=2,
-        )
+    warn_if_edges_hot(psi.values, stacklevel=2)
     grid = psi.grid
     mgrid = momentum_grid(grid, constants)
     raw = np.fft.fftshift(np.fft.fft(psi.values))

@@ -14,22 +14,29 @@ from qm1d import (
     build_hamiltonian,
     crank_nicolson_step,
     evolve,
+    expectation,
     gaussian_packet_x,
+    hamiltonian_operator,
     make_grid,
+    momentum_operator,
     norm_squared,
     normalize,
     packet_width,
+    position_operator,
     solve_bound_states,
     split_step,
+    uncertainty,
 )
 from qm1d.errors import (
     ConfigurationError,
     EdgeAmplitudeError,
+    EdgeAmplitudeWarning,
     GridMismatchError,
+    NormalizationWarning,
     ParameterError,
     UnsupportedMethodError,
 )
-from qm1d.evolution import _CrankNicolson
+from qm1d.evolution import _CrankNicolson, _SplitStep
 
 
 def gaussian_on(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -240,3 +247,112 @@ def test_config_validation():
         EvolutionConfig(dt=0.1, steps=10, method="magic")
     with pytest.raises(ParameterError):
         EvolutionConfig(dt=0.1, steps=10, observables_every=0)
+
+
+class _TwoArgError(RuntimeError):
+    """A step failure whose constructor does not take a lone message."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+        self.code = code
+
+
+@pytest.mark.parametrize("method, stepper", [
+    ("crank_nicolson", _CrankNicolson),
+    ("split_step", _SplitStep),
+])
+def test_evolve_step_error_keeps_type_and_prefixes_step(monkeypatch, method, stepper):
+    taken = []
+
+    def failing_step(self, values):
+        taken.append(1)
+        if len(taken) == 3:
+            raise _TwoArgError(7, "injected")
+        return values
+
+    monkeypatch.setattr(stepper, "step_values", failing_step)
+    g = make_grid(-12, 12, 128)
+    config = EvolutionConfig(dt=0.01, steps=5, method=method)
+    with pytest.raises(_TwoArgError, match=r"^step 3: 7: injected$") as info:
+        evolve(gaussian_on(g), PiecewiseConstant(), config)
+    assert info.value.code == 7
+
+
+# (method, potential, grid, initial state, dt): free, harmonic and hard-wall
+# cases; split step cannot take the wall.
+_CROSS_CASES = {
+    "cn-free": ("crank_nicolson", PiecewiseConstant(), (-20, 30, 512), (1.0, 2.0, 0.0), 0.01),
+    "ss-free": ("split_step", PiecewiseConstant(), (-20, 30, 512), (1.0, 2.0, 0.0), 0.01),
+    "cn-harmonic": ("crank_nicolson", Harmonic(omega=1.0), (-10, 10, 401), (0.5, 0.0, 1.0), 0.01),
+    "ss-harmonic": ("split_step", Harmonic(omega=1.0), (-10, 10, 401), (0.5, 0.0, 1.0), 0.01),
+    "cn-well": ("crank_nicolson", InfiniteWell(a=1.0), (0, 1, 513), (0.001, 20.0, 0.5), 5e-4),
+}
+
+
+def _cross_run(case, every):
+    method, potential, (x_min, x_max, n), (alpha, k0, x0), dt = _CROSS_CASES[case]
+    g = make_grid(x_min, x_max, n)
+    psi0 = gaussian_on(g, alpha=alpha, k0=k0, x0=x0)
+    config = EvolutionConfig(dt=dt, steps=40, method=method, observables_every=every)
+    return g, potential, psi0, config, evolve(psi0, potential, config)
+
+
+@pytest.mark.parametrize("every", [1, 10])
+@pytest.mark.parametrize("case", sorted(_CROSS_CASES))
+def test_evolve_series_match_public_observables(case, every):
+    g, potential, _, _, trajectory = _cross_run(case, every)
+    assert len(trajectory.snapshots) == 40 // every + 1
+    x_op = position_operator(g)
+    p_op = momentum_operator(g)
+    h_op = hamiltonian_operator(build_hamiltonian(g, potential, 1.0, NATURAL))
+    snaps = trajectory.snapshots
+    reference = {
+        "norm": [norm_squared(s) for s in snaps],
+        "x_mean": [expectation(x_op, s).real for s in snaps],
+        "p_mean": [expectation(p_op, s).real for s in snaps],
+        "x_spread": [uncertainty(x_op, s) for s in snaps],
+        "p_spread": [uncertainty(p_op, s) for s in snaps],
+        "energy": [expectation(h_op, s).real for s in snaps],
+    }
+    # each series against its own scale: the domain for x, hbar/dx for p
+    x_scale = max(abs(g.x_min), abs(g.x_max))
+    p_scale = NATURAL.hbar / g.dx
+    scales = {"norm": 1.0, "x_mean": x_scale, "x_spread": x_scale, "p_mean": p_scale,
+              "p_spread": p_scale, "energy": np.max(np.abs(reference["energy"]))}
+    for name, expected in reference.items():
+        got = getattr(trajectory, name)
+        assert got.shape == (len(snaps),)
+        assert np.max(np.abs(got - np.asarray(expected))) <= 1e-12 * scales[name], name
+
+
+@pytest.mark.parametrize("case", sorted(_CROSS_CASES))
+def test_evolve_matches_chained_single_steps(case):
+    g, potential, psi0, config, trajectory = _cross_run(case, 10)
+    h = build_hamiltonian(g, potential, 1.0, NATURAL)
+    psi = psi0
+    for k in range(1, config.steps + 1):
+        if config.method == "crank_nicolson":
+            psi = crank_nicolson_step(psi, h, config.dt, NATURAL)
+        else:
+            psi = split_step(psi, potential, config.dt, 1.0, NATURAL)
+        if k % 10 == 0:
+            snap = trajectory.snapshots[k // 10]
+            assert np.max(np.abs(snap.values - psi.values)) <= 1e-12 * np.max(np.abs(psi.values))
+
+
+def test_evolve_warns_on_unnormalized_initial_state():
+    g = make_grid(-12, 12, 256)
+    psi = gaussian_on(g)
+    doubled = psi.with_values(2.0 * psi.values)
+    config = EvolutionConfig(dt=0.01, steps=3, method="split_step")
+    with pytest.warns(NormalizationWarning, match="expectation values assume a normalized state"):
+        trajectory = evolve(doubled, PiecewiseConstant(), config)
+    assert trajectory.norm[0] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_evolve_warns_on_hot_edge_crank_nicolson_state():
+    g = make_grid(-4, 4, 128)
+    psi = gaussian_on(g, alpha=4.0)  # wide packet, live edges
+    config = EvolutionConfig(dt=1e-3, steps=0, method="crank_nicolson")
+    with pytest.warns(EdgeAmplitudeWarning, match="periodic transform will not approximate"):
+        evolve(psi, PiecewiseConstant(), config)

@@ -20,11 +20,13 @@ from qm1d import (
     momentum_operator,
     normalize,
     position_operator,
+    si_constants,
     solve_bound_states,
     uncertainty,
     uncertainty_bound_check,
 )
 from qm1d.errors import GridMismatchError, NormalizationWarning, ParameterError
+from qm1d.observables import _bound_satisfied
 
 
 def gaussian_state(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -216,6 +218,42 @@ def test_commuting_operators_trivial_bound():
     report = uncertainty_bound_check(position_operator(g), x_squared, psi)
     assert report.rhs == pytest.approx(0.0, abs=1e-10)
     assert report.satisfied
+
+
+def test_position_momentum_bound_same_in_natural_units_and_si():
+    # the same Gaussian, sigma = 1 length unit, in natural units and as an
+    # electron with sigma = 1 angstrom in SI, where dx * dp is ~5e-35 J s
+    m_e, length = 9.1093837015e-31, 1e-10
+    si = si_constants(m_e)
+    reports = []
+    for constants, unit, mass in ((NATURAL, 1.0, 1.0), (si, length, m_e)):
+        g = make_grid(-20 * unit, 20 * unit, 1024)
+        params = GaussianPacketParams(alpha=unit**2, k0=0.5 / unit, mass=mass,
+                                      constants=constants)
+        psi = normalize(WaveFunction(g, gaussian_packet_x(params, g.points)))
+        report = uncertainty_bound_check(
+            position_operator(g), momentum_operator(g, constants), psi
+        )
+        assert report.lhs == pytest.approx(0.5 * constants.hbar, rel=1e-6)
+        assert report.rhs == pytest.approx(0.5 * constants.hbar, rel=1e-6)
+        reports.append(report)
+    natural, si_report = reports
+    assert natural.satisfied and si_report.satisfied
+    # a violation of one part in a million is found in both unit systems;
+    # an absolute slack of 1e-10 would pass any SI state
+    for report in reports:
+        assert not _bound_satisfied(report.lhs, report.lhs * (1.0 + 1e-6))
+
+
+def test_bound_slack_is_relative():
+    # 2e-10 of the larger side: 1e-10 at hbar / 2 in natural units
+    assert _bound_satisfied(0.5, 0.5 + 0.99e-10)
+    assert not _bound_satisfied(0.5, 0.5 + 1.01e-10)
+    half_hbar_si = 0.5 * si_constants(9.1093837015e-31).hbar
+    assert _bound_satisfied(half_hbar_si, half_hbar_si * (1.0 + 1.98e-10))
+    assert not _bound_satisfied(half_hbar_si, half_hbar_si * (1.0 + 2.02e-10))
+    assert _bound_satisfied(0.0, 0.0)
+    assert _bound_satisfied(2.0, 1.0)
 
 
 def test_custom_operator_rejects_non_hermitian():

@@ -241,3 +241,35 @@ def test_si_barrier_matches_closed_form():
     assert numeric.prob_t == pytest.approx(closed.prob_t, rel=1e-12, abs=0.0)
     assert abs(numeric.t - closed.t) <= 1e-12 * abs(closed.t)
     assert abs(numeric.r - closed.r) <= 1e-12 * abs(closed.r)
+
+
+@pytest.mark.parametrize("a", [5.0, 120.0])
+def test_region_waves_stay_accurate_through_opaque_barriers(a):
+    # beta * a is about 13 and 317 e-folds; a forward chain loses the
+    # transmitted region to the ulp error of r well before either.
+    barrier, E = Barrier(v0=4.0, a=a), 0.5
+    waves = region_waves(barrier, E)
+    res = transfer_scattering(barrier, E)
+    k = math.sqrt(2.0 * E)
+    incident, transmitted = waves[0], waves[-1]
+    assert abs(incident.forward - cmath.exp(1j * k * incident.x_ref)) < 1e-12
+    assert abs(incident.backward - res.r * cmath.exp(-1j * k * incident.x_ref)) < 1e-12
+    assert transmitted.backward == 0.0
+    expected_t = res.t * cmath.exp(1j * k * transmitted.x_ref)
+    assert abs(transmitted.forward - expected_t) <= 1e-12 * abs(res.t)
+    left, middle, right = waves
+    for outer, x_c in ((left, middle.x_start), (right, middle.x_end)):
+        scale = max(abs(outer.evaluate(x_c)), abs(outer.derivative(x_c)))
+        assert abs(outer.evaluate(x_c) - middle.evaluate(x_c)) <= 1e-12 * scale
+        assert abs(outer.derivative(x_c) - middle.derivative(x_c)) <= 1e-12 * scale
+
+
+def test_region_waves_reject_what_floats_cannot_hold():
+    # |t| is about exp(-1202): it underflows to exactly zero
+    with pytest.raises(ParameterError, match="underflows"):
+        region_waves(Barrier(v0=2.0, a=850.0), 1.0)
+    # 424 e-folds: t is a normal float, but the growing amplitude of the
+    # barrier region, about |t| exp(-424), is not
+    assert transfer_scattering(Barrier(v0=2.0, a=300.0), 1.0).t != 0.0
+    with pytest.raises(ParameterError, match="too opaque"):
+        region_waves(Barrier(v0=2.0, a=300.0), 1.0)
