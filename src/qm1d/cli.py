@@ -45,7 +45,7 @@ from .constants import PhysicalConstants, si_constants
 from .core import Grid, WaveFunction, make_grid, normalize
 from .eigensolver import Spectrum, build_hamiltonian, solve_bound_states
 from .errors import QmError, SolverError
-from .evolution import EvolutionConfig, Trajectory, evolve
+from .evolution import SERIES, STEPPERS, EvolutionConfig, Trajectory, evolve
 from .observables import (
     momentum_operator,
     position_operator,
@@ -209,11 +209,12 @@ def _parse_segments(value, where: str) -> tuple:
 
 
 def _kind(obj, where: str) -> tuple[dict, str]:
-    """A block whose ``kind`` key selects the rest of its schema."""
+    """The keys of a block other than ``kind``, and the kind that selects their schema."""
     body = _obj(obj, where)
     if "kind" not in body:
         raise SchemaError(f"missing key 'kind' in {where}")
-    return body, _string(body["kind"], f"{where}.kind")
+    rest = {key: value for key, value in body.items() if key != "kind"}
+    return rest, _string(body["kind"], f"{where}.kind")
 
 
 _POTENTIALS = {
@@ -227,12 +228,11 @@ _POTENTIALS = {
 
 
 def _parse_potential(obj, where: str, mass: float, grid: Grid | None) -> Potential:
-    body, kind = _kind(obj, where)
+    rest, kind = _kind(obj, where)
     if kind not in _POTENTIALS:
         raise SchemaError(f"{where}.kind: unknown potential kind {kind!r}")
     cls, keys = _POTENTIALS[kind]
-    params = _keys(body, where, {"kind": _string, **keys})
-    del params["kind"]
+    params = _keys(rest, where, keys)
     if cls is Harmonic:
         params["mass"] = mass
     elif cls is Sampled:
@@ -243,13 +243,11 @@ def _parse_potential(obj, where: str, mass: float, grid: Grid | None) -> Potenti
 
 
 def _parse_state(obj, where: str) -> dict:
-    body, kind = _kind(obj, where)
+    rest, kind = _kind(obj, where)
     if kind == "gaussian":
-        return _keys(
-            body, where, {"kind": _string, "alpha": _positive, "k0": _number}, {"x0": _number}
-        )
+        return {"kind": kind, **_parse_gaussian(rest, where)}
     if kind == "eigenstate":
-        return _keys(body, where, {"kind": _string, "n": _positive_int})
+        return {"kind": kind, **_keys(rest, where, {"n": _positive_int})}
     raise SchemaError(f"{where}.kind must be 'gaussian' or 'eigenstate'")
 
 
@@ -345,13 +343,15 @@ def _execute_scatter(spec, constants, mass):
     return {spec["output"]["path"]: (columns, rows)}
 
 
+def _packet_params(gaussian: dict, mass: float, constants: PhysicalConstants):
+    """The closed-form packet of a block parsed by _parse_gaussian, x0 aside."""
+    return GaussianPacketParams(gaussian["alpha"], gaussian["k0"], mass, constants)
+
+
 def _initial_packet(grid: Grid, init: dict, mass: float,
                     constants: PhysicalConstants) -> WaveFunction:
-    params = GaussianPacketParams(
-        alpha=init["alpha"], k0=init["k0"], mass=mass, constants=constants
-    )
-    x0 = init.get("x0", 0.0)
-    values = gaussian_packet_x(params, grid.points - x0)
+    params = _packet_params(init, mass, constants)
+    values = gaussian_packet_x(params, grid.points - init.get("x0", 0.0))
     return normalize(WaveFunction(grid, values))
 
 
@@ -364,12 +364,9 @@ def _execute_evolve(spec, constants, mass):
         observables_every=spec.get("observables_every", 1),
     )
     trajectory = evolve(psi0, spec["potential"], config, mass, constants)
-    columns = ["t", "norm", "x_mean", "p_mean", "x_spread", "p_spread", "energy"]
-    rows = np.column_stack([
-        trajectory.times, trajectory.norm, trajectory.x_mean, trajectory.p_mean,
-        trajectory.x_spread, trajectory.p_spread, trajectory.energy,
-    ]).tolist()
-    outputs = {spec["output"]["path"]: (columns, rows)}
+    series = [getattr(trajectory, name) for name in SERIES]
+    rows = np.column_stack([trajectory.times, *series]).tolist()
+    outputs = {spec["output"]["path"]: (["t", *SERIES], rows)}
     if spec.get("emit_density"):
         density = []
         for t, snap in zip(trajectory.times.tolist(), trajectory.snapshots):
@@ -381,10 +378,7 @@ def _execute_evolve(spec, constants, mass):
 
 
 def _execute_packet(spec, constants, mass):
-    params = GaussianPacketParams(
-        alpha=spec["packet"]["alpha"], k0=spec["packet"]["k0"],
-        mass=mass, constants=constants,
-    )
+    params = _packet_params(spec["packet"], mass, constants)
     times = spec["times"]
     rows = _long_rows("width", times, "", [packet_width(params, t) for t in times])
     if spec.get("emit_density"):
@@ -468,7 +462,7 @@ COMMANDS = {
             "grid": _parse_grid,
             "potential": _raw,
             "initial": _parse_gaussian,
-            "method": _choice({"crank_nicolson", "split_step"}),
+            "method": _choice(STEPPERS),
             "dt": _positive,
             "steps": _positive_int,
         },

@@ -203,12 +203,15 @@ def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
     """
     size = h.size
     diag, off, second = h.diagonal, h.off_diagonal, h.second_off_diagonal
-    lower = np.zeros((3, size))
-    lower[0] = diag
-    lower[1, :-1] = off
-    lower[2, :-2] = second
+    # Full band storage for solve_banded; rows 2-4 are eig_banded's lower form.
+    band = np.zeros((5, size))
+    band[0, 2:] = second
+    band[1, 1:] = off
+    band[2] = diag
+    band[3, :-1] = off
+    band[4, :-2] = second
     energies = eig_banded(
-        lower, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+        band[2:], lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
     # Shift just off each eigenvalue so the banded LU never meets an exact
     # zero pivot (a 1 x 1 matrix would); the offset is 64 ulps of the
@@ -216,19 +219,14 @@ def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
     scale = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
     scale += 2.0 * np.max(np.abs(second), initial=0.0)
     offset = 64.0 * np.finfo(float).eps * scale
-    shifted = np.zeros((5, size))
-    shifted[0, 2:] = second
-    shifted[1, 1:] = off
-    shifted[3, :-1] = off
-    shifted[4, :-2] = second
     # fixed start: no symmetry of the problem can make it orthogonal to a state
     start = np.random.default_rng(0).standard_normal(size)
     vectors = np.empty((size, count))
     for j, energy in enumerate(energies):
-        shifted[2] = diag - (energy - offset)
+        band[2] = diag - (energy - offset)
         v = start
         for _ in range(_INVERSE_SWEEPS):
-            v = solve_banded((2, 2), shifted, v)
+            v = solve_banded((2, 2), band, v)
             # keep (near-)degenerate partners apart, as LAPACK's stein does
             v = v - vectors[:, :j] @ (vectors[:, :j].T @ v)
             v = v / np.linalg.norm(v)

@@ -15,13 +15,13 @@ hbar / E_max of the occupied spectrum (a factor of ten is a good default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Grid, Space, WaveFunction
+from .core import Space, WaveFunction
 from .eigensolver import DiscreteHamiltonian, build_hamiltonian
 from .errors import (
     ConfigurationError,
@@ -32,8 +32,8 @@ from .errors import (
     UnsupportedMethodError,
 )
 from .observables import _SnapshotObservables
-from .potentials import Potential, sample_on_grid
-from .spectral import EDGE_AMPLITUDE_TOL, hot_edge_amplitude, momentum_grid
+from .potentials import Potential
+from .spectral import EDGE_AMPLITUDE_TOL, fft_momenta, hot_edge_amplitude
 
 METHOD_CRANK_NICOLSON = "crank_nicolson"
 METHOD_SPLIT_STEP = "split_step"
@@ -52,7 +52,7 @@ class EvolutionConfig:
         if self.steps < 0:
             # steps = 0 is the degenerate single-snapshot trajectory
             raise ParameterError(f"steps must be non-negative, got {self.steps}")
-        if self.method not in (METHOD_CRANK_NICOLSON, METHOD_SPLIT_STEP):
+        if self.method not in STEPPERS:
             raise ParameterError(f"unknown method {self.method!r}")
         if self.observables_every < 1:
             raise ParameterError("observables_every must be at least 1")
@@ -70,6 +70,9 @@ class Trajectory:
     x_spread: np.ndarray
     p_spread: np.ndarray
     energy: np.ndarray
+
+
+SERIES = tuple(f.name for f in fields(Trajectory)[2:])
 
 
 class _CrankNicolson:
@@ -136,25 +139,21 @@ def crank_nicolson_step(
 
 
 class _SplitStep:
-    """Reusable phases for split-step propagation of one potential.
+    """Reusable phases for split-step propagation under the V and mass of h.
 
-    The kinetic factor is stored in numpy's unshifted FFT order.  The x_min
-    phase, the fftshift pair and the dx * n * dp / (2 pi hbar) = 1 scale of
-    the continuum transforms cancel in a round trip, so a step is
-    half * ifft(kinetic * fft(half * psi)).
+    The kinetic factor is stored in numpy's unshifted FFT order, and the
+    dx * n * dp / (2 pi hbar) = 1 scale of the continuum transforms cancels
+    in a round trip, so a step is half * ifft(kinetic * fft(half * psi)).
     """
 
-    def __init__(self, grid: Grid, potential: Potential, dt: float, mass: float,
-                 constants: PhysicalConstants):
-        values, mask = sample_on_grid(potential, grid)
-        if mask.any():
+    def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
+        if h.wall_mask.any():
             raise UnsupportedMethodError(
-                "split-step cannot handle hard walls; use crank_nicolson"
+                f"split-step cannot handle hard walls; use {METHOD_CRANK_NICOLSON}"
             )
-        hbar = constants.hbar
-        self.half_potential = np.exp(-0.5j * values * dt / hbar)
-        p = np.fft.ifftshift(momentum_grid(grid, constants).p)
-        self.kinetic = np.exp(-0.5j * p**2 * dt / (mass * hbar))
+        self.half_potential = np.exp(-0.5j * h.potential_values * dt / constants.hbar)
+        p, _ = fft_momenta(h.grid, constants)
+        self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
         edge = hot_edge_amplitude(values)
@@ -177,8 +176,13 @@ def split_step(
     """One second-order split step: V/2, kinetic in p-space, V/2."""
     if psi.space is not Space.POSITION:
         raise SpaceTagError("time stepping acts on position-space states")
-    stepper = _SplitStep(psi.grid, potential, dt, mass, constants)
+    h = build_hamiltonian(psi.grid, potential, mass, constants)
+    stepper = _SplitStep(h, dt, constants)
     return psi.with_values(stepper.step_values(psi.values))
+
+
+# Each EvolutionConfig.method (and CLI evolve method) with its stepper class.
+STEPPERS = {METHOD_CRANK_NICOLSON: _CrankNicolson, METHOD_SPLIT_STEP: _SplitStep}
 
 
 def evolve(
@@ -195,10 +199,7 @@ def evolve(
     """
     grid = psi0.grid
     h = build_hamiltonian(grid, potential, mass, constants)
-    if config.method == METHOD_CRANK_NICOLSON:
-        stepper = _CrankNicolson(h, config.dt, constants)
-    else:
-        stepper = _SplitStep(grid, potential, config.dt, mass, constants)
+    stepper = STEPPERS[config.method](h, config.dt, constants)
     observe = _SnapshotObservables(h, constants)
 
     times = [0.0]
@@ -220,14 +221,4 @@ def evolve(
     rows = []
     for snap in snapshots:
         rows.append(observe(snap.values))
-    norm, x_mean, p_mean, x_spread, p_spread, energy = map(np.array, zip(*rows))
-    return Trajectory(
-        times=np.asarray(times),
-        snapshots=snapshots,
-        norm=norm,
-        x_mean=x_mean,
-        p_mean=p_mean,
-        x_spread=x_spread,
-        p_spread=p_spread,
-        energy=energy,
-    )
+    return Trajectory(np.asarray(times), snapshots, *map(np.array, zip(*rows)))

@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     SpaceTagError,
 )
-from .spectral import momentum_grid, to_momentum_space, to_position_space, warn_if_edges_hot
+from .spectral import fft_momenta, to_momentum_space, to_position_space, warn_if_edges_hot
 
 HERMITICITY_TOL = 1e-12
 _NORM_WARN = 1e-8
@@ -52,8 +52,7 @@ class Operator:
             return psi.with_values(self.grid.points * psi.values)
         if self.kind == "momentum":
             phi = to_momentum_space(psi, self.constants)
-            p = momentum_grid(self.grid, self.constants).p
-            return to_position_space(phi.with_values(p * phi.values), self.constants)
+            return to_position_space(phi.with_values(phi.coordinates * phi.values), self.constants)
         if self.kind == "hamiltonian":
             return psi.with_values(self.hamiltonian.apply(psi.values))
         return psi.with_values(self.dense @ psi.values)
@@ -111,6 +110,17 @@ def _warn_if_unnormalized(n2: float, stacklevel: int):
         )
 
 
+def _momentum_moments(op: Operator, psi: WaveFunction) -> tuple[float, float]:
+    """Mean and variance of p under |phi(p)|^2 dp on the centered grid."""
+    if psi.grid != op.grid:
+        raise GridMismatchError("operator and state live on different grids")
+    phi = to_momentum_space(psi, op.constants)
+    p = phi.coordinates
+    density = np.abs(phi.values) ** 2
+    mean = np.sum(p * density) * phi.dp
+    return mean, np.sum((p - mean) ** 2 * density) * phi.dp
+
+
 def expectation(op: Operator, psi: WaveFunction) -> complex:
     """<psi|A psi> under the uniform quadrature measure.
 
@@ -119,11 +129,7 @@ def expectation(op: Operator, psi: WaveFunction) -> complex:
     """
     _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
     if op.kind == "momentum":
-        if psi.grid != op.grid:
-            raise GridMismatchError("operator and state live on different grids")
-        phi = to_momentum_space(psi, op.constants)
-        p = momentum_grid(op.grid, op.constants).p
-        return complex(np.sum(p * np.abs(phi.values) ** 2) * phi.dp)
+        return complex(_momentum_moments(op, psi)[0])
     return inner_product(psi, op.apply(psi))
 
 
@@ -143,15 +149,11 @@ def uncertainty(op: Operator, psi: WaveFunction) -> float:
     """Root of the variance <(A - <A>)^2>, computed as ||(A - <A>) psi||."""
     _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
     if op.kind == "momentum":
-        phi = to_momentum_space(psi, op.constants)
-        p = momentum_grid(op.grid, op.constants).p
-        density = np.abs(phi.values) ** 2
-        mean = np.sum(p * density) * phi.dp
-        var = np.sum((p - mean) ** 2 * density) * phi.dp
-        return float(np.sqrt(max(var, 0.0)))
-    mean = expectation(op, psi).real
-    residual = op.apply(psi).values - mean * psi.values
-    var = np.sum(np.abs(residual) ** 2) * psi.spacing
+        _, var = _momentum_moments(op, psi)
+    else:
+        mean = expectation(op, psi).real
+        residual = op.apply(psi).values - mean * psi.values
+        var = np.sum(np.abs(residual) ** 2) * psi.spacing
     return float(np.sqrt(max(var, 0.0)))
 
 
@@ -164,18 +166,13 @@ class _SnapshotObservables:
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
-        grid = h.grid
-        mgrid = momentum_grid(grid, constants)
         self.h = h
-        self.x = grid.points
-        self.dx = grid.dx
-        # Momenta in numpy's FFT order.  The x_min phase of to_momentum_space
-        # has unit modulus, so |fft(psi)|^2 * p_weight is |phi(p)|^2 dp.
-        self.p = np.fft.ifftshift(mgrid.p)
-        self.p_weight = grid.dx**2 * mgrid.dp / (2.0 * np.pi * constants.hbar)
+        self.x = h.grid.points
+        self.dx = h.grid.dx
+        self.p, self.p_weight = fft_momenta(h.grid, constants)
 
     def __call__(self, values: np.ndarray) -> tuple[float, ...]:
-        """norm, x_mean, p_mean, x_spread, p_spread, energy; warnings point
+        """The series in evolution.Trajectory's field order; warnings point
         at the caller's caller (the user's evolve call)."""
         dx = self.dx
         density = np.abs(values) ** 2

@@ -40,6 +40,16 @@ def momentum_grid(grid: Grid, constants: PhysicalConstants) -> MomentumGrid:
     return MomentumGrid(p=p, dp=dp)
 
 
+def fft_momenta(grid: Grid, constants: PhysicalConstants) -> tuple[np.ndarray, float]:
+    """Momenta in numpy's unshifted FFT order, and the weight w with
+    |fft(psi)|^2 w = |phi(p)|^2 dp.  The x_min phase of to_momentum_space has
+    unit modulus and the fftshift pair only reorders, so neither enters
+    |phi|^2 nor a step that multiplies by a function of p between fft and ifft."""
+    mgrid = momentum_grid(grid, constants)
+    weight = grid.dx**2 * mgrid.dp / (2.0 * np.pi * constants.hbar)
+    return np.fft.ifftshift(mgrid.p), weight
+
+
 def hot_edge_amplitude(values: np.ndarray) -> float:
     """The larger end-point modulus when it exceeds EDGE_AMPLITUDE_TOL *
     max(1, peak), else 0.0: a state that large at the edges wraps around

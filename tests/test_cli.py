@@ -5,8 +5,17 @@ import sys
 
 import pytest
 
-from qm1d import __version__, packet_width, GaussianPacketParams
-from qm1d.cli import main, run_scenario
+from qm1d import (
+    Barrier,
+    GaussianPacketParams,
+    Harmonic,
+    __version__,
+    make_grid,
+    packet_width,
+    si_constants,
+    transmission_sweep,
+)
+from qm1d.cli import emit_plot_data, main, run_scenario
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -452,3 +461,131 @@ def test_csv_and_json_cells_agree(tmp_path, command):
         assert any(v is True for v in cells)
     if command in ("spectrum", "packet"):
         assert "" in cells
+
+
+def _schema_case(base, /, **changes):
+    """The FORMAT_SCENARIOS body of command `base` with keys replaced (None deletes)."""
+    body = {
+        "command": base,
+        "constants": {"profile": "natural"},
+        "output": {"format": "csv", "path": "table.csv"},
+        **json.loads(json.dumps(FORMAT_SCENARIOS[base])),
+    }
+    for key, value in changes.items():
+        if value is None:
+            del body[key]
+        else:
+            body[key] = value
+    return body
+
+
+# (scenario body or raw file text, a fragment of the error message): one case
+# per SchemaError branch.
+SCHEMA_ERRORS = {
+    "block_not_object": (_schema_case("spectrum", grid=[0, 1, 9]), "grid must be an object"),
+    "not_number": (_schema_case("evolve", dt="0.05"), "dt must be a number"),
+    "not_positive": (_schema_case("evolve", dt=-0.05), "dt must be positive"),
+    "not_integer": (_schema_case("evolve", steps=4.0), "steps must be an integer"),
+    "integer_below_1": (_schema_case("spectrum", count=0), "count must be at least 1"),
+    "not_bool": (_schema_case("spectrum", emit_states=1), "must be true or false"),
+    "not_string": (
+        _schema_case("spectrum", potential={"kind": 3, "omega": 1.0}),
+        "potential.kind must be a string",
+    ),
+    "not_a_choice": (_schema_case("evolve", method="euler"), "method must be one of"),
+    "empty_number_list": (_schema_case("packet", times=[]), "non-empty array of numbers"),
+    "malformed_segment": (
+        _schema_case("scatter", potential={"kind": "piecewise_constant",
+                                           "segments": [[0.0, 1.0]]}),
+        "segments[0] must be [start, end, value]",
+    ),
+    "missing_kind": (
+        _schema_case("spectrum", potential={"omega": 1.0}), "missing key 'kind'"
+    ),
+    "unknown_kind": (
+        _schema_case("spectrum", potential={"kind": "square", "a": 1.0}),
+        "unknown potential kind",
+    ),
+    "bad_state_kind": (
+        _schema_case("uncertainty", state={"kind": "plane_wave"}),
+        "must be 'gaussian' or 'eigenstate'",
+    ),
+    "sampled_without_grid": (
+        _schema_case("scatter", potential={"kind": "sampled", "values": [0.0] * 9}),
+        "sampled potential requires a grid",
+    ),
+    "invalid_json": ('{"command": "spectrum",', "not valid JSON"),
+    "unknown_command": (_schema_case("spectrum", command="teleport"), "command must be one of"),
+    "density_without_grid": (
+        _schema_case("packet", grid=None), "emit_density requires a grid"
+    ),
+    "eigenstate_without_potential": (
+        _schema_case("uncertainty", state={"kind": "eigenstate", "n": 1}),
+        "eigenstate state requires a potential",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+def test_schema_error_exits_2_with_one_json_error(tmp_path, capsys, case):
+    body, fragment = SCHEMA_ERRORS[case]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(body if isinstance(body, str) else json.dumps(body))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["exit_code"] == 2
+    assert error["type"] == "SchemaError"
+    assert fragment in error["message"]
+    assert not out.exists()
+
+
+def _spectrum_levels(tmp_path, name, body):
+    scenario = write_scenario(tmp_path, body, name=f"{name}.json")
+    written = run_scenario(scenario, out_dir=str(tmp_path / name))
+    _, rows = read_rows(written[0])
+    return [row[1] for row in rows]
+
+
+def test_si_well_levels_scale_with_natural_units(tmp_path):
+    # a 1 nm electron well: E_SI = E_natural * hbar^2 / (m a^2), within the
+    # bisection tolerance eps * ||H||_1 (about 1e-10 of each level)
+    mass, width = 9.1093837015e-31, 1e-9
+    natural = spectrum_scenario(grid={"x_min": 0.0, "x_max": 1.0, "n": 2001})
+    si = spectrum_scenario(
+        constants={"profile": "si", "mass": mass},
+        grid={"x_min": 0.0, "x_max": width, "n": 2001},
+        potential={"kind": "infinite_well", "a": width},
+    )
+    hbar = si_constants(mass).hbar
+    scale = hbar**2 / (mass * width**2)
+    levels_natural = _spectrum_levels(tmp_path, "natural", natural)
+    levels_si = _spectrum_levels(tmp_path, "si", si)
+    assert len(levels_si) == len(levels_natural) == 5
+    for e_si, e_natural in zip(levels_si, levels_natural):
+        assert float(e_si) == pytest.approx(float(e_natural) * scale, rel=1e-9)
+
+
+def test_sampled_harmonic_values_give_harmonic_levels(tmp_path):
+    grid = {"x_min": -10.0, "x_max": 10.0, "n": 401}
+    values = Harmonic(omega=1.0).value_array(make_grid(**grid).points).tolist()
+    harmonic = spectrum_scenario(grid=grid, potential={"kind": "harmonic", "omega": 1.0})
+    sampled = spectrum_scenario(grid=grid, potential={"kind": "sampled", "values": values})
+    levels = _spectrum_levels(tmp_path, "harmonic", harmonic)
+    assert _spectrum_levels(tmp_path, "sampled", sampled) == levels
+    assert len(levels) == 5
+
+
+def test_emit_plot_data_transmission_sweep():
+    energies = [0.5, 1.0, 3.0]
+    results = transmission_sweep(Barrier(v0=2.0, a=1.0), energies)
+    columns, rows = emit_plot_data(results)
+    assert columns == ["series", "t", "x", "value"]
+    assert rows == (
+        [["prob_T", "", e, float(r.prob_t)] for e, r in zip(energies, results)]
+        + [["prob_R", "", e, float(r.prob_r)] for e, r in zip(energies, results)]
+    )

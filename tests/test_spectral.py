@@ -143,3 +143,10 @@ def test_hbar_scaling():
     peak = mg.p[np.argmax(np.abs(phi.values) ** 2)]
     assert abs(peak - 6.0) <= mg.dp
     assert abs(norm_squared(phi) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_momentum_state_coordinates_are_the_momentum_grid(n):
+    g = make_grid(-10, 10, n)
+    phi = to_momentum_space(gaussian_state(g, k0=1.0), NATURAL)
+    assert np.array_equal(phi.coordinates, momentum_grid(g, NATURAL).p)

@@ -1,0 +1,204 @@
+"""Byte-identity corpus: run a fixed set of CLI scenarios with this tree's
+``src/`` and with another ``src/`` tree, and compare every data file.
+
+    python tools/corpus.py --against OTHER_CHECKOUT/src
+
+The corpus holds all six commands in csv and json (with ``emit_states``,
+``emit_density``, an SI profile and a ``sampled`` potential among them) plus
+the perfbench scenarios of seeds 1-3 of every workload, in their own format.
+Each side runs in its own interpreter with ``PYTHONPATH`` set to its source
+tree, so the two never share imported modules.  Data files are compared by
+sha256; ``*.meta.json`` sidecars carry timestamps and are skipped.  Exit
+status 0 means every scenario exits alike on both sides and every data file
+exists on both sides with the same digest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+import workloads  # noqa: E402
+
+NATURAL = {"profile": "natural"}
+ELECTRON_KG = 9.1093837015e-31
+SEEDS = (1, 2, 3)
+
+# Runs each (scenario, out dir, format or None) of the manifest through
+# qm1d.cli.main and prints the exit codes as one JSON list.
+_CHILD = """
+import contextlib, io, json, sys, warnings
+warnings.simplefilter("ignore")
+from qm1d.cli import main
+codes = []
+for scenario, out, fmt in json.load(open(sys.argv[1])):
+    argv = ["run", scenario, "--out", out] + (["--format", fmt] if fmt else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def _harmonic_values(grid: dict, omega: float) -> list[float]:
+    x = np.linspace(grid["x_min"], grid["x_max"], grid["n"])
+    return (0.5 * omega**2 * x**2).tolist()
+
+
+def _hand_written() -> dict[str, dict]:
+    """Scenarios that run in both csv and json, by name."""
+    well_grid = {"x_min": 0.0, "x_max": 1.0, "n": 801}
+    osc_grid = {"x_min": -10.0, "x_max": 10.0, "n": 401}
+    packet_grid = {"x_min": -30.0, "x_max": 30.0, "n": 512}
+    bodies = {
+        "well": {
+            "command": "spectrum", "constants": NATURAL, "grid": well_grid,
+            "potential": {"kind": "infinite_well", "a": 1.0}, "count": 4,
+            "emit_states": True,
+        },
+        "harmonic": {
+            "command": "spectrum", "constants": NATURAL, "grid": osc_grid,
+            "potential": {"kind": "harmonic", "omega": 1.0}, "count": 5,
+            "emit_states": True,
+        },
+        "si_well": {
+            "command": "spectrum",
+            "constants": {"profile": "si", "mass": ELECTRON_KG},
+            "grid": {"x_min": 0.0, "x_max": 1e-9, "n": 2001},
+            "potential": {"kind": "infinite_well", "a": 1e-9}, "count": 4,
+        },
+        "sampled": {
+            "command": "spectrum", "constants": NATURAL, "grid": osc_grid,
+            "potential": {"kind": "sampled", "values": _harmonic_values(osc_grid, 1.0)},
+            "count": 5,
+        },
+        "ramp": {
+            "command": "spectrum", "constants": NATURAL,
+            "grid": {"x_min": -0.5, "x_max": 20.0, "n": 1026},
+            "potential": {"kind": "linear_ramp", "lam": 1.0}, "count": 3,
+        },
+        "scatter": {
+            "command": "scatter", "constants": NATURAL,
+            "potential": {"kind": "piecewise_constant",
+                          "segments": [[0.0, 1.0, 2.0], [1.5, 2.0, 1.0]]},
+            "energies": {"start": 0.1, "stop": 4.0, "count": 40},
+        },
+        "evolve_cn": {
+            "command": "evolve", "constants": NATURAL, "grid": packet_grid,
+            "potential": {"kind": "harmonic", "omega": 0.2},
+            "initial": {"alpha": 1.0, "k0": 1.5, "x0": -2.0},
+            "method": "crank_nicolson", "dt": 0.02, "steps": 40,
+            "observables_every": 5, "emit_density": True,
+        },
+        "evolve_split": {
+            "command": "evolve", "constants": NATURAL, "grid": packet_grid,
+            "potential": {"kind": "harmonic", "omega": 0.3},
+            "initial": {"alpha": 0.6, "k0": 2.5, "x0": -4.0},
+            "method": "split_step", "dt": 0.02, "steps": 40,
+        },
+        "packet": {
+            "command": "packet", "constants": NATURAL,
+            "packet": {"alpha": 0.7, "k0": 2.0}, "times": [0.0, 0.5, 1.5],
+            "grid": {"x_min": -6.0, "x_max": 10.0, "n": 65}, "emit_density": True,
+        },
+        "blackbody": {
+            "command": "blackbody", "constants": NATURAL, "temperature": 1.5,
+            "frequencies": {"start": 0.05, "stop": 3.0, "count": 30},
+        },
+        "uncertainty_gaussian": {
+            "command": "uncertainty", "constants": NATURAL,
+            "grid": {"x_min": -16.0, "x_max": 16.0, "n": 512},
+            "state": {"kind": "gaussian", "alpha": 0.8, "k0": 1.0, "x0": 0.5},
+        },
+        "uncertainty_eigenstate": {
+            "command": "uncertainty", "constants": NATURAL, "grid": well_grid,
+            "potential": {"kind": "infinite_well", "a": 1.0},
+            "state": {"kind": "eigenstate", "n": 2},
+        },
+    }
+    for name, body in bodies.items():
+        body["output"] = {"format": "csv", "path": f"{name}.dat"}
+    return bodies
+
+
+def write_corpus(directory: Path) -> list[tuple[str, str, str | None]]:
+    """Scenario files under ``directory``; returns the manifest of
+    (scenario path, output subdirectory, format override)."""
+    runs = []
+    for name, body in _hand_written().items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(body, indent=2) + "\n")
+        for fmt in ("csv", "json"):
+            runs.append((str(path), f"{name}.{fmt}", fmt))
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            tag = f"{workload}.{seed}"
+            paths = workloads.write(workloads.generate(workload, seed), directory / tag, workload, seed)
+            runs += [(str(path), f"{tag}/{path.stem}", None) for path in paths]
+    return runs
+
+
+def run_side(src: Path, runs: list, scenarios: Path, out: Path) -> list[int]:
+    """Run the manifest with qm1d imported from ``src``; returns exit codes."""
+    manifest = out.with_name(f"{out.name}.manifest.json")
+    manifest.write_text(json.dumps([(s, str(out / sub), fmt) for s, sub, fmt in runs]))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(manifest)],
+        env=env, capture_output=True, text=True, check=True, cwd=scenarios,
+    )
+    return json.loads(result.stdout)
+
+
+def digests(out: Path) -> dict[str, str]:
+    """sha256 of every data file below ``out``, by relative path."""
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and not path.name.endswith(".meta.json")
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, type=Path,
+                        help="the other src/ directory (holding qm1d/)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="qm1d-corpus-") as tmp:
+        tmp = Path(tmp)
+        scenarios = tmp / "scenarios"
+        scenarios.mkdir()
+        runs = write_corpus(scenarios)
+        codes = {}
+        sums = {}
+        for side, src in (("this", REPO / "src"), ("against", args.against)):
+            codes[side] = run_side(src.resolve(), runs, scenarios, tmp / side)
+            sums[side] = digests(tmp / side)
+    failures = [
+        f"exit codes differ for {sub}: {a} vs {b}"
+        for (_, sub, _), a, b in zip(runs, codes["this"], codes["against"]) if a != b
+    ]
+    failures += [f"scenario {sub} exited {a}" for (_, sub, _), a in zip(runs, codes["this"]) if a]
+    failures += [
+        f"{name}: sha256 differs or file missing on one side"
+        for name in sorted(set(sums["this"]) | set(sums["against"]))
+        if sums["this"].get(name) != sums["against"].get(name)
+    ]
+    identical = sum(sums["against"].get(name) == digest for name, digest in sums["this"].items())
+    print(f"{len(runs)} runs, {len(sums['this'])} data files, {identical} sha256-identical")
+    for line in failures:
+        print(f"  {line}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
