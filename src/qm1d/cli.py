@@ -18,13 +18,14 @@ import argparse
 import cmath
 import contextlib
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -49,7 +50,6 @@ from .evolution import SERIES, STEPPERS, EvolutionConfig, Trajectory, evolve
 from .observables import (
     momentum_operator,
     position_operator,
-    uncertainty,
     uncertainty_bound_check,
 )
 from .potentials import (
@@ -260,46 +260,48 @@ def _parse_gaussian(obj, where: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Tidy plot rows
+# Columnar tables
+#
+# A table is (columns, blocks): the column names and a list of blocks of
+# rows, each a tuple of one entry per column.  An entry is an ndarray or a
+# list (one cell per row) or any other value (one cell repeated on every row
+# of the block), and every block holds at least one ndarray or list.  The
+# writers format and write the rows in order, _CHUNK_ROWS at a time.
+
+_PLOT_COLUMNS = ("series", "t", "x", "value")
 
 
-def _cells(column):
-    """Native Python values of an array; a list as it is; any other value is
-    one cell repeated on every row."""
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return column if isinstance(column, list) else repeat(column)
-
-
-def _long_rows(series: str, t, x, value) -> list[list]:
-    """Rows [series, t, x, value] of one series; ``value`` is an array or a
-    list, ``t`` and ``x`` are too or are one shared cell."""
-    return [[series, ti, xi, vi] for ti, xi, vi in zip(_cells(t), _cells(x), _cells(value))]
+def _plot_table(result) -> tuple[tuple[str, ...], list[tuple]]:
+    """Long-format (series, t, x, value) blocks, one per series, of spectra,
+    trajectories, and transmission sweeps."""
+    if isinstance(result, Spectrum):
+        blocks = [(f"state_{i}", "", state.grid.points, state.values.real)
+                  for i, state in enumerate(result.states)]
+    elif isinstance(result, Trajectory):
+        series = {"width": result.x_spread, "x_mean": result.x_mean, "p_mean": result.p_mean,
+                  "norm": result.norm, "energy": result.energy}
+        blocks = [(name, result.times, "", values) for name, values in series.items()]
+    elif isinstance(result, list):  # transmission sweep
+        energies = [float(r.energy) for r in result]
+        blocks = [("prob_T", "", energies, [float(r.prob_t) for r in result]),
+                  ("prob_R", "", energies, [float(r.prob_r) for r in result])]
+    else:
+        raise QmError(f"no plot-data emitter for {type(result).__name__}")
+    return _PLOT_COLUMNS, blocks
 
 
 def emit_plot_data(result) -> tuple[list[str], list[list]]:
     """Long-format (series, t, x, value) rows for spectra, trajectories,
     and transmission sweeps."""
-    rows: list[list] = []
-    if isinstance(result, Spectrum):
-        for i, state in enumerate(result.states):
-            rows += _long_rows(f"state_{i}", "", state.grid.points, state.values.real)
-    elif isinstance(result, Trajectory):
-        for name, series in (
-            ("width", result.x_spread),
-            ("x_mean", result.x_mean),
-            ("p_mean", result.p_mean),
-            ("norm", result.norm),
-            ("energy", result.energy),
-        ):
-            rows += _long_rows(name, result.times, "", series)
-    elif isinstance(result, list):  # transmission sweep
-        energies = [float(r.energy) for r in result]
-        rows += _long_rows("prob_T", "", energies, [float(r.prob_t) for r in result])
-        rows += _long_rows("prob_R", "", energies, [float(r.prob_r) for r in result])
-    else:
-        raise QmError(f"no plot-data emitter for {type(result).__name__}")
-    return ["series", "t", "x", "value"], rows
+    columns, blocks = _plot_table(result)
+    return list(columns), [
+        list(row) for block in blocks for row in zip(*(c.tolist() for c in _broadcast(block)))
+    ]
+
+
+def _broadcast(block: tuple):
+    """Each entry of a block as an array of one cell per row."""
+    return np.broadcast_arrays(*map(np.asarray, block))
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +318,28 @@ def _execute_spectrum(spec, constants, mass):
     h = build_hamiltonian(spec["grid"], potential, mass, constants)
     spectrum = solve_bound_states(h, spec["count"])
 
-    columns = ["n", "E_numeric", "E_analytic", "rel_error"]
-    rows = []
-    for level, energy in enumerate(spectrum.energies.tolist(), start=1):
-        if isinstance(potential, InfiniteWell):
-            reference = well_energy(level, potential.a, constants)
-        elif isinstance(potential, Harmonic):
-            reference = oscillator_energy(level - 1, potential.omega, constants)
-        else:
-            rows.append([level, energy, "", ""])
-            continue
-        rows.append([level, energy, reference, abs(energy - reference) / abs(reference)])
-    outputs = {spec["output"]["path"]: (columns, rows)}
+    energies = spectrum.energies
+    levels = np.arange(1, len(energies) + 1)
+    block = (levels, energies, "", "")
+    if isinstance(potential, (InfiniteWell, Harmonic)):
+        reference = np.array([
+            well_energy(n, potential.a, constants) if isinstance(potential, InfiniteWell)
+            else oscillator_energy(n - 1, potential.omega, constants)
+            for n in levels.tolist()
+        ])
+        block = (levels, energies, reference, np.abs(energies - reference) / np.abs(reference))
+    outputs = {spec["output"]["path"]: (["n", "E_numeric", "E_analytic", "rel_error"], [block])}
     if spec.get("emit_states"):
-        outputs[_derived_path(spec["output"]["path"], "states")] = emit_plot_data(spectrum)
+        outputs[_derived_path(spec["output"]["path"], "states")] = _plot_table(spectrum)
     return outputs
 
 
 def _execute_scatter(spec, constants, mass):
     results = transmission_sweep(spec["potential"], spec["energies"], mass, constants)
     columns = ["energy", "prob_R", "prob_T", "phase_R", "phase_T"]
-    rows = [
-        [r.energy, r.prob_r, r.prob_t, cmath.phase(r.r), cmath.phase(r.t)]
-        for r in results
-    ]
-    return {spec["output"]["path"]: (columns, rows)}
+    block = ([r.energy for r in results], [r.prob_r for r in results], [r.prob_t for r in results],
+             [cmath.phase(r.r) for r in results], [cmath.phase(r.t) for r in results])
+    return {spec["output"]["path"]: (columns, [block])}
 
 
 def _packet_params(gaussian: dict, mass: float, constants: PhysicalConstants):
@@ -364,38 +363,35 @@ def _execute_evolve(spec, constants, mass):
         observables_every=spec.get("observables_every", 1),
     )
     trajectory = evolve(psi0, spec["potential"], config, mass, constants)
-    series = [getattr(trajectory, name) for name in SERIES]
-    rows = np.column_stack([trajectory.times, *series]).tolist()
-    outputs = {spec["output"]["path"]: (["t", *SERIES], rows)}
+    block = (trajectory.times, *(getattr(trajectory, name) for name in SERIES))
+    outputs = {spec["output"]["path"]: (["t", *SERIES], [block])}
     if spec.get("emit_density"):
-        density = []
-        for t, snap in zip(trajectory.times.tolist(), trajectory.snapshots):
-            density += _long_rows("density", t, snap.grid.points, np.abs(snap.values) ** 2)
-        outputs[_derived_path(spec["output"]["path"], "density")] = (
-            ["series", "t", "x", "value"], density
-        )
+        density = np.array([np.abs(snap.values) ** 2 for snap in trajectory.snapshots])
+        outputs[_derived_path(spec["output"]["path"], "density")] = (_PLOT_COLUMNS, [
+            ("density", t, psi0.grid.points, values)
+            for t, values in zip(trajectory.times.tolist(), density)
+        ])
     return outputs
 
 
 def _execute_packet(spec, constants, mass):
     params = _packet_params(spec["packet"], mass, constants)
     times = spec["times"]
-    rows = _long_rows("width", times, "", [packet_width(params, t) for t in times])
+    blocks = [("width", times, "", [packet_width(params, t) for t in times])]
     if spec.get("emit_density"):
         xs = spec["grid"].points
-        for t in times:
-            rows += _long_rows("density", t, xs, np.abs(free_packet_xt(params, xs, t)) ** 2)
-    return {spec["output"]["path"]: (["series", "t", "x", "value"], rows)}
+        blocks += [("density", t, xs, np.abs(free_packet_xt(params, xs, t)) ** 2) for t in times]
+    return {spec["output"]["path"]: (_PLOT_COLUMNS, blocks)}
 
 
 def _execute_blackbody(spec, constants, mass):
     columns = ["nu", "u_planck", "u_rayleigh_jeans", "ratio"]
-    rows = []
+    rows = []  # row by row, so the first failing cell raises as it always has
     for nu in spec["frequencies"]:
         planck = blackbody_density(nu, spec["temperature"], "planck", constants)
         rj = blackbody_density(nu, spec["temperature"], "rayleigh_jeans", constants)
-        rows.append([nu, planck, rj, planck / rj])
-    return {spec["output"]["path"]: (columns, rows)}
+        rows.append((nu, planck, rj, planck / rj))
+    return {spec["output"]["path"]: (columns, [tuple(map(list, zip(*rows)))])}
 
 
 def _execute_uncertainty(spec, constants, mass):
@@ -408,18 +404,10 @@ def _execute_uncertainty(spec, constants, mass):
         spectrum = solve_bound_states(h, state["n"])
         psi = spectrum.states[state["n"] - 1]
 
-    x_op = position_operator(grid)
-    p_op = momentum_operator(grid, constants)
-    report = uncertainty_bound_check(x_op, p_op, psi)
+    r = uncertainty_bound_check(position_operator(grid), momentum_operator(grid, constants), psi)
     columns = ["x_spread", "p_spread", "product", "bound", "satisfied"]
-    rows = [[
-        uncertainty(x_op, psi),
-        uncertainty(p_op, psi),
-        report.lhs,
-        report.rhs,
-        report.satisfied,
-    ]]
-    return {spec["output"]["path"]: (columns, rows)}
+    block = ([r.spread_a], [r.spread_b], [r.lhs], [r.rhs], [r.satisfied])
+    return {spec["output"]["path"]: (columns, [block])}
 
 
 def _density_needs_grid(spec: dict) -> str | None:
@@ -493,24 +481,74 @@ COMMANDS = {
 # Serialization
 
 
-def _check_finite(name: str, rows: list[list]):
-    for i, row in enumerate(rows):
-        for value in row:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise SolverError(f"{name}: row {i + 1} holds the non-finite value {value!r}")
+# Rows per write.  A chunk of text stays far below glibc's default 128 KiB
+# mmap threshold; writing whole 2,000-row blocks raised peak RSS by 0.5 MB.
+_CHUNK_ROWS = 256
 
 
-def _write_table(fh, fmt: str, columns: list[str], rows: list[list]):
+def _check_finite(name: str, table):
+    """Raise SolverError naming the first row, in file order, that holds a
+    non-finite float cell, and its leftmost such cell."""
+    offset = 0
+    for block in table[1]:
+        cells = _broadcast(block)
+        bad = [~np.isfinite(c) if c.dtype.kind == "f" else np.zeros(c.shape, bool) for c in cells]
+        if np.any(bad):
+            row, col = np.argwhere(np.transpose(bad))[0]
+            value = float(cells[col][row])
+            row += offset + 1
+            raise SolverError(f"{name}: row {row} holds the non-finite value {value!r}")
+        offset += len(cells[0])
+
+
+def _csv_string(text: str) -> str:
+    """A string cell quoted as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
+def _texts(entry, string: Callable[[str], str], keep: bool):
+    """The texts of the cells of an ndarray or list entry, as a list if
+    ``keep`` and else as an iterator, or the text of the one cell any other
+    entry repeats, repeated: the repr of a number (for a native float, its
+    shortest round-trip text), true/false, or ``string`` of a string."""
+    cells = entry.tolist() if isinstance(entry, np.ndarray) else entry
+    if not isinstance(cells, list):
+        return repeat(_texts([cells], string, True)[0])
+    if isinstance(entry, np.ndarray) and entry.dtype.kind in "fiu":
+        texts = map(repr, cells)
+    else:
+        texts = (string(cell) if isinstance(cell, str) else json.dumps(cell)
+                 if isinstance(cell, bool) else repr(cell) for cell in cells)
+    return list(texts) if keep else texts
+
+
+def _write_table(fh, fmt: str, table):
+    """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
+    (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
+    indent=2).  An entry that the next block holds too is formatted once."""
+    columns, blocks = table
     if fmt == "json":
-        json.dump({"columns": columns, "rows": rows}, fh, indent=2)
-        fh.write("\n")
-        return
-    if rows and any(isinstance(v, bool) for v in rows[0]):
-        # csv would write True/False; spell booleans the way JSON does
-        rows = [[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+        names = json.dumps(columns, indent=2).replace("\n", "\n  ")
+        fh.write(f'{{\n  "columns": {names},\n  "rows": [')
+        string, sep = json.dumps, ","
+        row = "\n    [" + ",".join(["\n      {}"] * len(columns)) + "\n    ]"
+    else:
+        fh.write(",".join(map(_csv_string, columns)) + "\n")
+        string, sep, row = _csv_string, "", ",".join(["{}"] * len(columns)) + "\n"
+    lead, kept = "", {}  # lead: sep once a row is out; kept: texts by entry id
+    for block, after in zip(blocks, [*blocks[1:], ()]):
+        reused = set(map(id, after))
+        texts = [kept.get(id(entry)) or _texts(entry, string, id(entry) in reused)
+                 for entry in block]
+        kept = {id(entry): t for entry, t in zip(block, texts) if id(entry) in reused}
+        rows = map(row.format, *texts)
+        while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
+            fh.write(lead + chunk)
+            lead = sep
+    if fmt == "json":
+        fh.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
 def _staged(final: Path, staged: list[tuple[Path, Path]]):
@@ -527,11 +565,11 @@ def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
     try:
-        for rel_path, (columns, rows) in outputs.items():
+        for rel_path, table in outputs.items():
             target = base / rel_path
             target.parent.mkdir(parents=True, exist_ok=True)
             with _staged(target, staged) as fh:
-                _write_table(fh, fmt, columns, rows)
+                _write_table(fh, fmt, table)
             with _staged(target.with_name(target.name + ".meta.json"), staged) as fh:
                 json.dump(meta, fh, indent=2)
                 fh.write("\n")
@@ -600,8 +638,8 @@ def run_scenario(
             outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"], spec["_mass"])
     except ArithmeticError as exc:
         raise SolverError(f"{type(exc).__name__}: {exc}") from exc
-    for rel_path, (_, rows) in outputs.items():
-        _check_finite(rel_path, rows)
+    for rel_path, table in outputs.items():
+        _check_finite(rel_path, table)
 
     meta = {
         "tool": "qm1d",

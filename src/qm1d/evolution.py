@@ -75,6 +75,12 @@ class Trajectory:
 SERIES = tuple(f.name for f in fields(Trajectory)[2:])
 
 
+def _check_hbar(h: DiscreteHamiltonian, constants: PhysicalConstants):
+    """The steppers' phases use constants.hbar; H was built with h.hbar."""
+    if h.hbar != constants.hbar:
+        raise ConfigurationError(f"H was built with hbar = {h.hbar!r}, not {constants.hbar!r}")
+
+
 class _CrankNicolson:
     """Stepper for one Hamiltonian at a fixed dt: (1 + i lam H) is LU-factored
     once (LAPACK zgttrf) and each step is one zgttrs solve.
@@ -92,6 +98,7 @@ class _CrankNicolson:
                 f"Crank-Nicolson steps the 3-point Hamiltonian only; got a stencil "
                 f"of order {h.order} (build it with order=2)"
             )
+        _check_hbar(h, constants)
         lam = 0.5 * dt / constants.hbar
         self.h = h
         self.lam = lam
@@ -151,6 +158,7 @@ class _SplitStep:
             raise UnsupportedMethodError(
                 f"split-step cannot handle hard walls; use {METHOD_CRANK_NICOLSON}"
             )
+        _check_hbar(h, constants)
         self.half_potential = np.exp(-0.5j * h.potential_values * dt / constants.hbar)
         p, _ = fft_momenta(h.grid, constants)
         self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))

@@ -151,8 +151,9 @@ def uncertainty(op: Operator, psi: WaveFunction) -> float:
     if op.kind == "momentum":
         _, var = _momentum_moments(op, psi)
     else:
-        mean = expectation(op, psi).real
-        residual = op.apply(psi).values - mean * psi.values
+        applied = op.apply(psi)
+        mean = inner_product(psi, applied).real
+        residual = applied.values - mean * psi.values
         var = np.sum(np.abs(residual) ** 2) * psi.spacing
     return float(np.sqrt(max(var, 0.0)))
 
@@ -201,9 +202,13 @@ def commutator_expectation(op_a: Operator, op_b: Operator, psi: WaveFunction) ->
 
 @dataclass(frozen=True)
 class UncertaintyReport:
+    """lhs = spread_a * spread_b, the uncertainties of the two operators."""
+
     lhs: float
     rhs: float
     satisfied: bool
+    spread_a: float
+    spread_b: float
 
 
 # dA * dB may fall short of |<[A, B]>| / 2 by this fraction of the larger
@@ -220,6 +225,7 @@ def uncertainty_bound_check(
     op_a: Operator, op_b: Operator, psi: WaveFunction
 ) -> UncertaintyReport:
     """Check dA * dB >= |<[A, B]>| / 2 up to a relative slack of _BOUND_RTOL."""
-    lhs = uncertainty(op_a, psi) * uncertainty(op_b, psi)
+    spread_a, spread_b = uncertainty(op_a, psi), uncertainty(op_b, psi)
+    lhs = spread_a * spread_b
     rhs = 0.5 * abs(commutator_expectation(op_a, op_b, psi))
-    return UncertaintyReport(lhs=lhs, rhs=rhs, satisfied=_bound_satisfied(lhs, rhs))
+    return UncertaintyReport(lhs, rhs, _bound_satisfied(lhs, rhs), spread_a, spread_b)

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qm1d import (
@@ -15,7 +18,8 @@ from qm1d import (
     si_constants,
     transmission_sweep,
 )
-from qm1d.cli import emit_plot_data, main, run_scenario
+from qm1d.cli import _check_finite, _write_table, emit_plot_data, main, run_scenario
+from qm1d.errors import SolverError
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -196,6 +200,29 @@ def test_uncertainty_scenario(tmp_path):
     assert header == ["x_spread", "p_spread", "product", "bound", "satisfied"]
     assert float(rows[0][2]) == pytest.approx(0.5, abs=1e-6)
     assert rows[0][4] == "true"
+
+
+def test_uncertainty_scenario_transforms_each_spread_once(tmp_path, monkeypatch):
+    # one forward transform for the momentum spread, one inside p applied in
+    # the commutator: the row reuses the spreads of the bound check
+    import qm1d.observables
+
+    calls = []
+    forward = qm1d.observables.to_momentum_space
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(qm1d.observables, "to_momentum_space", counted)
+    body = {
+        "command": "uncertainty",
+        "constants": {"profile": "natural"},
+        "output": {"format": "csv", "path": "bound.csv"},
+        **FORMAT_SCENARIOS["uncertainty"],
+    }
+    assert main(["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_uncertainty_eigenstate_scenario(tmp_path):
@@ -589,3 +616,70 @@ def test_emit_plot_data_transmission_sweep():
         [["prob_T", "", e, float(r.prob_t)] for e, r in zip(energies, results)]
         + [["prob_R", "", e, float(r.prob_r)] for e, r in zip(energies, results)]
     )
+
+
+# A table of every cell kind the writers handle: floats at the edges of the
+# shortest round-trip text, ints, booleans, "" and other strings, each as an
+# ndarray, a list or one cell repeated, plus a block without rows and two
+# blocks longer than one write that share their x entry.
+MIXED_COLUMNS = ["label", "x", "n", "flag", "t"]
+LONG_X = np.linspace(-3.0, 3.0, 601)
+MIXED_BLOCKS = [
+    ("edge", np.array([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]),
+     [0, -3, 7, 10**20, 1], [True, False, True, False, True], 0.1),
+    ("", [2.5, -1e-300], np.array([4, 5]), np.array([False, True]), ""),
+    ("empty", np.array([]), [], [], 2.0),
+    ('say "hi", twice', 1.5, [1], False, [3.0]),
+    ("long", LONG_X, np.arange(601), True, 0.5),
+    ("again", LONG_X, list(range(601)), np.arange(601) % 3 == 0, 1.5),
+]
+
+
+def _reference_rows(blocks):
+    """The rows of a columnar table, expanded cell by cell."""
+    rows = []
+    for block in blocks:
+        n = max(len(e) for e in block if isinstance(e, (list, np.ndarray)))
+        cells = [e.tolist() if isinstance(e, np.ndarray) else e if isinstance(e, list)
+                 else [e] * n for e in block]
+        rows += [list(row) for row in zip(*cells)]
+    return rows
+
+
+@pytest.mark.parametrize("blocks", [MIXED_BLOCKS, [], MIXED_BLOCKS[2:3]],
+                         ids=["mixed", "no_blocks", "no_rows"])
+def test_writers_match_csv_writer_and_json_dump(blocks):
+    rows = _reference_rows(blocks)
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow(MIXED_COLUMNS)
+    writer.writerows([[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows])
+    expected_json = json.dumps({"columns": MIXED_COLUMNS, "rows": rows}, indent=2) + "\n"
+    for fmt, expected in (("csv", expected_csv.getvalue()), ("json", expected_json)):
+        written = io.StringIO()
+        _write_table(written, fmt, (MIXED_COLUMNS, blocks))
+        assert written.getvalue() == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# (block, column, row) of the cell made non-finite: in an ndarray, in a list,
+# a repeated cell, a one-cell list and a repeated cell of the fourth block
+@pytest.mark.parametrize("where", [(0, 1, 3), (1, 1, 1), (0, 4, 0), (3, 4, 0), (3, 1, 0)])
+def test_check_finite_names_first_bad_row(bad, where):
+    block_index, column, row = where
+    blocks = [list(block) for block in MIXED_BLOCKS]
+    entry = blocks[block_index][column]
+    if isinstance(entry, np.ndarray):
+        entry = entry.copy()
+        entry[row] = bad
+    elif isinstance(entry, list):
+        entry = entry[:row] + [bad] + entry[row + 1:]
+    else:
+        entry = bad
+    blocks[block_index][column] = entry
+    blocks = [tuple(block) for block in blocks]
+    first = next(i for i, r in enumerate(_reference_rows(blocks))
+                 if any(isinstance(v, float) and not math.isfinite(v) for v in r))
+    with pytest.raises(SolverError) as err:
+        _check_finite("t.csv", (MIXED_COLUMNS, blocks))
+    assert str(err.value) == f"t.csv: row {first + 1} holds the non-finite value {bad!r}"

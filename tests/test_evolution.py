@@ -23,6 +23,7 @@ from qm1d import (
     normalize,
     packet_width,
     position_operator,
+    si_constants,
     solve_bound_states,
     split_step,
     uncertainty,
@@ -36,7 +37,7 @@ from qm1d.errors import (
     ParameterError,
     UnsupportedMethodError,
 )
-from qm1d.evolution import _CrankNicolson, _SplitStep
+from qm1d.evolution import STEPPERS, _CrankNicolson, _SplitStep
 
 
 def gaussian_on(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -128,6 +129,27 @@ def test_cn_rejects_fourth_order_hamiltonian():
         crank_nicolson_step(psi, h, 1e-3, NATURAL)
     with pytest.raises(ConfigurationError):
         _CrankNicolson(h, 1e-3, NATURAL)
+
+
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_stepper_rejects_constants_with_another_hbar(method):
+    # A natural-unit H stepped with SI hbar would move the packet by 1.26 in
+    # one step; with the hbar H was built with it moves by 0.004.
+    g = make_grid(-20, 20, 512)
+    psi = gaussian_on(g, k0=0.4)
+    h = build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL)
+    with pytest.raises(ConfigurationError, match="hbar"):
+        STEPPERS[method](h, 0.01, si_constants(1.0))
+    step = STEPPERS[method](h, 0.01, NATURAL).step_values(psi.values)
+    moved = expectation(position_operator(g), psi.with_values(step)).real
+    assert moved == pytest.approx(0.004, abs=1e-4)
+
+
+def test_cn_step_rejects_constants_with_another_hbar():
+    g = make_grid(-20, 20, 512)
+    h = build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL)
+    with pytest.raises(ConfigurationError, match="hbar"):
+        crank_nicolson_step(gaussian_on(g), h, 0.01, si_constants(1.0))
 
 
 def test_split_step_norm_preserved():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def test_expectation_warns_on_unnormalized_state():
     doubled = psi.with_values(2.0 * psi.values)
     with pytest.warns(NormalizationWarning):
         expectation(position_operator(g), doubled)
+
+
+def test_uncertainty_warns_once_on_unnormalized_state():
+    g = make_grid(-16, 16, 256)
+    psi = gaussian_state(g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spread = uncertainty(position_operator(g), psi.with_values(2.0 * psi.values))
+    assert [w.category for w in caught] == [NormalizationWarning]
+    assert spread == pytest.approx(2.0 * uncertainty(position_operator(g), psi), rel=1e-12)
 
 
 def test_gaussian_uncertainties():
