@@ -19,13 +19,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal, solve_banded
 
 from .constants import PhysicalConstants
 from .core import Grid, WaveFunction, normalize
 from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError
 from .potentials import Potential, sample_on_grid
 
+# Largest |psi| allowed just inside an artificial box edge, as a fraction of
+# the state's own peak |psi| (amplitudes carry length^-1/2, so an absolute
+# bound would depend on the unit of length).
 EDGE_DECAY_TOL = 1e-12
 # Gaps below this fraction of hbar^2 / (m dx^2), twice the largest stencil
 # coupling, warn as near-degenerate (1e-10 at dx = 0.01 in natural units).
@@ -175,7 +177,8 @@ def _check_box_truncation(h: DiscreteHamiltonian, states: list[WaveFunction]):
     """Artificial Dirichlet edges must not clip the returned states.
 
     A masked neighbour that is not a hard wall is a box-truncation edge;
-    the state amplitude just inside it has to be negligible.
+    the state amplitude just inside it has to be negligible next to the
+    state's peak.
     """
     edges = []
     first, last = h.active_indices[0], h.active_indices[-1]
@@ -184,12 +187,13 @@ def _check_box_truncation(h: DiscreteHamiltonian, states: list[WaveFunction]):
     if not h.wall_mask[last + 1]:
         edges.append(last)
     for n, psi in enumerate(states):
+        peak = np.max(np.abs(psi.values))
         for i in edges:
-            amp = abs(psi.values[i])
-            if amp > EDGE_DECAY_TOL:
+            ratio = abs(psi.values[i]) / peak
+            if ratio > EDGE_DECAY_TOL:
                 raise ConfigurationError(
-                    f"state {n} has amplitude {amp:.2e} at the box edge "
-                    f"(tolerance {EDGE_DECAY_TOL:.0e}); enlarge the domain"
+                    f"state {n} has {ratio:.2e} of its peak amplitude at the box "
+                    f"edge (tolerance {EDGE_DECAY_TOL:.0e}); enlarge the domain"
                 )
 
 
@@ -201,6 +205,8 @@ def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
     tridiagonal form with an n x n transform, which costs seconds at a few
     thousand points; the solves here cost milliseconds.
     """
+    from scipy.linalg import eig_banded, solve_banded
+
     size = h.size
     diag, off, second = h.diagonal, h.off_diagonal, h.second_off_diagonal
     # Full band storage for solve_banded; rows 2-4 are eig_banded's lower form.
@@ -247,6 +253,10 @@ def solve_bound_states(h: DiscreteHamiltonian, count: int) -> Spectrum:
         raise ParameterError(
             f"requested {count} states but the operator has only {h.size} points"
         )
+    # scipy.linalg is imported here, not at module top: importing it costs
+    # more than most commands that never solve for bound states take to run.
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         if h.order == 2:
             energies, vectors = eigh_tridiagonal(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .constants import NATURAL, PhysicalConstants
 from .core import Space, WaveFunction
@@ -99,8 +98,13 @@ class _CrankNicolson:
                 f"of order {h.order} (build it with order=2)"
             )
         _check_hbar(h, constants)
+        # Imported per stepper, not at module top (see solve_bound_states);
+        # the step itself reuses the solver kept here.
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
         lam = 0.5 * dt / constants.hbar
         self.h = h
+        self.zgttrs = zgttrs
         self.lam = lam
         self.masked = np.flatnonzero(h.mask)
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
@@ -122,7 +126,7 @@ class _CrankNicolson:
         v = values[idx]
         rhs = v - 1j * self.lam * self.h.apply_active(v)
         out = np.zeros_like(values, dtype=np.complex128)
-        out[idx], _ = zgttrs(*self.lu, rhs, overwrite_b=True)
+        out[idx], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
 
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .spectral import fft_momenta, to_momentum_space, to_position_space, warn_if_edges_hot
 
+# Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
 _NORM_WARN = 1e-8
 
@@ -90,8 +91,7 @@ def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
     if m.shape != (grid.n, grid.n):
         raise GridMismatchError(f"matrix shape {m.shape} does not match grid size {grid.n}")
     defect = np.max(np.abs(m - m.conj().T))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if defect > HERMITICITY_TOL * scale:
+    if defect > HERMITICITY_TOL * np.max(np.abs(m)):
         raise ParameterError(
             f"matrix is not Hermitian: max |A - A^dagger| = {defect:.2e}"
         )

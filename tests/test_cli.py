@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qm1d
 from qm1d import (
     Barrier,
     GaussianPacketParams,
@@ -20,6 +23,7 @@ from qm1d import (
 )
 from qm1d.cli import _check_finite, _write_table, emit_plot_data, main, run_scenario
 from qm1d.errors import SolverError
+from qm1d.evolution import STEPPERS
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -346,6 +350,85 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == __version__
+
+
+# Runs each [label, argv or None] of the JSON list in argv[1] in one fresh
+# interpreter: None is the import named by the label, argv goes to main.
+# Prints, per step, its label, exit code and whether scipy.linalg was loaded.
+_COLD_CHILD = """
+import contextlib, io, json, sys
+log = []
+for label, argv in json.loads(sys.argv[1]):
+    code = 0
+    if argv is None:
+        exec(label, {})
+    else:
+        from qm1d.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    log.append([label, code, "scipy.linalg" in sys.modules])
+print(json.dumps(log))
+"""
+
+
+def _cold_steps(tmp_path, steps):
+    env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, json.dumps(steps)],
+        capture_output=True, text=True, env=env, check=True, cwd=tmp_path,
+    )
+    return json.loads(result.stdout)
+
+
+def test_cold_start_imports_scipy_linalg_only_where_called(tmp_path):
+    natural = {"profile": "natural"}
+    packet_grid = {"x_min": -20.0, "x_max": 20.0, "n": 256}
+    bodies = {
+        "scatter": {
+            "command": "scatter", "constants": natural,
+            "potential": {"kind": "barrier", "v0": 2.0, "a": 1.0}, "energies": [0.5, 1.5],
+        },
+        "packet": {
+            "command": "packet", "constants": natural,
+            "packet": {"alpha": 1.0, "k0": 0.0}, "times": [0.0, 1.0],
+        },
+        "blackbody": {
+            "command": "blackbody", "constants": natural, "temperature": 1.0,
+            "frequencies": [0.5, 1.0],
+        },
+        "uncertainty": {
+            "command": "uncertainty", "constants": natural, "grid": packet_grid,
+            "state": {"kind": "gaussian", "alpha": 1.0, "k0": 0.0},
+        },
+        "spectrum": spectrum_scenario(grid={"x_min": 0.0, "x_max": 1.0, "n": 101}),
+    }
+    for method in STEPPERS:
+        bodies[method] = {
+            "command": "evolve", "constants": natural, "grid": packet_grid,
+            "potential": {"kind": "harmonic", "omega": 0.5},
+            "initial": {"alpha": 1.0, "k0": 1.0, "x0": 0.0},
+            "method": method, "dt": 0.01, "steps": 3,
+        }
+    paths = {}
+    for name, body in bodies.items():
+        body.setdefault("output", {"format": "csv", "path": f"{name}.csv"})
+        paths[name] = write_scenario(tmp_path, body, name=f"{name}.json")
+    out = str(tmp_path / "out")
+    run = {name: ["run", path, "--out", out] for name, path in paths.items()}
+    light = [
+        ["import qm1d", None],
+        ["from qm1d import *", None],
+        ["version", ["version"]],
+        ["validate", ["validate", paths["scatter"]]],
+    ] + [[name, run[name]] for name in
+         ("scatter", "packet", "blackbody", "uncertainty", "split_step")]
+    # Each process runs the commands that must not load scipy.linalg, then
+    # one that must, so the check cannot pass vacuously.
+    log = _cold_steps(tmp_path, light + [["spectrum", run["spectrum"]]])
+    log += _cold_steps(tmp_path, [["crank_nicolson", run["crank_nicolson"]]])
+    expected = [[label, 0, False] for label, _ in light]
+    expected += [["spectrum", 0, True], ["crank_nicolson", 0, True]]
+    assert log == expected
 
 
 @pytest.mark.parametrize(

@@ -277,6 +277,15 @@ def test_custom_operator_rejects_non_hermitian():
         custom_operator(np.eye(8), g)
 
 
+@pytest.mark.parametrize("scale", [1e-19, 1e19])
+def test_hermiticity_tolerance_is_relative(scale):
+    g = make_grid(-1, 1, 8)
+    with pytest.raises(ParameterError):
+        custom_operator(scale * np.triu(np.ones((8, 8))), g)
+    hermitian = scale * random_hermitian(8, np.random.default_rng(3))
+    assert custom_operator(hermitian, g).kind == "custom"
+
+
 def test_operator_grid_mismatch():
     g = make_grid(-1, 1, 16)
     other = make_grid(-2, 2, 16)

@@ -1,0 +1,111 @@
+"""Natural units against SI: the same problem, rescaled, behaves the same.
+
+A problem drawn in natural units (hbar = 1) is mapped to SI by a mass scale
+M and a length scale L; with SI's hbar these fix the energy scale
+E = hbar^2 / (M L^2) and the frequency scale E / hbar.  The SI answers,
+divided by their scales, must match the natural ones, and every guard must
+decide alike on both sides.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qm1d import (
+    NATURAL,
+    Harmonic,
+    InfiniteWell,
+    build_hamiltonian,
+    custom_operator,
+    make_grid,
+    si_constants,
+    solve_bound_states,
+)
+from qm1d.errors import QmError
+
+ELECTRON_KG = 9.1093837015e-31
+HBAR_SI = si_constants(ELECTRON_KG).hbar
+# Electron with omega = 1e15 / s: the oscillator length in metres.
+ELECTRON_OSC_LENGTH = math.sqrt(HBAR_SI / (ELECTRON_KG * 1e15))
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
+
+mass_scales = st.sampled_from([ELECTRON_KG, 0.067 * ELECTRON_KG, 1.67262192e-27])
+length_scales = st.floats(min_value=1e-11, max_value=1e-8)
+
+wells = st.tuples(
+    st.just("well"),
+    st.floats(min_value=0.5, max_value=3.0),  # width a
+    st.just(1.0),
+    st.integers(min_value=64, max_value=400),
+    st.integers(min_value=1, max_value=6),
+)
+oscillators = st.tuples(
+    st.just("oscillator"),
+    st.floats(min_value=0.5, max_value=4.0),  # omega
+    st.floats(min_value=3.0, max_value=12.0),  # box half-width in oscillator lengths
+    st.integers(min_value=101, max_value=801),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+def _solve(problem, mass, length, constants):
+    """(energies / energy scale, None) or (None, exception class)."""
+    kind, param, half_width, n, count = problem
+    energy = constants.hbar**2 / (mass * length**2)
+    try:
+        if kind == "well":
+            grid = make_grid(0.0, param * length, n)
+            potential = InfiniteWell(a=param * length)
+        else:
+            x_max = half_width / math.sqrt(param) * length
+            grid = make_grid(-x_max, x_max, n)
+            potential = Harmonic(omega=param * energy / constants.hbar, mass=mass)
+        h = build_hamiltonian(grid, potential, mass, constants)
+        return solve_bound_states(h, count).energies / energy, None
+    except QmError as exc:
+        return None, type(exc)
+
+
+@SETTINGS
+@given(problem=st.one_of(wells, oscillators), mass=mass_scales, length=length_scales)
+# The oscillator on +-9 oscillator lengths that an absolute edge bound
+# rejected in SI only.
+@example(problem=("oscillator", 1.0, 9.0, 1601, 6), mass=ELECTRON_KG, length=ELECTRON_OSC_LENGTH)
+def test_spectrum_is_unit_free(problem, mass, length):
+    natural, natural_error = _solve(problem, 1.0, 1.0, NATURAL)
+    si, si_error = _solve(problem, mass, length, si_constants(mass))
+    assert si_error is natural_error
+    if natural is not None:
+        np.testing.assert_allclose(si, natural, rtol=1e-10, atol=0.0)
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=8, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**16),
+    # Defect relative to max |A|, kept off the 1e-12 threshold itself.
+    defect=st.sampled_from([0.0, 5e-15, 5e-13, 2e-12, 2e-10, 1e-6]),
+    mass=mass_scales,
+    length=length_scales,
+)
+def test_hermiticity_check_is_unit_free(n, seed, defect, mass, length):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = 0.5 * (m + m.conj().T)
+    a[0, -1] += defect * np.max(np.abs(a))
+    energy = HBAR_SI**2 / (mass * length**2)
+
+    def outcome(matrix, grid):
+        try:
+            custom_operator(matrix, grid)
+        except QmError as exc:
+            return type(exc)
+        return None
+
+    natural = outcome(a, make_grid(-1.0, 1.0, n))
+    si = outcome(energy * a, make_grid(-length, length, n))
+    assert si is natural
+    assert (natural is None) == (defect < 1e-12)

@@ -54,7 +54,7 @@ def _harmonic_values(grid: dict, omega: float) -> list[float]:
     return (0.5 * omega**2 * x**2).tolist()
 
 
-def _hand_written() -> dict[str, dict]:
+def hand_written() -> dict[str, dict]:
     """Scenarios that run in both csv and json, by name."""
     well_grid = {"x_min": 0.0, "x_max": 1.0, "n": 801}
     osc_grid = {"x_min": -10.0, "x_max": 10.0, "n": 401}
@@ -134,7 +134,7 @@ def write_corpus(directory: Path) -> list[tuple[str, str, str | None]]:
     """Scenario files under ``directory``; returns the manifest of
     (scenario path, output subdirectory, format override)."""
     runs = []
-    for name, body in _hand_written().items():
+    for name, body in hand_written().items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(body, indent=2) + "\n")
         for fmt in ("csv", "json"):
