@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -337,8 +336,9 @@ def _execute_spectrum(spec, constants, mass):
 def _execute_scatter(spec, constants, mass):
     results = transmission_sweep(spec["potential"], spec["energies"], mass, constants)
     columns = ["energy", "prob_R", "prob_T", "phase_R", "phase_T"]
-    block = ([r.energy for r in results], [r.prob_r for r in results], [r.prob_t for r in results],
-             [cmath.phase(r.r) for r in results], [cmath.phase(r.t) for r in results])
+    block = tuple(np.array(cells, dtype=np.float64) for cells in (
+        [r.energy for r in results], [r.prob_r for r in results], [r.prob_t for r in results],
+        [cmath.phase(r.r) for r in results], [cmath.phase(r.t) for r in results]))
     return {spec["output"]["path"]: (columns, [block])}
 
 
@@ -502,50 +502,74 @@ def _check_finite(name: str, table):
 
 
 def _csv_string(text: str) -> str:
-    """A string cell quoted as csv.writer quotes it."""
+    """A string cell as csv.writer(lineterminator="\\n") writes it in a row
+    of more than one cell."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([text, ""])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def _texts(entry, string: Callable[[str], str], keep: bool):
-    """The texts of the cells of an ndarray or list entry, as a list if
-    ``keep`` and else as an iterator, or the text of the one cell any other
-    entry repeats, repeated: the repr of a number (for a native float, its
-    shortest round-trip text), true/false, or ``string`` of a string."""
-    cells = entry.tolist() if isinstance(entry, np.ndarray) else entry
-    if not isinstance(cells, list):
-        return repeat(_texts([cells], string, True)[0])
-    if isinstance(entry, np.ndarray) and entry.dtype.kind in "fiu":
-        texts = map(repr, cells)
-    else:
-        texts = (string(cell) if isinstance(cell, str) else json.dumps(cell)
-                 if isinstance(cell, bool) else repr(cell) for cell in cells)
-    return list(texts) if keep else texts
+def _texts(cells, string: Callable[[str], str]) -> list[str]:
+    """The texts of a list or an ndarray of cells: the repr of a number (for
+    a native float, its shortest round-trip text), true/false, or ``string``
+    of a string."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype.kind in "fiu":
+            return list(map(repr, cells.tolist()))
+        cells = cells.tolist()
+    return [string(cell) if isinstance(cell, str) else json.dumps(cell)
+            if isinstance(cell, bool) else repr(cell) for cell in cells]
 
 
 def _write_table(fh, fmt: str, table):
     """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
     (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
-    indent=2).  An entry that the next block holds too is formatted once."""
+    indent=2).  A row is ``pre``, its cells with ``mid`` between them, and
+    ``post``; rows are separated by ``sep``.  Each block folds its repeated
+    cells and this punctuation into one literal between each pair of
+    per-row cells, so a chunk is one join of literals and cell texts.  An
+    entry that the next block holds too is formatted once."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
         fh.write(f'{{\n  "columns": {names},\n  "rows": [')
-        string, sep = json.dumps, ","
-        row = "\n    [" + ",".join(["\n      {}"] * len(columns)) + "\n    ]"
+        string, sep, pre, mid, post = json.dumps, ",", "\n    [\n      ", ",\n      ", "\n    ]"
     else:
-        fh.write(",".join(map(_csv_string, columns)) + "\n")
-        string, sep, row = _csv_string, "", ",".join(["{}"] * len(columns)) + "\n"
+        # csv.writer quotes an empty field when it is the whole row
+        string = _csv_string if len(columns) != 1 else lambda text: _csv_string(text) or '""'
+        fh.write(",".join(map(string, columns)) + "\n")
+        sep, pre, mid, post = "", "", ",", "\n"
     lead, kept = "", {}  # lead: sep once a row is out; kept: texts by entry id
     for block, after in zip(blocks, [*blocks[1:], ()]):
+        literals, varying, text = [], [], pre
+        for j, entry in enumerate(block):
+            text += mid if j else ""
+            if isinstance(entry, (list, np.ndarray)):
+                literals.append(text)
+                varying.append(entry)
+                text = ""
+            else:
+                text += _texts([entry], string)[0]
+        literals.append(text + post)
         reused = set(map(id, after))
-        texts = [kept.get(id(entry)) or _texts(entry, string, id(entry) in reused)
-                 for entry in block]
-        kept = {id(entry): t for entry, t in zip(block, texts) if id(entry) in reused}
-        rows = map(row.format, *texts)
-        while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
-            fh.write(lead + chunk)
+        kept = {id(entry): kept.get(id(entry)) or _texts(entry, string)
+                for entry in varying if id(entry) in reused or id(entry) in kept}
+        # The parts of one row: its leading literal (the previous row's last
+        # one, sep and the first), then each cell slot and the literal after it.
+        template = [literals[-1] + sep + literals[0]]
+        for literal in literals[1:-1]:
+            template += [None, literal]
+        template.append(None)
+        step, rows = len(template), min(map(len, varying))
+        for lo in range(0, rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, rows)
+            parts = template * (hi - lo) + [literals[-1]]
+            parts[0] = lead + literals[0]
+            for i, entry in enumerate(varying):
+                texts = kept.get(id(entry))
+                parts[2 * i + 1::step] = (_texts(entry[lo:hi], string) if texts is None
+                                          else texts[lo:hi])
+            fh.write("".join(parts))
             lead = sep
     if fmt == "json":
         fh.write("\n  ]\n}\n" if lead else "]\n}\n")

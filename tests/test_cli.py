@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qm1d
 from qm1d import (
@@ -21,7 +23,15 @@ from qm1d import (
     si_constants,
     transmission_sweep,
 )
-from qm1d.cli import _check_finite, _write_table, emit_plot_data, main, run_scenario
+from qm1d.cli import (
+    _CHUNK_ROWS,
+    _PLOT_COLUMNS,
+    _check_finite,
+    _write_table,
+    emit_plot_data,
+    main,
+    run_scenario,
+)
 from qm1d.errors import SolverError
 from qm1d.evolution import STEPPERS
 
@@ -729,19 +739,118 @@ def _reference_rows(blocks):
     return rows
 
 
+def _reference_text(fmt, columns, blocks):
+    """A columnar table as csv.writer (booleans as true/false) or
+    json.dump(indent=2) writes its expanded rows."""
+    rows = _reference_rows(blocks)
+    if fmt == "json":
+        return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows])
+    return expected.getvalue()
+
+
 @pytest.mark.parametrize("blocks", [MIXED_BLOCKS, [], MIXED_BLOCKS[2:3]],
                          ids=["mixed", "no_blocks", "no_rows"])
 def test_writers_match_csv_writer_and_json_dump(blocks):
-    rows = _reference_rows(blocks)
-    expected_csv = io.StringIO()
-    writer = csv.writer(expected_csv, lineterminator="\n")
-    writer.writerow(MIXED_COLUMNS)
-    writer.writerows([[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows])
-    expected_json = json.dumps({"columns": MIXED_COLUMNS, "rows": rows}, indent=2) + "\n"
-    for fmt, expected in (("csv", expected_csv.getvalue()), ("json", expected_json)):
+    for fmt in ("csv", "json"):
         written = io.StringIO()
         _write_table(written, fmt, (MIXED_COLUMNS, blocks))
-        assert written.getvalue() == expected
+        assert written.getvalue() == _reference_text(fmt, MIXED_COLUMNS, blocks)
+
+
+# Block lengths around the writers' chunk of 256 rows, and the cells of the
+# mixed lists: strings csv.writer quotes or json.dumps escapes, booleans,
+# ints beyond 64 bits and floats at the edges of the shortest round-trip text.
+ROW_COUNTS = [0, 1, 255, 256, 257, 600]
+ENTRY_KINDS = ["float", "int", "bool", "mixed", "cell"]
+MIXED_CELLS = ["", "a", "x,y", 'say "hi"', "two\nlines", "cr\r", "tab\t", "\u00e9\u2603", " ",
+               True, False, 0, -7, 10**20, -0.0, 0.1, 5e-324, 1e16, 1.7976931348623157e308]
+CHUNK_X = np.linspace(-1.0, 1.0, 257)
+CELLS = st.one_of(st.text(max_size=6), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _entry(kind, rows, rng):
+    """An ndarray or list entry of ``rows`` cells of one kind."""
+    if kind == "float":  # random bit patterns reach every exponent
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        return np.where(np.isfinite(bits), bits, rng.standard_normal(rows))
+    if kind == "int":
+        return rng.integers(-2**63, 2**63, rows, dtype=np.int64)
+    if kind == "bool":
+        return rng.random(rows) < 0.5
+    return [MIXED_CELLS[i] if i < len(MIXED_CELLS) else float(rng.standard_normal())
+            for i in rng.integers(0, len(MIXED_CELLS) + 4, rows).tolist()]
+
+
+@st.composite
+def columnar_tables(draw):
+    """(columns, blocks) with entries of every kind; a block may share one
+    entry object, at the same column, with the block before it."""
+    width = draw(st.integers(1, 5))
+    columns = draw(st.lists(st.text(max_size=5), min_size=width, max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.sampled_from(ENTRY_KINDS), min_size=width, max_size=width))
+        if set(kinds) == {"cell"}:
+            kinds[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ENTRY_KINDS[:-1]))
+        shared = [j for j, e in enumerate(blocks[-1] if blocks else ())
+                  if isinstance(e, (list, np.ndarray))]
+        share = shared and draw(st.booleans())
+        rows = len(blocks[-1][shared[0]]) if share else draw(st.sampled_from(ROW_COUNTS))
+        block = [draw(CELLS) if kind == "cell" else _entry(kind, rows, rng) for kind in kinds]
+        if share:
+            j = draw(st.sampled_from(shared))
+            block[j] = blocks[-1][j]
+        blocks.append(tuple(block))
+    return columns, blocks
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table=columnar_tables())
+@example(table=(["no blocks"], []))
+@example(table=(["series", "t", "x", "n", "tag"], [
+    ("first", 0.5, CHUNK_X, np.arange(257), "last"),
+    ("second", -1.0, CHUNK_X, [True] * 257, "last"),
+    (True, "middle", LONG_X[:256], np.zeros(256), 3),
+]))
+def test_writers_match_csv_writer_and_json_dump_property(table):
+    columns, blocks = table
+    for fmt in ("csv", "json"):
+        written = io.StringIO()
+        _write_table(written, fmt, table)
+        assert written.getvalue() == _reference_text(fmt, columns, blocks)
+
+
+class _RecordedWrites(io.StringIO):
+    """A StringIO that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt,row_start", [("csv", "\n"), ("json", "\n    [")])
+def test_writes_hold_at_most_one_chunk_of_rows(fmt, row_start):
+    x = np.linspace(-40.0, 40.0, 10_000)
+    blocks = [("density", t, x, np.exp(-x**2 / t)) for t in (0.5, 1.5)]
+    written = _RecordedWrites()
+    _write_table(written, fmt, (_PLOT_COLUMNS, blocks))
+    # The header, then each row's text up to the next row (the last one
+    # carries the footer).
+    header, *rows = written.getvalue().split(row_start)
+    assert len(rows) >= 20_000
+    longest = max(map(len, rows)) + len(row_start)
+    assert max(written.lengths) <= len(header) + _CHUNK_ROWS * longest
+    assert len(written.lengths) > 20_000 / _CHUNK_ROWS
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,7 +4,8 @@
     python tools/corpus.py --against OTHER_CHECKOUT/src
 
 The corpus holds all six commands in csv and json (with ``emit_states``,
-``emit_density``, an SI profile and a ``sampled`` potential among them) plus
+``emit_density``, an SI profile, a ``sampled`` potential and tables whose
+blocks end at, just before and just after the writers' 256-row chunks) plus
 the perfbench scenarios of seeds 1-3 of every workload, in their own format.
 Each side runs in its own interpreter with ``PYTHONPATH`` set to its source
 tree, so the two never share imported modules.  Data files are compared by
@@ -52,6 +53,14 @@ print(json.dumps(codes))
 def _harmonic_values(grid: dict, omega: float) -> list[float]:
     x = np.linspace(grid["x_min"], grid["x_max"], grid["n"])
     return (0.5 * omega**2 * x**2).tolist()
+
+
+def _chunk_packet(n: int) -> dict:
+    return {
+        "command": "packet", "constants": NATURAL,
+        "packet": {"alpha": 0.5, "k0": 1.0}, "times": [0.0, 1.0],
+        "grid": {"x_min": -8.0, "x_max": 12.0, "n": n}, "emit_density": True,
+    }
 
 
 def hand_written() -> dict[str, dict]:
@@ -109,6 +118,16 @@ def hand_written() -> dict[str, dict]:
             "command": "packet", "constants": NATURAL,
             "packet": {"alpha": 0.7, "k0": 2.0}, "times": [0.0, 0.5, 1.5],
             "grid": {"x_min": -6.0, "x_max": 10.0, "n": 65}, "emit_density": True,
+        },
+        # Blocks of 255, 256 and 257 rows around the writers' 256-row chunk;
+        # the density blocks of a packet share their x entry.
+        "packet_256": _chunk_packet(256),
+        "packet_257": _chunk_packet(257),
+        "states_255": {
+            "command": "spectrum", "constants": NATURAL,
+            "grid": {"x_min": -10.0, "x_max": 10.0, "n": 255},
+            "potential": {"kind": "harmonic", "omega": 1.0}, "count": 3,
+            "emit_states": True,
         },
         "blackbody": {
             "command": "blackbody", "constants": NATURAL, "temperature": 1.5,
