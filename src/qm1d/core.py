@@ -13,6 +13,7 @@ new value; nothing mutates a wavefunction in place.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +27,8 @@ from .errors import (
     ParameterError,
     SpaceTagError,
 )
+
+_TINY = np.finfo(float).tiny
 
 
 class Space(enum.Enum):
@@ -102,13 +105,34 @@ class WaveFunction:
         return WaveFunction(self.grid, values, self.space, self.dp)
 
 
-def _check_compatible(psi: WaveFunction, phi: WaveFunction):
-    if psi.grid != phi.grid:
-        raise GridMismatchError("wavefunctions live on different grids")
-    if psi.space is not phi.space:
-        raise SpaceTagError(
-            f"representation mismatch: {psi.space.value} vs {phi.space.value}"
-        )
+def check_state(user: str, psi: WaveFunction, space: Space, grid: Grid | None = None):
+    """Raise unless psi lives in `space`, and on `grid` when one is given."""
+    if grid is not None and psi.grid != grid:
+        raise GridMismatchError(f"{user} needs a state on {grid}, got one on {psi.grid}")
+    if psi.space is not space:
+        raise SpaceTagError(f"{user} acts on {space.value}-space states, got {psi.space.value}")
+
+
+def peak_fraction(values: np.ndarray, points, tol: float) -> float:
+    """max |values[points]| / max |values| when it exceeds tol, else 0.0.
+
+    Every amplitude guard compares with the state's own peak, so it decides
+    alike in any unit of length.  points is a tuple of indices, read as
+    scalars, or an index array.  The peak is scanned only when the bound
+    peak >= sqrt(mean |values|^2) leaves the verdict open; the bound is used
+    unsquared and only from a normal mean, so no underflow or overflow decides.
+    """
+    if isinstance(points, tuple):
+        watched = max([abs(values[i]) for i in points], default=0.0)
+    else:
+        watched = np.max(np.abs(values[points]), initial=0.0)
+    if watched == 0.0:
+        return 0.0
+    mean = np.vdot(values, values).real / values.size
+    if _TINY <= mean < math.inf and watched <= tol * math.sqrt(mean):
+        return 0.0
+    fraction = watched / np.max(np.abs(values))
+    return float(fraction) if fraction > tol else 0.0
 
 
 def norm_squared(psi: WaveFunction) -> float:
@@ -126,7 +150,7 @@ def normalize(psi: WaveFunction) -> WaveFunction:
 
 def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     """<psi|phi> with the uniform quadrature measure; conjugate-linear in psi."""
-    _check_compatible(psi, phi)
+    check_state("inner_product", phi, psi.space, psi.grid)
     return complex(np.vdot(psi.values, phi.values) * psi.spacing)
 
 
@@ -136,8 +160,7 @@ def probability_current(psi: WaveFunction, constants: PhysicalConstants) -> np.n
     Central differences in the interior, second-order one-sided stencils
     at the two boundary points.
     """
-    if psi.space is not Space.POSITION:
-        raise SpaceTagError("probability current is defined on position-space states")
+    check_state("probability_current", psi, Space.POSITION)
     dpsi = np.gradient(psi.values, psi.grid.dx, edge_order=2)
     j = (constants.hbar / constants.mass) * np.imag(np.conj(psi.values) * dpsi)
     return j
@@ -155,9 +178,8 @@ def continuity_residual(
     (psi_before + psi_after)/2; the residual shrinks at O(dx^2 + dt)
     under refinement for consistent dynamics.
     """
-    _check_compatible(psi_before, psi_after)
-    if psi_before.space is not Space.POSITION:
-        raise SpaceTagError("continuity residual is defined in position space")
+    check_state("continuity_residual", psi_after, Space.POSITION, psi_before.grid)
+    check_state("continuity_residual", psi_before, Space.POSITION)
     if dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {dt}")
     p_before = np.abs(psi_before.values) ** 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .core import Grid, WaveFunction, normalize
+from .core import Grid, WaveFunction, normalize, peak_fraction
 from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError
 from .potentials import Potential, sample_on_grid
 
@@ -180,21 +180,16 @@ def _check_box_truncation(h: DiscreteHamiltonian, states: list[WaveFunction]):
     the state amplitude just inside it has to be negligible next to the
     state's peak.
     """
-    edges = []
     first, last = h.active_indices[0], h.active_indices[-1]
-    if not h.wall_mask[first - 1]:
-        edges.append(first)
-    if not h.wall_mask[last + 1]:
-        edges.append(last)
+    edges = tuple(i for i, outside in ((first, first - 1), (last, last + 1))
+                  if not h.wall_mask[outside])
     for n, psi in enumerate(states):
-        peak = np.max(np.abs(psi.values))
-        for i in edges:
-            ratio = abs(psi.values[i]) / peak
-            if ratio > EDGE_DECAY_TOL:
-                raise ConfigurationError(
-                    f"state {n} has {ratio:.2e} of its peak amplitude at the box "
-                    f"edge (tolerance {EDGE_DECAY_TOL:.0e}); enlarge the domain"
-                )
+        fraction = peak_fraction(psi.values, edges, EDGE_DECAY_TOL)
+        if fraction:
+            raise ConfigurationError(
+                f"state {n} has {fraction:.2e} of its peak amplitude at the box "
+                f"edge (tolerance {EDGE_DECAY_TOL:.0e}); enlarge the domain"
+            )
 
 
 def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):

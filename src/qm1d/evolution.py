@@ -20,19 +20,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Space, WaveFunction
+from .core import Space, WaveFunction, check_state, peak_fraction
 from .eigensolver import DiscreteHamiltonian, build_hamiltonian
 from .errors import (
     ConfigurationError,
     EdgeAmplitudeError,
-    GridMismatchError,
     ParameterError,
-    SpaceTagError,
     UnsupportedMethodError,
 )
 from .observables import _SnapshotObservables
 from .potentials import Potential
-from .spectral import EDGE_AMPLITUDE_TOL, fft_momenta, hot_edge_amplitude
+from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta
 
 METHOD_CRANK_NICOLSON = "crank_nicolson"
 METHOD_SPLIT_STEP = "split_step"
@@ -89,6 +87,8 @@ class _CrankNicolson:
     form would hold different operators and the step would not be unitary.
     """
 
+    # Largest |psi| allowed at an excluded (hard-wall or box-edge) point, as a
+    # fraction of the state's own peak |psi|.
     _WALL_TOL = 1e-12
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
@@ -112,16 +112,14 @@ class _CrankNicolson:
         *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.diagonal, off)
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
-        # The wall check runs every step; an excluded point holding exactly
-        # zero (every stepped state) passes without the peak.
-        inside = np.max(np.abs(values[self.masked]))
-        if inside > 0.0:
-            peak = np.max(np.abs(values))
-            if inside > self._WALL_TOL * peak:
-                raise ParameterError(
-                    f"state has amplitude {inside:.2e} at an excluded (hard-wall "
-                    "or boundary) point; it does not represent an admissible state"
-                )
+        # The wall check runs every step; excluded points holding exactly
+        # zero (every stepped state) pass without the peak.
+        fraction = peak_fraction(values, self.masked, self._WALL_TOL)
+        if fraction:
+            raise ParameterError(
+                f"state has {fraction:.2e} of its peak amplitude at an excluded "
+                "(hard-wall or boundary) point; it does not represent an admissible state"
+            )
         idx = self.h.active_indices
         v = values[idx]
         rhs = v - 1j * self.lam * self.h.apply_active(v)
@@ -141,10 +139,7 @@ def crank_nicolson_step(
     h must be the default 3-point (order 2) Hamiltonian; any other raises
     ConfigurationError.
     """
-    if psi.grid != h.grid:
-        raise GridMismatchError("state and Hamiltonian live on different grids")
-    if psi.space is not Space.POSITION:
-        raise SpaceTagError("time stepping acts on position-space states")
+    check_state("crank_nicolson_step", psi, Space.POSITION, h.grid)
     stepper = _CrankNicolson(h, dt, constants)
     return psi.with_values(stepper.step_values(psi.values))
 
@@ -168,11 +163,11 @@ class _SplitStep:
         self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
-        edge = hot_edge_amplitude(values)
-        if edge:
+        fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
+        if fraction:
             raise EdgeAmplitudeError(
-                f"edge amplitude {edge:.2e} exceeds the periodic-wrap guard "
-                f"{EDGE_AMPLITUDE_TOL:.0e}; enlarge the domain or stop earlier"
+                f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
+                f"wrap guard {EDGE_AMPLITUDE_TOL:.0e}); enlarge the domain or stop earlier"
             )
         half = self.half_potential
         return half * np.fft.ifft(self.kinetic * np.fft.fft(half * values))
@@ -186,8 +181,7 @@ def split_step(
     constants: PhysicalConstants = NATURAL,
 ) -> WaveFunction:
     """One second-order split step: V/2, kinetic in p-space, V/2."""
-    if psi.space is not Space.POSITION:
-        raise SpaceTagError("time stepping acts on position-space states")
+    check_state("split_step", psi, Space.POSITION)
     h = build_hamiltonian(psi.grid, potential, mass, constants)
     stepper = _SplitStep(h, dt, constants)
     return psi.with_values(stepper.step_values(psi.values))

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Grid, Space, WaveFunction, inner_product, norm_squared
+from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared
 from .eigensolver import DiscreteHamiltonian
 from .errors import (
     EdgeAmplitudeWarning,
     GridMismatchError,
     NormalizationWarning,
     ParameterError,
-    SpaceTagError,
 )
 from .spectral import fft_momenta, to_momentum_space, to_position_space, warn_if_edges_hot
 
@@ -45,10 +44,7 @@ class Operator:
     dense: np.ndarray | None = None
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
-        if psi.grid != self.grid:
-            raise GridMismatchError("operator and state live on different grids")
-        if psi.space is not Space.POSITION:
-            raise SpaceTagError("operators act on position-space states")
+        check_state("Operator.apply", psi, Space.POSITION, self.grid)
         if self.kind == "position":
             return psi.with_values(self.grid.points * psi.values)
         if self.kind == "momentum":
@@ -112,8 +108,7 @@ def _warn_if_unnormalized(n2: float, stacklevel: int):
 
 def _momentum_moments(op: Operator, psi: WaveFunction) -> tuple[float, float]:
     """Mean and variance of p under |phi(p)|^2 dp on the centered grid."""
-    if psi.grid != op.grid:
-        raise GridMismatchError("operator and state live on different grids")
+    check_state("momentum operator", psi, Space.POSITION, op.grid)
     phi = to_momentum_space(psi, op.constants)
     p = phi.coordinates
     density = np.abs(phi.values) ** 2

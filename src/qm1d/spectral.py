@@ -18,10 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants
-from .core import Grid, Space, WaveFunction
-from .errors import EdgeAmplitudeWarning, SpaceTagError
+from .core import Grid, Space, WaveFunction, check_state, peak_fraction
+from .errors import EdgeAmplitudeWarning
 
+# Largest |psi| at the end points (EDGES), as a fraction of the state's own
+# peak |psi|, before it wraps around in a periodic transform.
 EDGE_AMPLITUDE_TOL = 1e-10
+EDGES = (0, -1)
 
 
 @dataclass(frozen=True)
@@ -50,25 +53,15 @@ def fft_momenta(grid: Grid, constants: PhysicalConstants) -> tuple[np.ndarray, f
     return np.fft.ifftshift(mgrid.p), weight
 
 
-def hot_edge_amplitude(values: np.ndarray) -> float:
-    """The larger end-point modulus when it exceeds EDGE_AMPLITUDE_TOL *
-    max(1, peak), else 0.0: a state that large at the edges wraps around
-    in a periodic transform."""
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge <= EDGE_AMPLITUDE_TOL:  # within the bound whatever the peak
-        return 0.0
-    peak = np.max(np.abs(values))
-    return edge if edge > EDGE_AMPLITUDE_TOL * max(1.0, peak) else 0.0
-
-
 def warn_if_edges_hot(values: np.ndarray, stacklevel: int):
-    """EdgeAmplitudeWarning when hot_edge_amplitude flags values; stacklevel
-    is counted from the caller, as in warnings.warn."""
-    edge = hot_edge_amplitude(values)
-    if edge:
+    """EdgeAmplitudeWarning when an end point holds more than EDGE_AMPLITUDE_TOL
+    of the peak; stacklevel is counted from the caller, as in warnings.warn."""
+    fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
+    if fraction:
         warnings.warn(
-            f"position-space state has edge amplitude {edge:.2e}; the periodic "
-            "transform will not approximate the continuum integral accurately",
+            f"position-space state has {fraction:.2e} of its peak amplitude at a "
+            "grid edge; the periodic transform will not approximate the continuum "
+            "integral accurately",
             EdgeAmplitudeWarning,
             stacklevel=stacklevel + 1,
         )
@@ -76,8 +69,7 @@ def warn_if_edges_hot(values: np.ndarray, stacklevel: int):
 
 def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Forward transform of a position-space state onto the conjugate grid."""
-    if psi.space is not Space.POSITION:
-        raise SpaceTagError("to_momentum_space expects a position-space state")
+    check_state("to_momentum_space", psi, Space.POSITION)
     warn_if_edges_hot(psi.values, stacklevel=2)
     grid = psi.grid
     mgrid = momentum_grid(grid, constants)
@@ -89,8 +81,7 @@ def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFu
 
 def to_position_space(phi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Inverse transform; round trip with to_momentum_space is the identity."""
-    if phi.space is not Space.MOMENTUM:
-        raise SpaceTagError("to_position_space expects a momentum-space state")
+    check_state("to_position_space", phi, Space.MOMENTUM)
     grid = phi.grid
     mgrid = momentum_grid(grid, constants)
     phase = np.exp(1j * mgrid.p * grid.x_min / constants.hbar)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +664,96 @@ def test_schema_error_exits_2_with_one_json_error(tmp_path, capsys, case):
     assert error["type"] == "SchemaError"
     assert fragment in error["message"]
     assert not out.exists()
+
+
+# JSON values swapped in for any key or list entry of a valid scenario.
+FUZZ_VALUES = [None, True, False, "text", 10**400, 1e308, -1e308, 0, -1, [], {}]
+# Size keys (grid and eigenstate n, evolve steps, spectrum and energies count)
+# take only invalid or small values, so that no example allocates much.
+SIZE_LIMITS = {"n": 256, "steps": 20, "count": 50}
+INVALID_SIZES = [v for v in FUZZ_VALUES if type(v) is not int or v < 1]
+ESCAPING_PATHS = ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv"]
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list entry below node, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(body, path):
+    for key in path:
+        body = body[key]
+    return body
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """One valid FORMAT_SCENARIOS body with one mutation: a key or entry
+    dropped, an unknown key added, a JSON value swapped in, or an output path
+    outside the output directory."""
+    body = _schema_case(draw(st.sampled_from(sorted(FORMAT_SCENARIOS))))
+    paths = list(_paths(body))
+    mutation = draw(st.sampled_from(["drop", "unknown_key", "value", "output_path"]))
+    if mutation == "output_path":
+        body["output"]["path"] = draw(st.sampled_from(ESCAPING_PATHS))
+    elif mutation == "unknown_key":
+        objects = [()] + [path for path in paths if isinstance(_at(body, path), dict)]
+        _at(body, draw(st.sampled_from(objects)))["unexpected"] = 1
+    else:
+        *owner, key = draw(st.sampled_from(paths))
+        if mutation == "drop":
+            del _at(body, owner)[key]
+        elif key in SIZE_LIMITS:
+            small = st.integers(min_value=1, max_value=SIZE_LIMITS[key])
+            _at(body, owner)[key] = draw(st.one_of(st.sampled_from(INVALID_SIZES), small))
+        else:
+            _at(body, owner)[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return body
+
+
+def _cells(path):
+    """Every data cell of a written CSV or JSON table."""
+    if path.suffix == ".json":
+        return [cell for row in json.loads(path.read_text())["rows"] for cell in row]
+    with path.open(newline="") as fh:
+        return [cell for row in list(csv.reader(fh))[1:] for cell in row]
+
+
+def _finite(cell) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:  # a series name or an empty cell
+        return True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(body=mutated_scenarios())
+def test_cli_contract_holds_for_mutated_scenarios(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        scenario = root / "scenario.json"
+        scenario.write_text(json.dumps(body).replace("{tmp}", tmp))
+        out = root / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(scenario), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+            assert isinstance(error, dict) and error["exit_code"] == code
+        else:
+            for line in stdout.getvalue().splitlines():
+                assert all(_finite(cell) for cell in _cells(Path(line)))
+        assert not list(root.rglob(".*.tmp"))
+        assert not (root / "escape.csv").exists()
 
 
 def _spectrum_levels(tmp_path, name, body):

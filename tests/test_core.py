@@ -11,14 +11,21 @@ from qm1d import (
     build_hamiltonian,
     continuity_residual,
     crank_nicolson_step,
+    expectation,
     gaussian_packet_x,
     inner_product,
     make_grid,
+    momentum_operator,
     norm_squared,
     normalize,
+    position_operator,
     probability_current,
     solve_bound_states,
+    split_step,
+    to_momentum_space,
+    to_position_space,
 )
+from qm1d.core import peak_fraction
 from qm1d.errors import (
     ConfigurationError,
     DegenerateStateError,
@@ -223,3 +230,74 @@ def test_constants_validation():
         PhysicalConstants(hbar=1.0, h=6.0)  # far from 2 pi hbar
     c = PhysicalConstants(hbar=2.0)
     assert c.h == pytest.approx(4.0 * np.pi, rel=1e-15)
+
+
+_GRID = make_grid(-8.0, 8.0, 64)
+_OTHER_GRID = make_grid(-9.0, 9.0, 64)
+
+
+def _gaussian(grid, space):
+    """A normalized Gaussian, negligible at the edges, in the given representation."""
+    psi = normalize(WaveFunction(grid, np.exp(-0.5 * grid.points**2)))
+    return psi if space is Space.POSITION else to_momentum_space(psi, NATURAL)
+
+
+_REFERENCE = _gaussian(_GRID, Space.POSITION)
+_H = build_hamiltonian(_GRID, PiecewiseConstant(), 1.0, NATURAL)
+
+# Entry point: (its call on a state, the representation it takes, the class
+# raised for a state of that representation on another grid, the class raised
+# for a state on _GRID in the other representation).  None means no error:
+# an entry point with no grid of its own accepts any grid.  The classes are
+# those each entry point raised with its own inline check.
+STATE_CHECKS = {
+    "Operator.apply": (lambda psi: position_operator(_GRID).apply(psi),
+                       Space.POSITION, GridMismatchError, SpaceTagError),
+    "momentum_moments": (lambda psi: expectation(momentum_operator(_GRID), psi),
+                         Space.POSITION, GridMismatchError, SpaceTagError),
+    "crank_nicolson_step": (lambda psi: crank_nicolson_step(psi, _H, 1e-3, NATURAL),
+                            Space.POSITION, GridMismatchError, SpaceTagError),
+    "split_step": (lambda psi: split_step(psi, PiecewiseConstant(), 1e-3, 1.0, NATURAL),
+                   Space.POSITION, None, SpaceTagError),
+    "to_momentum_space": (lambda psi: to_momentum_space(psi, NATURAL),
+                          Space.POSITION, None, SpaceTagError),
+    "to_position_space": (lambda psi: to_position_space(psi, NATURAL),
+                          Space.MOMENTUM, None, SpaceTagError),
+    "probability_current": (lambda psi: probability_current(psi, NATURAL),
+                            Space.POSITION, None, SpaceTagError),
+    "continuity_residual": (lambda psi: continuity_residual(_REFERENCE, psi, 1e-3, NATURAL),
+                            Space.POSITION, GridMismatchError, SpaceTagError),
+    "inner_product": (lambda psi: inner_product(_REFERENCE, psi),
+                      Space.POSITION, GridMismatchError, SpaceTagError),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["other_grid", "other_space"])
+@pytest.mark.parametrize("entry", sorted(STATE_CHECKS))
+def test_state_check_at_every_entry_point(entry, mismatch):
+    call, space, on_other_grid, in_other_space = STATE_CHECKS[entry]
+    if mismatch == "other_grid":
+        psi, expected = _gaussian(_OTHER_GRID, space), on_other_grid
+    else:
+        other = Space.MOMENTUM if space is Space.POSITION else Space.POSITION
+        psi, expected = _gaussian(_GRID, other), in_other_space
+    if expected is None:
+        call(psi)
+    else:
+        with pytest.raises(expected):
+            call(psi)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1.0, 1e150, 1e200])
+def test_peak_fraction_is_scale_free(scale):
+    # edge/peak 1.5e-8; at 1e-200 the mean |psi|^2 underflows and at 1e200 it
+    # overflows, so the verdict then comes from the peak scan alone
+    x = np.linspace(-6.0, 6.0, 256)
+    values = (scale * np.exp(-0.5 * x**2)).astype(complex)
+    expected = abs(values[0]) / np.max(np.abs(values))
+    for points in [(0, -1), np.array([0, 255])]:
+        assert peak_fraction(values, points, 1e-10) == pytest.approx(expected, rel=1e-12)
+        assert peak_fraction(values, points, 1e-6) == 0.0
+    clipped = values.copy()
+    clipped[[0, -1]] = 0.0
+    assert peak_fraction(clipped, (0, -1), 0.0) == 0.0

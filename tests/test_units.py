@@ -8,6 +8,7 @@ decide alike on both sides.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,11 +18,17 @@ from qm1d import (
     NATURAL,
     Harmonic,
     InfiniteWell,
+    PiecewiseConstant,
+    WaveFunction,
     build_hamiltonian,
+    crank_nicolson_step,
     custom_operator,
     make_grid,
+    normalize,
     si_constants,
     solve_bound_states,
+    split_step,
+    to_momentum_space,
 )
 from qm1d.errors import QmError
 
@@ -109,3 +116,78 @@ def test_hermiticity_check_is_unit_free(n, seed, defect, mass, length):
     si = outcome(energy * a, make_grid(-length, length, n))
     assert si is natural
     assert (natural is None) == (defect < 1e-12)
+
+
+# A Gaussian exp(-x^2 / 2 w^2) on +-4 to +-8 widths: its edge-to-peak ratio,
+# 3e-4 down to 1e-14 and drawn evenly in the exponent, spans the split-step
+# edge guard (1e-10) and the Crank-Nicolson excluded-point check (1e-12).
+half_widths = st.floats(min_value=16.0, max_value=64.0).map(math.sqrt)
+grid_sizes = st.integers(min_value=64, max_value=512)
+# Widths from 1e-11 to 1e6 in SI metres, drawn evenly in the exponent.
+wide_length_scales = st.floats(min_value=-11.0, max_value=6.0).map(lambda e: 10.0**e)
+
+
+def _gaussian_twins(half_width, n, mass, length):
+    """(state, mass, constants, time scale) of the natural-unit Gaussian of
+    width 1 and of its SI twin of width `length`, both normalized."""
+    twins = []
+    for m, scale, constants in ((1.0, 1.0, NATURAL), (mass, length, si_constants(mass))):
+        grid = make_grid(-half_width * scale, half_width * scale, n)
+        psi = normalize(WaveFunction(grid, np.exp(-0.5 * (grid.points / scale) ** 2)))
+        twins.append((psi, m, constants, m * scale**2 / constants.hbar))
+    return twins
+
+
+def _outcome(guarded):
+    """The exception class a guarded call raises, or the warning classes it
+    emits (an empty tuple when it neither raises nor warns)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            guarded()
+        except QmError as exc:
+            return type(exc)
+    return tuple(w.category for w in caught)
+
+
+def _twins_agree(guard, half_width, n, mass, length):
+    natural, si = (
+        _outcome(lambda: guard(psi, m, constants, 1e-3 * time))
+        for psi, m, constants, time in _gaussian_twins(half_width, n, mass, length)
+    )
+    assert si == natural
+
+
+# The Gaussian that an absolute 1e-10 edge floor passed at width 1e6 only
+# (256 points on +-6 widths, edge/peak 1.5e-8).
+FLOORED_EDGE = dict(half_width=6.0, n=256, mass=ELECTRON_KG, length=1e6)
+
+
+@SETTINGS
+@given(half_width=half_widths, n=grid_sizes, mass=mass_scales, length=wide_length_scales)
+@example(**FLOORED_EDGE)
+def test_split_step_edge_guard_is_unit_free(half_width, n, mass, length):
+    def guard(psi, m, constants, dt):
+        split_step(psi, PiecewiseConstant(), dt, m, constants)
+
+    _twins_agree(guard, half_width, n, mass, length)
+
+
+@SETTINGS
+@given(half_width=half_widths, n=grid_sizes, mass=mass_scales, length=wide_length_scales)
+@example(**FLOORED_EDGE)
+def test_transform_edge_warning_is_unit_free(half_width, n, mass, length):
+    def guard(psi, m, constants, dt):
+        to_momentum_space(psi, constants)
+
+    _twins_agree(guard, half_width, n, mass, length)
+
+
+@SETTINGS
+@given(half_width=half_widths, n=grid_sizes, mass=mass_scales, length=wide_length_scales)
+def test_crank_nicolson_excluded_point_check_is_unit_free(half_width, n, mass, length):
+    def guard(psi, m, constants, dt):
+        h = build_hamiltonian(psi.grid, PiecewiseConstant(), m, constants)
+        crank_nicolson_step(psi, h, dt, constants)
+
+    _twins_agree(guard, half_width, n, mass, length)
