@@ -178,15 +178,14 @@ def _relative_path(value, where: str) -> str:
 # Scenario blocks
 
 
-def _parse_constants(obj, where: str) -> tuple[PhysicalConstants, float]:
-    """Returns the constants profile and the particle mass."""
+def _parse_constants(obj, where: str) -> PhysicalConstants:
+    """The constants profile; its mass is the particle mass."""
     spec = _keys(obj, where, {"profile": _choice({"natural", "si"})}, {"mass": _positive})
     if spec["profile"] == "si":
         if "mass" not in spec:
             raise SchemaError(f"{where}: the si profile requires an explicit mass")
-        return si_constants(spec["mass"]), spec["mass"]
-    mass = spec.get("mass", 1.0)
-    return PhysicalConstants(mass=mass), mass
+        return si_constants(spec["mass"])
+    return PhysicalConstants(mass=spec.get("mass", 1.0))
 
 
 def _parse_grid(obj, where: str) -> Grid:
@@ -226,14 +225,15 @@ _POTENTIALS = {
 }
 
 
-def _parse_potential(obj, where: str, mass: float, grid: Grid | None) -> Potential:
+def _parse_potential(obj, where: str, constants: PhysicalConstants,
+                     grid: Grid | None) -> Potential:
     rest, kind = _kind(obj, where)
     if kind not in _POTENTIALS:
         raise SchemaError(f"{where}.kind: unknown potential kind {kind!r}")
     cls, keys = _POTENTIALS[kind]
     params = _keys(rest, where, keys)
     if cls is Harmonic:
-        params["mass"] = mass
+        params["mass"] = constants.mass
     elif cls is Sampled:
         if grid is None:
             raise SchemaError(f"{where}: a sampled potential requires a grid block")
@@ -312,9 +312,9 @@ def _derived_path(path: str, tag: str) -> str:
     return str(p.with_name(f"{p.stem}_{tag}{p.suffix}"))
 
 
-def _execute_spectrum(spec, constants, mass):
+def _execute_spectrum(spec, constants):
     potential = spec["potential"]
-    h = build_hamiltonian(spec["grid"], potential, mass, constants)
+    h = build_hamiltonian(spec["grid"], potential, constants.mass, constants)
     spectrum = solve_bound_states(h, spec["count"])
 
     energies = spectrum.energies
@@ -333,8 +333,8 @@ def _execute_spectrum(spec, constants, mass):
     return outputs
 
 
-def _execute_scatter(spec, constants, mass):
-    results = transmission_sweep(spec["potential"], spec["energies"], mass, constants)
+def _execute_scatter(spec, constants):
+    results = transmission_sweep(spec["potential"], spec["energies"], constants.mass, constants)
     columns = ["energy", "prob_R", "prob_T", "phase_R", "phase_T"]
     block = tuple(np.array(cells, dtype=np.float64) for cells in (
         [r.energy for r in results], [r.prob_r for r in results], [r.prob_t for r in results],
@@ -342,27 +342,26 @@ def _execute_scatter(spec, constants, mass):
     return {spec["output"]["path"]: (columns, [block])}
 
 
-def _packet_params(gaussian: dict, mass: float, constants: PhysicalConstants):
+def _packet_params(gaussian: dict, constants: PhysicalConstants):
     """The closed-form packet of a block parsed by _parse_gaussian, x0 aside."""
-    return GaussianPacketParams(gaussian["alpha"], gaussian["k0"], mass, constants)
+    return GaussianPacketParams(gaussian["alpha"], gaussian["k0"], constants.mass, constants)
 
 
-def _initial_packet(grid: Grid, init: dict, mass: float,
-                    constants: PhysicalConstants) -> WaveFunction:
-    params = _packet_params(init, mass, constants)
+def _initial_packet(grid: Grid, init: dict, constants: PhysicalConstants) -> WaveFunction:
+    params = _packet_params(init, constants)
     values = gaussian_packet_x(params, grid.points - init.get("x0", 0.0))
     return normalize(WaveFunction(grid, values))
 
 
-def _execute_evolve(spec, constants, mass):
-    psi0 = _initial_packet(spec["grid"], spec["initial"], mass, constants)
+def _execute_evolve(spec, constants):
+    psi0 = _initial_packet(spec["grid"], spec["initial"], constants)
     config = EvolutionConfig(
         dt=spec["dt"],
         steps=spec["steps"],
         method=spec["method"],
         observables_every=spec.get("observables_every", 1),
     )
-    trajectory = evolve(psi0, spec["potential"], config, mass, constants)
+    trajectory = evolve(psi0, spec["potential"], config, constants.mass, constants)
     block = (trajectory.times, *(getattr(trajectory, name) for name in SERIES))
     outputs = {spec["output"]["path"]: (["t", *SERIES], [block])}
     if spec.get("emit_density"):
@@ -374,8 +373,8 @@ def _execute_evolve(spec, constants, mass):
     return outputs
 
 
-def _execute_packet(spec, constants, mass):
-    params = _packet_params(spec["packet"], mass, constants)
+def _execute_packet(spec, constants):
+    params = _packet_params(spec["packet"], constants)
     times = spec["times"]
     blocks = [("width", times, "", [packet_width(params, t) for t in times])]
     if spec.get("emit_density"):
@@ -384,7 +383,7 @@ def _execute_packet(spec, constants, mass):
     return {spec["output"]["path"]: (_PLOT_COLUMNS, blocks)}
 
 
-def _execute_blackbody(spec, constants, mass):
+def _execute_blackbody(spec, constants):
     columns = ["nu", "u_planck", "u_rayleigh_jeans", "ratio"]
     rows = []  # row by row, so the first failing cell raises as it always has
     for nu in spec["frequencies"]:
@@ -394,13 +393,13 @@ def _execute_blackbody(spec, constants, mass):
     return {spec["output"]["path"]: (columns, [tuple(map(list, zip(*rows)))])}
 
 
-def _execute_uncertainty(spec, constants, mass):
+def _execute_uncertainty(spec, constants):
     grid = spec["grid"]
     state = spec["state"]
     if state["kind"] == "gaussian":
-        psi = _initial_packet(grid, state, mass, constants)
+        psi = _initial_packet(grid, state, constants)
     else:
-        h = build_hamiltonian(grid, spec["potential"], mass, constants)
+        h = build_hamiltonian(grid, spec["potential"], constants.mass, constants)
         spectrum = solve_bound_states(h, state["n"])
         psi = spectrum.states[state["n"] - 1]
 
@@ -430,7 +429,7 @@ class Command:
 
     required: dict
     optional: dict
-    execute: Callable[[dict, PhysicalConstants, float], dict]
+    execute: Callable[[dict, PhysicalConstants], dict]
     rule: Callable[[dict], str | None] = lambda spec: None
 
 
@@ -629,15 +628,13 @@ def load_scenario(path: str) -> dict:
              "output": _parse_output},
             command.optional,
         )
-        spec["_constants"], spec["_mass"] = _parse_constants(
-            spec["constants"], "scenario.constants"
-        )
+        spec["_constants"] = _parse_constants(spec["constants"], "scenario.constants")
         problem = command.rule(spec)
         if problem:
             raise SchemaError(f"scenario: {problem}")
         if "potential" in spec:
             spec["potential"] = _parse_potential(
-                spec["potential"], "scenario.potential", spec["_mass"], spec.get("grid")
+                spec["potential"], "scenario.potential", spec["_constants"], spec.get("grid")
             )
     except QmError as exc:  # a grid or potential rejected its parameters
         raise SchemaError(f"scenario: {exc}") from exc
@@ -659,7 +656,7 @@ def run_scenario(
     try:
         # Keep stderr to the JSON error: _check_finite rejects what numpy warns of.
         with np.errstate(all="ignore"):
-            outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"], spec["_mass"])
+            outputs = COMMANDS[spec["command"]].execute(spec, spec["_constants"])
     except ArithmeticError as exc:
         raise SolverError(f"{type(exc).__name__}: {exc}") from exc
     for rel_path, table in outputs.items():

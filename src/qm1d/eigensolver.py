@@ -15,14 +15,13 @@ stays second order; the time propagators accept only that default.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
 from .core import Grid, WaveFunction, normalize, peak_fraction
-from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError
+from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError, warn
 from .potentials import Potential, sample_on_grid
 
 # Largest |psi| allowed just inside an artificial box edge, as a fraction of
@@ -265,12 +264,8 @@ def solve_bound_states(h: DiscreteHamiltonian, count: int) -> Spectrum:
     gaps = np.diff(energies)
     gap_warn = _GAP_WARN_RTOL * 2.0 * np.max(np.abs(h.off_diagonal), initial=0.0)
     if gaps.size and gaps.min() < gap_warn:
-        warnings.warn(
-            f"eigenvalue gap {gaps.min():.2e} is below {gap_warn:.2e}; "
-            "near-degenerate pair returned as-is",
-            NearDegeneracyWarning,
-            stacklevel=2,
-        )
+        warn(f"eigenvalue gap {gaps.min():.2e} is below {gap_warn:.2e}; near-degenerate pair "
+             "returned as-is", NearDegeneracyWarning)
 
     tail_floor = 0.0 if h.order == 2 else _TAIL_FLOOR
     states = []

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all qm1d modules."""
+"""Exception and warning classes shared by all qm1d modules, and warn()."""
+
+import os
+import sys
+import warnings
 
 
 class QmError(Exception):
@@ -47,3 +51,16 @@ class NormalizationWarning(UserWarning):
 
 class NearDegeneracyWarning(UserWarning):
     """Two eigenvalues are closer than the resolution of the solver."""
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn(message: str, category: type[Warning]):
+    """warnings.warn at the first frame whose file is outside this package:
+    the caller's line.  Matched by path, as ``python -m qm1d.cli`` runs cli.py
+    as __main__; skip_file_prefixes would do this but needs Python 3.12."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

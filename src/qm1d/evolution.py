@@ -222,9 +222,6 @@ def evolve(
             snapshots.append(WaveFunction(grid, values))
 
     # One snapshot at a time once stepping is done, so a failed run warns of
-    # nothing and no (snapshots, n) array is built.  A plain loop, not a
-    # comprehension, keeps the warnings' stacklevel at evolve's caller.
-    rows = []
-    for snap in snapshots:
-        rows.append(observe(snap.values))
+    # nothing and no (snapshots, n) array is built.
+    rows = [observe(snap.values) for snap in snapshots]
     return Trajectory(np.asarray(times), snapshots, *map(np.array, zip(*rows)))

@@ -25,6 +25,7 @@ from .errors import (
     GridMismatchError,
     NormalizationWarning,
     ParameterError,
+    warn,
 )
 from .spectral import fft_momenta, to_momentum_space, to_position_space, warn_if_edges_hot
 
@@ -94,16 +95,11 @@ def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
     return Operator(kind="custom", grid=grid, dense=m)
 
 
-def _warn_if_unnormalized(n2: float, stacklevel: int):
-    """NormalizationWarning when the norm-squared n2 is off 1 by more than
-    _NORM_WARN; stacklevel is counted from the caller, as in warnings.warn."""
+def _warn_if_unnormalized(n2: float):
+    """NormalizationWarning when the norm-squared n2 is off 1 by more than _NORM_WARN."""
     if abs(n2 - 1.0) > _NORM_WARN:
-        warnings.warn(
-            f"state norm-squared is {n2:.6g}; expectation values assume a "
-            "normalized state",
-            NormalizationWarning,
-            stacklevel=stacklevel + 1,
-        )
+        warn(f"state norm-squared is {n2:.6g}; expectation values assume a normalized state",
+             NormalizationWarning)
 
 
 def _momentum_moments(op: Operator, psi: WaveFunction) -> tuple[float, float]:
@@ -122,7 +118,7 @@ def expectation(op: Operator, psi: WaveFunction) -> complex:
     The momentum operator is special-cased to the momentum-space moment
     sum_j p_j |phi_j|^2 dp; all other kinds go through apply().
     """
-    _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
+    _warn_if_unnormalized(norm_squared(psi))
     if op.kind == "momentum":
         return complex(_momentum_moments(op, psi)[0])
     return inner_product(psi, op.apply(psi))
@@ -142,7 +138,7 @@ def momentum_expectation_x_route(
 
 def uncertainty(op: Operator, psi: WaveFunction) -> float:
     """Root of the variance <(A - <A>)^2>, computed as ||(A - <A>) psi||."""
-    _warn_if_unnormalized(norm_squared(psi), stacklevel=2)
+    _warn_if_unnormalized(norm_squared(psi))
     if op.kind == "momentum":
         _, var = _momentum_moments(op, psi)
     else:
@@ -156,9 +152,9 @@ def uncertainty(op: Operator, psi: WaveFunction) -> float:
 class _SnapshotObservables:
     """The six evolve series of position-space amplitudes on h's grid.
 
-    Equal to roundoff to norm_squared, then expectation and uncertainty of
-    the position, momentum and Hamiltonian operators, but computed from one
-    density and one unshifted FFT, with each warning at most once per call.
+    Equal to roundoff to norm_squared, expectation and uncertainty of the
+    position, momentum and Hamiltonian operators, from one density and one
+    unshifted FFT, each warning at most once per call and at evolve's caller.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
@@ -168,13 +164,12 @@ class _SnapshotObservables:
         self.p, self.p_weight = fft_momenta(h.grid, constants)
 
     def __call__(self, values: np.ndarray) -> tuple[float, ...]:
-        """The series in evolution.Trajectory's field order; warnings point
-        at the caller's caller (the user's evolve call)."""
+        """The series in evolution.Trajectory's field order."""
         dx = self.dx
         density = np.abs(values) ** 2
         norm = float(np.sum(density) * dx)
-        _warn_if_unnormalized(norm, stacklevel=3)
-        warn_if_edges_hot(values, stacklevel=3)
+        _warn_if_unnormalized(norm)
+        warn_if_edges_hot(values)
         x_mean = float(np.sum(self.x * density) * dx)
         x_var = float(np.sum((self.x - x_mean) ** 2 * density) * dx)
         p_density = np.abs(np.fft.fft(values)) ** 2 * self.p_weight

@@ -12,14 +12,13 @@ centered (negative to positive) so moment integrals read off directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
 from .core import Grid, Space, WaveFunction, check_state, peak_fraction
-from .errors import EdgeAmplitudeWarning
+from .errors import EdgeAmplitudeWarning, warn
 
 # Largest |psi| at the end points (EDGES), as a fraction of the state's own
 # peak |psi|, before it wraps around in a periodic transform.
@@ -53,24 +52,19 @@ def fft_momenta(grid: Grid, constants: PhysicalConstants) -> tuple[np.ndarray, f
     return np.fft.ifftshift(mgrid.p), weight
 
 
-def warn_if_edges_hot(values: np.ndarray, stacklevel: int):
-    """EdgeAmplitudeWarning when an end point holds more than EDGE_AMPLITUDE_TOL
-    of the peak; stacklevel is counted from the caller, as in warnings.warn."""
+def warn_if_edges_hot(values: np.ndarray):
+    """EdgeAmplitudeWarning when an end point holds more than EDGE_AMPLITUDE_TOL of the peak."""
     fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
     if fraction:
-        warnings.warn(
-            f"position-space state has {fraction:.2e} of its peak amplitude at a "
-            "grid edge; the periodic transform will not approximate the continuum "
-            "integral accurately",
-            EdgeAmplitudeWarning,
-            stacklevel=stacklevel + 1,
-        )
+        warn(f"position-space state has {fraction:.2e} of its peak amplitude at a grid edge; "
+             "the periodic transform will not approximate the continuum integral accurately",
+             EdgeAmplitudeWarning)
 
 
 def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Forward transform of a position-space state onto the conjugate grid."""
     check_state("to_momentum_space", psi, Space.POSITION)
-    warn_if_edges_hot(psi.values, stacklevel=2)
+    warn_if_edges_hot(psi.values)
     grid = psi.grid
     mgrid = momentum_grid(grid, constants)
     raw = np.fft.fftshift(np.fft.fft(psi.values))

@@ -445,3 +445,28 @@ def test_si_profile_consistency():
     si = si_constants(9.109e-31)
     assert si.h == pytest.approx(2.0 * math.pi * si.hbar, rel=1e-15)
     assert si.h == 6.6261e-34
+
+
+# (call, exception, message fragment): input checks no other test reaches.
+INPUT_CHECKS = {
+    "packet_mass": (lambda: GaussianPacketParams(1.0, 0.0, mass=0.0), ParameterError,
+                    "mass must be positive"),
+    "well_energy_a": (lambda: well_energy(1, 0.0), ParameterError, "width must be positive"),
+    "well_state_n": (lambda: well_state(0, 1.0, 0.5), ParameterError, "start at n = 1"),
+    "well_state_a": (lambda: well_state(1, -1.0, 0.5), ParameterError, "width must be positive"),
+    "oscillator_energy_omega": (lambda: oscillator_energy(0, 0.0), ParameterError,
+                                "omega must be positive"),
+    "oscillator_state_mass": (lambda: oscillator_state(0, 0.0, 1.0, NATURAL, 0.0),
+                              ParameterError, "mass and omega must be positive"),
+    "oscillator_state_omega": (lambda: oscillator_state(0, 1.0, -1.0, NATURAL, 0.0),
+                               ParameterError, "mass and omega must be positive"),
+    "sommerfeld_wilson_omega": (lambda: sommerfeld_wilson_oscillator_energy(1, 0.0),
+                                ParameterError, "omega must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error, match=fragment):
+        call()

@@ -146,6 +146,25 @@ def test_scatter_scenario_flux(tmp_path):
         assert float(row[1]) + float(row[2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_scatter_range_of_one_energy_is_its_start(tmp_path):
+    body = _schema_case("scatter", energies={"start": 0.5, "stop": 3.0, "count": 1})
+    written = run_scenario(write_scenario(tmp_path, body), out_dir=str(tmp_path))
+    _, rows = read_rows(written[0])
+    assert [row[0] for row in rows] == ["0.5"]
+
+
+def test_scatter_of_harmonic_exits_3_with_one_json_error(tmp_path, capsys):
+    body = _schema_case("scatter", potential={"kind": "harmonic", "omega": 1.0})
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, body), "--out", str(out)]) == 3
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert (error["exit_code"], error["type"]) == (3, "ParameterError")
+    assert "Harmonic is not a piecewise-constant potential" in error["message"]
+
+
 def test_evolve_scenario(tmp_path):
     body = {
         "command": "evolve",
@@ -495,6 +514,22 @@ def test_overflow_stderr_is_one_json_error(tmp_path):
     assert json.loads(result.stderr)["error"]["exit_code"] == 3
 
 
+def test_uncertainty_stderr_is_one_edge_warning(tmp_path):
+    # The README's scenario: both momentum transforms warn alike and name the
+    # same caller line, so the default filter prints the warning once.
+    body = _schema_case("uncertainty", grid={"x_min": -3.0, "x_max": 3.0, "n": 256})
+    scenario = write_scenario(tmp_path, body)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qm1d.cli", "run", scenario,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    warned = [line for line in result.stderr.splitlines() if "EdgeAmplitudeWarning" in line]
+    assert len(warned) == 1
+
+
 def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys):
     body = spectrum_scenario(emit_states=True)
     body["grid"]["n"] = 201
@@ -616,6 +651,10 @@ SCHEMA_ERRORS = {
     ),
     "not_a_choice": (_schema_case("evolve", method="euler"), "method must be one of"),
     "empty_number_list": (_schema_case("packet", times=[]), "non-empty array of numbers"),
+    "segments_not_array": (
+        _schema_case("scatter", potential={"kind": "piecewise_constant", "segments": {}}),
+        "segments must be an array of [start, end, value]",
+    ),
     "malformed_segment": (
         _schema_case("scatter", potential={"kind": "piecewise_constant",
                                            "segments": [[0.0, 1.0]]}),

@@ -301,3 +301,21 @@ def test_peak_fraction_is_scale_free(scale):
     clipped = values.copy()
     clipped[[0, -1]] = 0.0
     assert peak_fraction(clipped, (0, -1), 0.0) == 0.0
+
+
+# (call, exception, message fragment): input checks no other test reaches.
+INPUT_CHECKS = {
+    "amplitude_count": (lambda: WaveFunction(make_grid(0.0, 1.0, 8), np.zeros(7)),
+                        GridMismatchError, "amplitude count"),
+    "momentum_without_dp": (
+        lambda: WaveFunction(make_grid(0.0, 1.0, 8), np.zeros(8), Space.MOMENTUM),
+        ConfigurationError, "requires dp",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error, match=fragment):
+        call()

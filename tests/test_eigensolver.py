@@ -314,3 +314,10 @@ def test_si_well_records_no_degeneracy_warning():
     assert [str(w.message) for w in caught] == []
     expected = well_energy(1, 1e-9, si)
     assert spectrum.energies[0] == pytest.approx(expected, rel=1e-4)
+
+
+def test_walls_that_leave_only_the_box_edges_are_refused():
+    g = make_grid(0.0, 1.0, 8)
+    walls = Sampled(values=[0.0] + [math.inf] * 6 + [0.0], grid=g)
+    with pytest.raises(ConfigurationError, match="no active grid points remain after masking"):
+        build_hamiltonian(g, walls, 1.0, NATURAL)

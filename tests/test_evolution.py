@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +372,22 @@ def test_evolve_warns_on_unnormalized_initial_state():
     with pytest.warns(NormalizationWarning, match="expectation values assume a normalized state"):
         trajectory = evolve(doubled, PiecewiseConstant(), config)
     assert trajectory.norm[0] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_failed_evolve_warns_of_nothing():
+    # Every snapshot has norm-squared 4 and would warn, but the packet reaches
+    # the edge first: a run that raises has observed no snapshot.
+    g = make_grid(-10, 10, 256)
+    psi = gaussian_on(g, alpha=0.25, k0=10.0)
+    doubled = psi.with_values(2.0 * psi.values)
+    config = EvolutionConfig(dt=0.01, steps=200, method="split_step")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EdgeAmplitudeError) as info:
+            evolve(doubled, PiecewiseConstant(), config)
+    step = re.match(r"step (\d+): ", str(info.value))
+    assert step and int(step.group(1)) > 1
+    assert caught == []
 
 
 def test_evolve_warns_on_hot_edge_crank_nicolson_state():

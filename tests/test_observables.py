@@ -292,3 +292,9 @@ def test_operator_grid_mismatch():
     psi = WaveFunction(other, np.ones(16))
     with pytest.raises(GridMismatchError):
         position_operator(g).apply(psi)
+
+
+def test_commutator_refuses_operators_on_different_grids():
+    g, other = make_grid(-4, 4, 64), make_grid(-4, 4, 65)
+    with pytest.raises(GridMismatchError, match="operators live on different grids"):
+        commutator_expectation(position_operator(g), position_operator(other), gaussian_state(g))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from qm1d import (
     evaluate,
     make_grid,
     sample_on_grid,
+    transmission_sweep,
 )
 from qm1d.errors import ConfigurationError, ParameterError
+from qm1d.potentials import segment_list
 
 
 def test_barrier_evaluate():
@@ -119,3 +122,25 @@ def test_harmonic_carries_its_own_mass():
     g = make_grid(-1, 1, 9)
     values, _ = sample_on_grid(Harmonic(omega=2.0, mass=0.5), g)
     assert values[0] == pytest.approx(0.5 * 0.5 * 4.0 * 1.0)
+
+
+_G8 = make_grid(0.0, 1.0, 8)
+# (call, exception, message fragment): input checks no other test reaches.
+INPUT_CHECKS = {
+    "barrier_width": (lambda: Barrier(v0=1.0, a=0.0), ParameterError, "width must be positive"),
+    "harmonic_mass": (lambda: Harmonic(omega=1.0, mass=-1.0), ParameterError,
+                      "mass must be positive"),
+    "sampled_length": (lambda: Sampled(values=np.zeros(7), grid=_G8), ParameterError,
+                       "has (7,) values for a 8-point grid"),
+    "segments_of_harmonic": (lambda: segment_list(Harmonic(omega=1.0)), ParameterError,
+                             "Harmonic is not a piecewise-constant potential"),
+    "sweep_of_harmonic": (lambda: transmission_sweep(Harmonic(omega=1.0), [1.0]),
+                          ParameterError, "Harmonic is not a piecewise-constant potential"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
