@@ -169,8 +169,9 @@ def _range_or_list(value, where: str) -> list[float]:
 
 def _relative_path(value, where: str) -> str:
     path = Path(_string(value, where))
-    if path.is_absolute() or ".." in path.parts:
-        raise SchemaError(f"{where} must be a relative path inside the output directory")
+    # "" and "." have no parts: they name the output directory, not a file in it
+    if not path.parts or path.is_absolute() or ".." in path.parts:
+        raise SchemaError(f"{where} must be a relative file path inside the output directory")
     return value
 
 

@@ -31,7 +31,10 @@ EDGE_DECAY_TOL = 1e-12
 # Gaps below this fraction of hbar^2 / (m dx^2), twice the largest stencil
 # coupling, warn as near-degenerate (1e-10 at dx = 0.01 in natural units).
 _GAP_WARN_RTOL = 1e-14
-_STENCIL_ORDERS = (2, 4)
+# Kinetic stencils by order, in units of c = hbar^2 / (2 m dx^2): the diagonal, its change
+# per removed neighbour (odd reflection), and the coupling d = 1, 2, ... rows apart as
+# (numerator, denominator), applied as numerator * c / denominator (-4c/3 rounds as written).
+_STENCILS = {2: (2.0, 0.0, ((-1.0, 1.0),)), 4: (2.5, 1.0 / 12.0, ((-4.0, 3.0), (1.0, 12.0)))}
 # Amplitudes below this fraction of the peak are tail and do not orient a
 # 5-point state: the stencil's sign-alternating parasitic mode ripples its
 # forbidden-region tails at ~1e-25.  3-point states keep orienting on every
@@ -47,33 +50,46 @@ _INVERSE_SWEEPS = 3
 class DiscreteHamiltonian:
     """Banded symmetric H over the active grid points.
 
-    mask marks all excluded points (hard walls plus the two Dirichlet
+    band is H in LAPACK lower symmetric band storage, shape
+    (order // 2 + 1, size): band[0] is the diagonal, band[d, i] couples rows
+    i and i + d, and the last d entries of row d are zero; diagonal,
+    off_diagonal and second_off_diagonal (None at order 2) are views of its
+    rows.  mask marks all excluded points (hard walls plus the two Dirichlet
     endpoints); wall_mask marks only the hard walls.  active_indices are the
-    grid indices of the matrix rows, in order.  Every coupling is zero
-    across a removed interior point, which decouples the regions on either
-    side of a wall.  second_off_diagonal couples rows two apart; it is None
-    for the tridiagonal 3-point stencil.
+    grid indices of the matrix rows, in order.  Every coupling is zero across
+    a removed interior point, which decouples the regions on either side of
+    a wall.
     """
 
     grid: Grid
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    band: np.ndarray
     mask: np.ndarray
     wall_mask: np.ndarray
     active_indices: np.ndarray
     potential_values: np.ndarray
     mass: float
     hbar: float
-    second_off_diagonal: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return len(self.diagonal)
+        return self.band.shape[1]
 
     @property
     def order(self) -> int:
         """Accuracy order of the kinetic stencil: 2 (3-point) or 4 (5-point)."""
-        return 2 if self.second_off_diagonal is None else 4
+        return 2 * (len(self.band) - 1)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.band[0]
+
+    @property
+    def off_diagonal(self) -> np.ndarray:
+        return self.band[1, :-1]
+
+    @property
+    def second_off_diagonal(self) -> np.ndarray | None:
+        return self.band[2, :-2] if len(self.band) > 2 else None
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """H acting on a full-grid vector; excluded points map to zero."""
@@ -84,12 +100,11 @@ class DiscreteHamiltonian:
 
     def apply_active(self, v: np.ndarray) -> np.ndarray:
         """H acting on a vector already restricted to the active points."""
-        y = self.diagonal * v
-        y[:-1] = y[:-1] + self.off_diagonal * v[1:]
-        y[1:] = y[1:] + self.off_diagonal * v[:-1]
-        if self.second_off_diagonal is not None:
-            y[:-2] = y[:-2] + self.second_off_diagonal * v[2:]
-            y[2:] = y[2:] + self.second_off_diagonal * v[:-2]
+        y = self.band[0] * v
+        for d in range(1, len(self.band)):
+            coupling = self.band[d, :-d]
+            y[:-d] += coupling * v[d:]
+            y[d:] += coupling * v[:-d]
         return y
 
 
@@ -119,9 +134,9 @@ def build_hamiltonian(
     its diagonal once per removed neighbour.  Any other order raises
     ParameterError.
     """
-    if order not in _STENCIL_ORDERS:
+    if order not in _STENCILS:
         raise ParameterError(
-            f"stencil order must be one of {_STENCIL_ORDERS}, got {order!r}"
+            f"stencil order must be one of {tuple(_STENCILS)}, got {order!r}"
         )
     values, wall_mask = sample_on_grid(potential, grid)
     mask = wall_mask.copy()
@@ -132,27 +147,22 @@ def build_hamiltonian(
         raise ConfigurationError("no active grid points remain after masking")
     dx = grid.dx
     c = constants.hbar**2 / (2.0 * mass * dx * dx)
-    adjacent = np.diff(active) == 1
-    if order == 2:
-        diagonal = 2.0 * c + values[active]
-        off_diagonal = np.where(adjacent, -c, 0.0)
-        second_off_diagonal = None
-    else:
-        removed_neighbours = mask[active - 1].astype(float) + mask[active + 1]
-        diagonal = (2.5 - removed_neighbours / 12.0) * c + values[active]
-        off_diagonal = np.where(adjacent, -4.0 * c / 3.0, 0.0)
-        second_off_diagonal = np.where(adjacent[:-1] & adjacent[1:], c / 12.0, 0.0)
+    centre, reflected, couplings = _STENCILS[order]
+    removed_neighbours = mask[active - 1].astype(float) + mask[active + 1]
+    band = np.zeros((len(couplings) + 1, active.size))
+    band[0] = (centre - removed_neighbours * reflected) * c + values[active]
+    for d, (numerator, denominator) in enumerate(couplings, 1):
+        # zero unless rows i and i + d are grid points d apart (no wall between)
+        band[d, :-d] = np.where(active[d:] - active[:-d] == d, numerator * c / denominator, 0.0)
     return DiscreteHamiltonian(
         grid=grid,
-        diagonal=diagonal,
-        off_diagonal=off_diagonal,
+        band=band,
         mask=mask,
         wall_mask=wall_mask,
         active_indices=active,
         potential_values=values,
         mass=mass,
         hbar=constants.hbar,
-        second_off_diagonal=second_off_diagonal,
     )
 
 
@@ -191,8 +201,8 @@ def _check_box_truncation(h: DiscreteHamiltonian, states: list[WaveFunction]):
             )
 
 
-def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
-    """Lowest eigenpairs of the 5-point H: banded bisection, then inverse
+def _banded_eigenpairs(h: DiscreteHamiltonian, count: int):
+    """Lowest eigenpairs of a banded H: banded bisection, then inverse
     iteration with a banded LU solve.
 
     Computing the vectors inside eig_banded reduces the whole matrix to
@@ -201,32 +211,27 @@ def _pentadiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
     """
     from scipy.linalg import eig_banded, solve_banded
 
-    size = h.size
-    diag, off, second = h.diagonal, h.off_diagonal, h.second_off_diagonal
-    # Full band storage for solve_banded; rows 2-4 are eig_banded's lower form.
-    band = np.zeros((5, size))
-    band[0, 2:] = second
-    band[1, 1:] = off
-    band[2] = diag
-    band[3, :-1] = off
-    band[4, :-2] = second
+    band = h.band
+    width = len(band) - 1
     energies = eig_banded(
-        band[2:], lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
+    # Full band storage for solve_banded: row width - d holds band[d] shifted
+    # right by d (its trailing zeros roll to the front), then the lower rows.
+    full = np.vstack([np.roll(band[d], d) for d in range(width, 0, -1)] + [band])
     # Shift just off each eigenvalue so the banded LU never meets an exact
     # zero pivot (a 1 x 1 matrix would); the offset is 64 ulps of the
     # row-sum bound on |H|, about the accuracy of the eigenvalue itself.
-    scale = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
-    scale += 2.0 * np.max(np.abs(second), initial=0.0)
+    scale = sum((2.0 * np.max(np.abs(row)) for row in band[1:]), np.max(np.abs(band[0])))
     offset = 64.0 * np.finfo(float).eps * scale
     # fixed start: no symmetry of the problem can make it orthogonal to a state
-    start = np.random.default_rng(0).standard_normal(size)
-    vectors = np.empty((size, count))
+    start = np.random.default_rng(0).standard_normal(h.size)
+    vectors = np.empty((h.size, count))
     for j, energy in enumerate(energies):
-        band[2] = diag - (energy - offset)
+        full[width] = band[0] - (energy - offset)
         v = start
         for _ in range(_INVERSE_SWEEPS):
-            v = solve_banded((2, 2), band, v)
+            v = solve_banded((width, width), full, v)
             # keep (near-)degenerate partners apart, as LAPACK's stein does
             v = v - vectors[:, :j] @ (vectors[:, :j].T @ v)
             v = v / np.linalg.norm(v)
@@ -257,7 +262,7 @@ def solve_bound_states(h: DiscreteHamiltonian, count: int) -> Spectrum:
                 h.diagonal, h.off_diagonal, select="i", select_range=(0, count - 1)
             )
         else:
-            energies, vectors = _pentadiagonal_eigenpairs(h, count)
+            energies, vectors = _banded_eigenpairs(h, count)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"order-{h.order} eigensolve failed: {exc}") from exc
 

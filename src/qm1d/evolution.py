@@ -108,8 +108,8 @@ class _CrankNicolson:
         self.lam = lam
         self.masked = np.flatnonzero(h.mask)
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
-        off = 1j * lam * h.off_diagonal
-        *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.diagonal, off)
+        off = 1j * lam * h.band[1, :-1]
+        *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
         # The wall check runs every step; excluded points holding exactly

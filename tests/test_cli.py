@@ -542,7 +542,9 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys):
     assert list((out / "levels_states.csv").iterdir()) == []
 
 
-@pytest.mark.parametrize("path", ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv"])
+@pytest.mark.parametrize(
+    "path", ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv", "", "."]
+)
 def test_output_path_must_stay_inside_out(tmp_path, capsys, path):
     body = spectrum_scenario(out_name=path.format(tmp=tmp_path))
     scenario = write_scenario(tmp_path, body)
@@ -711,7 +713,7 @@ FUZZ_VALUES = [None, True, False, "text", 10**400, 1e308, -1e308, 0, -1, [], {}]
 # take only invalid or small values, so that no example allocates much.
 SIZE_LIMITS = {"n": 256, "steps": 20, "count": 50}
 INVALID_SIZES = [v for v in FUZZ_VALUES if type(v) is not int or v < 1]
-ESCAPING_PATHS = ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv"]
+ESCAPING_PATHS = ["{tmp}/escape.csv", "../escape.csv", "sub/../../escape.csv", "", "."]
 
 
 def _paths(node, prefix=()):
@@ -737,7 +739,7 @@ def _at(body, path):
 def mutated_scenarios(draw):
     """One valid FORMAT_SCENARIOS body with one mutation: a key or entry
     dropped, an unknown key added, a JSON value swapped in, or an output path
-    outside the output directory."""
+    outside the output directory or naming no file in it."""
     body = _schema_case(draw(st.sampled_from(sorted(FORMAT_SCENARIOS))))
     paths = list(_paths(body))
     mutation = draw(st.sampled_from(["drop", "unknown_key", "value", "output_path"]))

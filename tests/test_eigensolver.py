@@ -64,6 +64,18 @@ def test_stencil_coefficients():
     assert np.allclose(h.off_diagonal, -50.0)
 
 
+def assert_band_layout(h):
+    """h.band is LAPACK lower symmetric band storage of the H apply_active applies."""
+    assert h.band.shape == (h.order // 2 + 1, h.size)
+    dense = np.diag(h.band[0])
+    for d in range(1, len(h.band)):
+        assert np.array_equal(h.band[d, -d:], np.zeros(d))
+        dense += np.diag(h.band[d, :-d], d) + np.diag(h.band[d, :-d], -d)
+    v = np.random.default_rng(0).standard_normal(h.size)
+    bound = np.abs(dense).sum(axis=1).max() * np.abs(v).max()
+    np.testing.assert_allclose(h.apply_active(v), dense @ v, rtol=0.0, atol=1e-14 * bound)
+
+
 def test_default_stencil_arrays_unchanged():
     g = make_grid(-3.0, 3.0, 301)
     raw = 0.5 * g.points**2
@@ -79,6 +91,7 @@ def test_default_stencil_arrays_unchanged():
         assert np.array_equal(h.active_indices, active)
         assert np.array_equal(h.diagonal, 2.0 * c + raw[active])
         assert np.array_equal(h.off_diagonal, np.where(np.diff(active) == 1, -c, 0.0))
+        assert_band_layout(h)
 
 
 def test_stencil_order_validation():
@@ -100,6 +113,7 @@ def test_fourth_order_stencil_coefficients():
     assert np.allclose(h.off_diagonal, [-200.0 / 3.0] * 3 + [0.0] + [-200.0 / 3.0] * 3)
     # the second band is zero across the wall at grid index 5
     assert np.allclose(h.second_off_diagonal, [50.0 / 12.0] * 2 + [0.0] * 2 + [50.0 / 12.0] * 2)
+    assert_band_layout(h)
 
 
 def test_fourth_order_stencil_exact_on_quartic():

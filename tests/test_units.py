@@ -58,7 +58,7 @@ oscillators = st.tuples(
 )
 
 
-def _solve(problem, mass, length, constants):
+def _solve(problem, mass, length, constants, order):
     """(energies / energy scale, None) or (None, exception class)."""
     kind, param, half_width, n, count = problem
     energy = constants.hbar**2 / (mass * length**2)
@@ -70,20 +70,27 @@ def _solve(problem, mass, length, constants):
             x_max = half_width / math.sqrt(param) * length
             grid = make_grid(-x_max, x_max, n)
             potential = Harmonic(omega=param * energy / constants.hbar, mass=mass)
-        h = build_hamiltonian(grid, potential, mass, constants)
+        h = build_hamiltonian(grid, potential, mass, constants, order=order)
         return solve_bound_states(h, count).energies / energy, None
     except QmError as exc:
         return None, type(exc)
 
 
 @SETTINGS
-@given(problem=st.one_of(wells, oscillators), mass=mass_scales, length=length_scales)
+@given(
+    problem=st.one_of(wells, oscillators),
+    mass=mass_scales,
+    length=length_scales,
+    order=st.sampled_from([2, 4]),  # the 3-point and the 5-point stencil
+)
 # The oscillator on +-9 oscillator lengths that an absolute edge bound
 # rejected in SI only.
-@example(problem=("oscillator", 1.0, 9.0, 1601, 6), mass=ELECTRON_KG, length=ELECTRON_OSC_LENGTH)
-def test_spectrum_is_unit_free(problem, mass, length):
-    natural, natural_error = _solve(problem, 1.0, 1.0, NATURAL)
-    si, si_error = _solve(problem, mass, length, si_constants(mass))
+@example(
+    problem=("oscillator", 1.0, 9.0, 1601, 6), mass=ELECTRON_KG, length=ELECTRON_OSC_LENGTH, order=2
+)
+def test_spectrum_is_unit_free(problem, mass, length, order):
+    natural, natural_error = _solve(problem, 1.0, 1.0, NATURAL, order)
+    si, si_error = _solve(problem, mass, length, si_constants(mass), order)
     assert si_error is natural_error
     if natural is not None:
         np.testing.assert_allclose(si, natural, rtol=1e-10, atol=0.0)

@@ -7,11 +7,14 @@ The corpus holds all six commands in csv and json (with ``emit_states``,
 ``emit_density``, an SI profile, a ``sampled`` potential and tables whose
 blocks end at, just before and just after the writers' 256-row chunks) plus
 the perfbench scenarios of seeds 1-3 of every workload, in their own format.
-Each side runs in its own interpreter with ``PYTHONPATH`` set to its source
-tree, so the two never share imported modules.  Data files are compared by
+Library results that no CLI scenario reaches are hashed as well: bound
+states (energies, states, residuals) of both stencils, ``h.apply`` across a
+hard wall, and full complex Crank-Nicolson snapshots.  Each side runs in its
+own interpreter with ``PYTHONPATH`` set to its source tree, so the two never
+share imported modules.  Data files and library results are compared by
 sha256; ``*.meta.json`` sidecars carry timestamps and are skipped.  Exit
 status 0 means every scenario exits alike on both sides and every data file
-exists on both sides with the same digest.
+and library result exists on both sides with the same digest.
 """
 
 from __future__ import annotations
@@ -47,6 +50,53 @@ for scenario, out, fmt in json.load(open(sys.argv[1])):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
 print(json.dumps(codes))
+"""
+
+# Prints the sha256 of each public-API result below as one JSON object, by
+# name: "library/<stencil order>/<problem>/<result>".
+_LIBRARY = """
+import hashlib, json, math, warnings
+import numpy as np
+warnings.simplefilter("ignore")
+from qm1d import (NATURAL, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp, Sampled,
+                  WaveFunction, build_hamiltonian, evolve, make_grid, solve_bound_states)
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+osc = make_grid(-10.0, 10.0, 401)
+wall = 150  # x = -2.5
+walled_values = 0.5 * osc.points**2
+walled_values[wall] = math.inf
+walled = Sampled(values=walled_values, grid=osc)
+problems = {
+    "oscillator": (osc, Harmonic(omega=1.0)),
+    "well": (make_grid(0.0, 1.0, 801), InfiniteWell(a=1.0)),
+    "ramp": (make_grid(-0.5, 20.0, 1026), LinearRamp(lam=1.0)),
+    "walled": (osc, walled),
+}
+sums = {}
+for order in (2, 4):
+    for name, (grid, potential) in problems.items():
+        h = build_hamiltonian(grid, potential, 1.0, NATURAL, order=order)
+        spectrum = solve_bound_states(h, 4)
+        key = f"library/{order}/{name}"
+        sums[f"{key}/energies"] = sha(spectrum.energies)
+        sums[f"{key}/states"] = sha(*(state.values for state in spectrum.states))
+        sums[f"{key}/residuals"] = sha(spectrum.residuals)
+    rng = np.random.default_rng(order)
+    v = rng.standard_normal(osc.n) + 1j * rng.standard_normal(osc.n)
+    h = build_hamiltonian(osc, walled, 1.0, NATURAL, order=order)
+    sums[f"library/{order}/walled/apply"] = sha(h.apply(v))
+values = np.exp(-((osc.points - 1.0) ** 2) + 1.5j * osc.points)
+values[wall] = 0.0
+config = EvolutionConfig(dt=0.02, steps=40, observables_every=5)
+trajectory = evolve(WaveFunction(osc, values), walled, config)
+sums["library/2/walled/crank_nicolson"] = sha(*(s.values for s in trajectory.snapshots))
+print(json.dumps(sums))
 """
 
 
@@ -166,16 +216,23 @@ def write_corpus(directory: Path) -> list[tuple[str, str, str | None]]:
     return runs
 
 
+def _child(src: Path, code: str, *args: str, cwd: Path | None = None):
+    """Run ``code`` with qm1d imported from ``src``; returns its JSON stdout.
+    A failing child ends the check with its own stderr."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, cwd=cwd
+    )
+    if result.returncode:
+        sys.exit(f"child with PYTHONPATH={src} failed:\n{result.stderr}")
+    return json.loads(result.stdout)
+
+
 def run_side(src: Path, runs: list, scenarios: Path, out: Path) -> list[int]:
     """Run the manifest with qm1d imported from ``src``; returns exit codes."""
     manifest = out.with_name(f"{out.name}.manifest.json")
     manifest.write_text(json.dumps([(s, str(out / sub), fmt) for s, sub, fmt in runs]))
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(manifest)],
-        env=env, capture_output=True, text=True, check=True, cwd=scenarios,
-    )
-    return json.loads(result.stdout)
+    return _child(src, _CHILD, str(manifest), cwd=scenarios)
 
 
 def digests(out: Path) -> dict[str, str]:
@@ -201,19 +258,23 @@ def main(argv=None) -> int:
         sums = {}
         for side, src in (("this", REPO / "src"), ("against", args.against)):
             codes[side] = run_side(src.resolve(), runs, scenarios, tmp / side)
-            sums[side] = digests(tmp / side)
+            sums[side] = digests(tmp / side) | _child(src.resolve(), _LIBRARY)
     failures = [
         f"exit codes differ for {sub}: {a} vs {b}"
         for (_, sub, _), a, b in zip(runs, codes["this"], codes["against"]) if a != b
     ]
     failures += [f"scenario {sub} exited {a}" for (_, sub, _), a in zip(runs, codes["this"]) if a]
     failures += [
-        f"{name}: sha256 differs or file missing on one side"
+        f"{name}: sha256 differs or missing on one side"
         for name in sorted(set(sums["this"]) | set(sums["against"]))
         if sums["this"].get(name) != sums["against"].get(name)
     ]
-    identical = sum(sums["against"].get(name) == digest for name, digest in sums["this"].items())
-    print(f"{len(runs)} runs, {len(sums['this'])} data files, {identical} sha256-identical")
+    counts = []
+    for library in (False, True):
+        names = [name for name in sums["this"] if name.startswith("library/") == library]
+        counts += [len(names), sum(sums["against"].get(name) == sums["this"][name] for name in names)]
+    print(f"{len(runs)} runs, {counts[0]} data files, {counts[1]} sha256-identical; "
+          f"{counts[2]} library results, {counts[3]} sha256-identical")
     for line in failures:
         print(f"  {line}")
     return 1 if failures else 0
