@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analytic import (
@@ -663,6 +662,7 @@ def run_scenario(
     for rel_path, table in outputs.items():
         _check_finite(rel_path, table)
 
+    import scipy  # for the sidecar only, so that version and validate never load it
     meta = {
         "tool": "qm1d",
         "version": __version__,

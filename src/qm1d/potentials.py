@@ -20,10 +20,14 @@ from .errors import ConfigurationError, ParameterError
 
 
 class Potential:
-    """Base class; concrete variants implement value_array."""
+    """Base class; a piecewise-constant variant is its `segments`, others implement value_array."""
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        v = np.zeros_like(x)
+        for start, end, val in segment_list(self):
+            v[(x >= start) & (x < end)] = val
+        return v
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,9 @@ class Barrier(Potential):
         if self.a <= 0.0:
             raise ParameterError(f"barrier width must be positive, got {self.a}")
 
-    def value_array(self, x):
-        x = np.asarray(x, dtype=float)
-        v = np.zeros_like(x)
-        v[(x >= 0.0) & (x < self.a)] = self.v0
-        return v
+    @property
+    def segments(self) -> tuple[tuple[float, float, float], ...]:
+        return ((0.0, self.a, self.v0),)
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,6 @@ class PiecewiseConstant(Potential):
                 raise ParameterError("segment values must be finite")
             prev_end = end
 
-    def value_array(self, x):
-        x = np.asarray(x, dtype=float)
-        v = np.zeros_like(x)
-        for start, end, val in self.segments:
-            v[(x >= start) & (x < end)] = val
-        return v
-
 
 @dataclass(frozen=True, eq=False)
 class Sampled(Potential):
@@ -181,11 +176,10 @@ def sample_on_grid(potential: Potential, grid: Grid) -> tuple[np.ndarray, np.nda
 
 
 def segment_list(potential: Potential) -> Sequence[tuple[float, float, float]]:
-    """Canonical piecewise-constant segments for scattering-capable potentials."""
-    if isinstance(potential, Barrier):
-        return ((0.0, potential.a, potential.v0),)
-    if isinstance(potential, PiecewiseConstant):
-        return potential.segments
-    raise ParameterError(
-        f"{type(potential).__name__} is not a piecewise-constant potential"
-    )
+    """The [start, end) segments of a piecewise-constant, scattering-capable potential."""
+    segments = getattr(potential, "segments", None)
+    if segments is None:
+        raise ParameterError(
+            f"{type(potential).__name__} is not a piecewise-constant potential"
+        )
+    return segments

@@ -77,16 +77,15 @@ def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
     A potential with no finite interfaces (uniform everywhere) yields an
     empty interface list and a single region value.
     """
-    segments = segment_list(potential)
     interfaces: list[float] = []
-    for start, end, _ in segments:
+    for start, end, _ in segment_list(potential):
         for bound in (start, end):
             if math.isfinite(bound) and (not interfaces or bound > interfaces[-1]):
                 interfaces.append(bound)
 
     mids = [0.5 * (left + right) for left, right in zip(interfaces[:-1], interfaces[1:])]
     probes = [interfaces[0] - 1.0, *mids, interfaces[-1] + 1.0] if interfaces else [0.0]
-    return interfaces, [next((v for a, b, v in segments if a <= x < b), 0.0) for x in probes]
+    return interfaces, potential.value_array(np.array(probes)).tolist()
 
 
 def _prepare(potential, energies, mass, constants, sweep=False):

@@ -385,7 +385,8 @@ def test_installed_entry_point(tmp_path):
 
 # Runs each [label, argv or None] of the JSON list in argv[1] in one fresh
 # interpreter: None is the import named by the label, argv goes to main.
-# Prints, per step, its label, exit code and whether scipy.linalg was loaded.
+# Prints, per step, its label, exit code, whether scipy.linalg was loaded and
+# whether any scipy module was.
 _COLD_CHILD = """
 import contextlib, io, json, sys
 log = []
@@ -397,7 +398,8 @@ for label, argv in json.loads(sys.argv[1]):
         from qm1d.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
-    log.append([label, code, "scipy.linalg" in sys.modules])
+    scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
+    log.append([label, code, "scipy.linalg" in sys.modules, scipy])
 print(json.dumps(log))
 """
 
@@ -446,19 +448,23 @@ def test_cold_start_imports_scipy_linalg_only_where_called(tmp_path):
         paths[name] = write_scenario(tmp_path, body, name=f"{name}.json")
     out = str(tmp_path / "out")
     run = {name: ["run", path, "--out", out] for name, path in paths.items()}
-    light = [
+    # Imports, version and validate load no scipy module at all; every run
+    # loads scipy for the sidecar's version string.
+    scipy_free = [
         ["import qm1d", None],
         ["from qm1d import *", None],
         ["version", ["version"]],
         ["validate", ["validate", paths["scatter"]]],
-    ] + [[name, run[name]] for name in
-         ("scatter", "packet", "blackbody", "uncertainty", "split_step")]
+    ]
+    light = [[name, run[name]] for name in
+             ("scatter", "packet", "blackbody", "uncertainty", "split_step")]
     # Each process runs the commands that must not load scipy.linalg, then
     # one that must, so the check cannot pass vacuously.
-    log = _cold_steps(tmp_path, light + [["spectrum", run["spectrum"]]])
+    log = _cold_steps(tmp_path, scipy_free + light + [["spectrum", run["spectrum"]]])
     log += _cold_steps(tmp_path, [["crank_nicolson", run["crank_nicolson"]]])
-    expected = [[label, 0, False] for label, _ in light]
-    expected += [["spectrum", 0, True], ["crank_nicolson", 0, True]]
+    expected = [[label, 0, False, False] for label, _ in scipy_free]
+    expected += [[label, 0, False, True] for label, _ in light]
+    expected += [["spectrum", 0, True, True], ["crank_nicolson", 0, True, True]]
     assert log == expected
 
 
@@ -639,7 +645,8 @@ def _schema_case(base, /, **changes):
 
 
 # (scenario body or raw file text, a fragment of the error message): one case
-# per SchemaError branch.
+# per SchemaError branch, and per library check that load_scenario turns into
+# a SchemaError.
 SCHEMA_ERRORS = {
     "block_not_object": (_schema_case("spectrum", grid=[0, 1, 9]), "grid must be an object"),
     "not_number": (_schema_case("evolve", dt="0.05"), "dt must be a number"),
@@ -685,6 +692,30 @@ SCHEMA_ERRORS = {
     "eigenstate_without_potential": (
         _schema_case("uncertainty", state={"kind": "eigenstate", "n": 1}),
         "eigenstate state requires a potential",
+    ),
+    # Blocks the schema accepts and the library's constructors reject.
+    "grid_too_small": (
+        _schema_case("spectrum", grid={"x_min": -8.0, "x_max": 8.0, "n": 4}),
+        "scenario: grid needs at least 8 points",
+    ),
+    "grid_empty_domain": (
+        _schema_case("spectrum", grid={"x_min": 1.0, "x_max": 1.0, "n": 161}),
+        "scenario: empty domain",
+    ),
+    "sampled_length": (
+        _schema_case("spectrum", grid={"x_min": -4.0, "x_max": 4.0, "n": 9},
+                     potential={"kind": "sampled", "values": [0.0] * 8}),
+        "scenario: sampled potential has (8,) values",
+    ),
+    "segments_overlap": (
+        _schema_case("scatter", potential={"kind": "piecewise_constant",
+                                           "segments": [[0.0, 1.0, 1.0], [0.5, 2.0, 2.0]]}),
+        "scenario: segments overlap or are out of order",
+    ),
+    "segment_empty": (
+        _schema_case("scatter", potential={"kind": "piecewise_constant",
+                                           "segments": [[1.0, 1.0, 1.0]]}),
+        "scenario: segment [1.0, 1.0) is empty",
     ),
 }
 

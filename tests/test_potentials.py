@@ -28,6 +28,12 @@ def test_barrier_evaluate():
     # left-closed, right-open at the interfaces
     assert evaluate(v, 0.0) == 2.0
     assert evaluate(v, 1.0) == 0.0
+    # a barrier is its one segment, on a grid with points at 0 and a as well
+    g = make_grid(-1.0, 2.0, 301)
+    assert {0.0, 1.0} <= set(g.points.tolist())
+    for got, want in zip(sample_on_grid(v, g),
+                         sample_on_grid(PiecewiseConstant(((0.0, 1.0, 2.0),)), g)):
+        assert np.array_equal(got, want)
 
 
 def test_harmonic_evaluate():
@@ -136,6 +142,12 @@ INPUT_CHECKS = {
                              "Harmonic is not a piecewise-constant potential"),
     "sweep_of_harmonic": (lambda: transmission_sweep(Harmonic(omega=1.0), [1.0]),
                           ParameterError, "Harmonic is not a piecewise-constant potential"),
+    "segments_of_sampled": (lambda: segment_list(Sampled(values=np.zeros(8), grid=_G8)),
+                            ParameterError, "Sampled is not a piecewise-constant potential"),
+    "sweep_of_sampled": (
+        lambda: transmission_sweep(Sampled(values=np.zeros(8), grid=_G8), [1.0]),
+        ParameterError, "Sampled is not a piecewise-constant potential",
+    ),
 }
 
 

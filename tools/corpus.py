@@ -9,10 +9,13 @@ blocks end at, just before and just after the writers' 256-row chunks) plus
 the perfbench scenarios of seeds 1-3 of every workload, in their own format.
 Library results that no CLI scenario reaches are hashed as well: bound
 states (energies, states, residuals) of both stencils, ``h.apply`` across a
-hard wall, and full complex Crank-Nicolson snapshots.  Each side runs in its
-own interpreter with ``PYTHONPATH`` set to its source tree, so the two never
-share imported modules.  Data files and library results are compared by
-sha256; ``*.meta.json`` sidecars carry timestamps and are skipped.  Exit
+hard wall, full complex Crank-Nicolson snapshots, a barrier and a segment
+stack sampled on a grid with points on their interfaces, and the barrier's
+``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes and a sweep
+across one of its plateaus.  Each side runs in its own interpreter with
+``PYTHONPATH`` set to its source tree, so the two never share imported
+modules.  Data files and library results are compared by sha256;
+``*.meta.json`` sidecars carry timestamps and are skipped.  Exit
 status 0 means every scenario exits alike on both sides and every data file
 and library result exists on both sides with the same digest.
 """
@@ -53,13 +56,16 @@ print(json.dumps(codes))
 """
 
 # Prints the sha256 of each public-API result below as one JSON object, by
-# name: "library/<stencil order>/<problem>/<result>".
+# name: "library/<stencil order>/<problem>/<result>" for bound states and
+# "library/segments/<potential>/<result>[/<energy>]" for segment potentials.
 _LIBRARY = """
 import hashlib, json, math, warnings
 import numpy as np
 warnings.simplefilter("ignore")
-from qm1d import (NATURAL, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp, Sampled,
-                  WaveFunction, build_hamiltonian, evolve, make_grid, solve_bound_states)
+from qm1d import (NATURAL, Barrier, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp,
+                  PiecewiseConstant, Sampled, WaveFunction, build_hamiltonian, evolve,
+                  make_grid, region_waves, sample_on_grid, solve_bound_states,
+                  transfer_scattering, transmission_sweep)
 
 def sha(*arrays):
     h = hashlib.sha256()
@@ -96,6 +102,23 @@ values[wall] = 0.0
 config = EvolutionConfig(dt=0.02, steps=40, observables_every=5)
 trajectory = evolve(WaveFunction(osc, values), walled, config)
 sums["library/2/walled/crank_nicolson"] = sha(*(s.values for s in trajectory.snapshots))
+
+# Piecewise-constant potentials: sampling on a grid with points on every
+# interface, and scattering amplitudes no CLI table holds.
+stack = PiecewiseConstant(((0.0, 0.5, 2.0), (0.5, 1.0, -1.0), (1.0, 1.5, 1.0)))
+interfaces = make_grid(-1.0, 2.0, 301)  # holds 0.0, 0.5, 1.0 and 1.5 exactly
+for name, potential in (("barrier", Barrier(v0=2.0, a=1.0)), ("stack", stack)):
+    sums[f"library/segments/{name}/sample_on_grid"] = sha(*sample_on_grid(potential, interfaces))
+for E in (0.4, 1.0, 4.0, 6.0):  # tunnelling, E = V and above the barrier
+    result = transfer_scattering(Barrier(v0=4.0, a=1.0), E)
+    amplitudes = (result.r, result.t, result.c_plus, result.c_minus)
+    sums[f"library/segments/barrier/transfer_scattering/{E}"] = sha(np.array(amplitudes))
+for E in (1.0, 2.5):
+    waves = region_waves(stack, E)
+    sums[f"library/segments/stack/region_waves/{E}"] = sha(
+        np.array([(w.forward, w.backward) for w in waves]))
+sweep = transmission_sweep(stack, np.linspace(0.25, 3.0, 12))  # crosses the V = 1 plateau
+sums["library/segments/stack/transmission_sweep"] = sha(np.array([(s.r, s.t) for s in sweep]))
 print(json.dumps(sums))
 """
 
