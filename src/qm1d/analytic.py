@@ -14,7 +14,7 @@ from math import lgamma
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .errors import ParameterError
+from .errors import ParameterError, positive
 
 HERMITE_MAX_DEGREE = 64
 
@@ -38,10 +38,8 @@ class GaussianPacketParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.mass <= 0.0:
-            raise ParameterError(f"mass must be positive, got {self.mass}")
+        positive("alpha", self.alpha)
+        positive("mass", self.mass)
 
     @property
     def group_velocity(self) -> float:
@@ -88,8 +86,7 @@ def well_energy(n: int, a: float, constants: PhysicalConstants = NATURAL) -> flo
     """E_n = n^2 pi^2 hbar^2 / (2 m a^2), n = 1, 2, 3, ..."""
     if n < 1:
         raise ParameterError(f"well levels start at n = 1, got {n}")
-    if a <= 0.0:
-        raise ParameterError(f"well width must be positive, got {a}")
+    positive("well width", a)
     return (n * math.pi * constants.hbar) ** 2 / (2.0 * constants.mass * a**2)
 
 
@@ -97,8 +94,7 @@ def well_state(n: int, a: float, x):
     """Normalized eigenfunction sqrt(2/a) sin(n pi x / a); zero outside [0, a]."""
     if n < 1:
         raise ParameterError(f"well levels start at n = 1, got {n}")
-    if a <= 0.0:
-        raise ParameterError(f"well width must be positive, got {a}")
+    positive("well width", a)
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= a)
     out = np.zeros_like(x)
@@ -132,6 +128,12 @@ class ScatteringResult:
 _EQUAL_ENERGY_RTOL = 1e-12
 
 
+def _equal_energies(E, V):
+    """Elementwise E == V to _EQUAL_ENERGY_RTOL of the larger magnitude: where
+    a constant-potential region takes its linear (E = V) solution."""
+    return np.abs(E - V) <= _EQUAL_ENERGY_RTOL * np.maximum(np.abs(E), np.abs(V))
+
+
 def barrier_scattering(
     E: float,
     v0: float,
@@ -146,14 +148,13 @@ def barrier_scattering(
     beta = sqrt(2 m (v0 - E) + 0j) / hbar.  The degenerate E = v0 case uses
     the sinh(a beta)/beta -> a limit, where the interior solution is linear.
     """
-    if E <= 0.0:
-        raise ParameterError(f"energy must be positive, got {E}")
-    if v0 <= 0.0 or a <= 0.0:
-        raise ParameterError("barrier height and width must be positive")
+    positive("energy", E)
+    positive("barrier height and width", v0, a)
+    positive("mass", mass)
     hbar = constants.hbar
     k = math.sqrt(2.0 * mass * E) / hbar
 
-    if abs(1.0 - E / v0) < _EQUAL_ENERGY_RTOL:
+    if _equal_energies(E, v0):
         denom = 2.0j * k + k * k * a
         r = k * k * a / denom
         t = 2.0j * k * np.exp(-1j * k * a) / denom
@@ -211,8 +212,7 @@ def oscillator_energy(n: int, omega: float, constants: PhysicalConstants = NATUR
     """E_n = (n + 1/2) hbar omega, n = 0, 1, 2, ..."""
     if n < 0:
         raise ParameterError(f"oscillator levels start at n = 0, got {n}")
-    if omega <= 0.0:
-        raise ParameterError(f"omega must be positive, got {omega}")
+    positive("omega", omega)
     return (n + 0.5) * constants.hbar * omega
 
 
@@ -228,8 +228,7 @@ def oscillator_state(
     N_n is evaluated through log-factorials so degrees beyond ~20 do not
     overflow.
     """
-    if omega <= 0.0 or mass <= 0.0:
-        raise ParameterError("mass and omega must be positive")
+    positive("mass and omega", mass, omega)
     x = np.asarray(x, dtype=float)
     scale = math.sqrt(mass * omega / constants.hbar)
     q = np.atleast_1d(scale * x)
@@ -256,8 +255,7 @@ def blackbody_density(
     constants: PhysicalConstants,
 ) -> float:
     """Spectral energy density u(nu, T) for the Planck or Rayleigh-Jeans law."""
-    if nu <= 0.0 or temperature <= 0.0:
-        raise ParameterError("frequency and temperature must be positive")
+    positive("frequency and temperature", nu, temperature)
     k_t = constants.boltzmann_k * temperature
     c3 = constants.light_c**3
     if model == "rayleigh_jeans":
@@ -274,8 +272,7 @@ def photoelectric_kinetic(nu: float, work_function: float, constants: PhysicalCo
 
 def de_broglie_wavelength(p: float, constants: PhysicalConstants) -> float:
     """lambda = h / p."""
-    if p <= 0.0:
-        raise ParameterError(f"momentum must be positive, got {p}")
+    positive("momentum", p)
     return constants.h / p
 
 
@@ -291,6 +288,5 @@ def sommerfeld_wilson_oscillator_energy(
     (the orbit integral of p dq equals 2 pi E / omega = n h)."""
     if n < 1:
         raise ParameterError(f"the action rule starts at n = 1, got {n}")
-    if omega <= 0.0:
-        raise ParameterError(f"omega must be positive, got {omega}")
+    positive("omega", omega)
     return n * constants.hbar * omega

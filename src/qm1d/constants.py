@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from .errors import ParameterError, positive
 
 _TWO_PI = 2.0 * math.pi
 
@@ -30,8 +30,7 @@ class PhysicalConstants:
         if self.h == 0.0:
             object.__setattr__(self, "h", _TWO_PI * self.hbar)
         for name in ("hbar", "h", "mass", "boltzmann_k", "light_c"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be strictly positive")
+            positive(name, getattr(self, name))
         if abs(self.h - _TWO_PI * self.hbar) > 1e-15 * self.h:
             raise ParameterError("h and hbar are inconsistent: h must equal 2*pi*hbar")
 

@@ -24,8 +24,8 @@ from .errors import (
     ConfigurationError,
     DegenerateStateError,
     GridMismatchError,
-    ParameterError,
     SpaceTagError,
+    positive,
 )
 
 _TINY = np.finfo(float).tiny
@@ -180,8 +180,7 @@ def continuity_residual(
     """
     check_state("continuity_residual", psi_after, Space.POSITION, psi_before.grid)
     check_state("continuity_residual", psi_before, Space.POSITION)
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    positive("dt", dt)
     p_before = np.abs(psi_before.values) ** 2
     p_after = np.abs(psi_after.values) ** 2
     midpoint = psi_before.with_values(0.5 * (psi_before.values + psi_after.values))

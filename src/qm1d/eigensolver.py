@@ -21,7 +21,8 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .core import Grid, WaveFunction, normalize, peak_fraction
-from .errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError, warn
+from .errors import (ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError,
+                     positive, warn)
 from .potentials import Potential, sample_on_grid
 
 # Largest |psi| allowed just inside an artificial box edge, as a fraction of
@@ -138,6 +139,7 @@ def build_hamiltonian(
         raise ParameterError(
             f"stencil order must be one of {tuple(_STENCILS)}, got {order!r}"
         )
+    positive("mass", mass)
     values, wall_mask = sample_on_grid(potential, grid)
     mask = wall_mask.copy()
     mask[0] = True

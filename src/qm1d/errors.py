@@ -1,5 +1,6 @@
-"""Exception and warning classes shared by all qm1d modules, and warn()."""
+"""Exception and warning classes shared by all qm1d modules, positive() and warn()."""
 
+import math
 import os
 import sys
 import warnings
@@ -51,6 +52,16 @@ class NormalizationWarning(UserWarning):
 
 class NearDegeneracyWarning(UserWarning):
     """Two eigenvalues are closer than the resolution of the solver."""
+
+
+def positive(what: str, *values: float):
+    """Raise ParameterError unless every value lies in 0 < v < inf: "{what} must
+    be positive, got {v}" for zero, negative and nan, "must be finite" for +inf."""
+    for v in values:
+        if v == math.inf:
+            raise ParameterError(f"{what} must be finite, got {v}")
+        if not v > 0.0:
+            raise ParameterError(f"{what} must be positive, got {v}")
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep

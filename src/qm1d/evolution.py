@@ -27,6 +27,7 @@ from .errors import (
     EdgeAmplitudeError,
     ParameterError,
     UnsupportedMethodError,
+    positive,
 )
 from .observables import _SnapshotObservables
 from .potentials import Potential
@@ -44,8 +45,7 @@ class EvolutionConfig:
     observables_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        positive("dt", self.dt)
         if self.steps < 0:
             # steps = 0 is the degenerate single-snapshot trajectory
             raise ParameterError(f"steps must be non-negative, got {self.steps}")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Grid
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, positive
 
 
 class Potential:
@@ -37,8 +37,7 @@ class InfiniteWell(Potential):
     a: float
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ParameterError(f"well width must be positive, got {self.a}")
+        positive("well width", self.a)
 
     def value_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -55,10 +54,8 @@ class Barrier(Potential):
     a: float
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ParameterError(f"barrier height must be positive, got {self.v0}")
-        if self.a <= 0.0:
-            raise ParameterError(f"barrier width must be positive, got {self.a}")
+        positive("barrier height", self.v0)
+        positive("barrier width", self.a)
 
     @property
     def segments(self) -> tuple[tuple[float, float, float], ...]:
@@ -73,10 +70,8 @@ class Harmonic(Potential):
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.mass <= 0.0:
-            raise ParameterError(f"mass must be positive, got {self.mass}")
+        positive("omega", self.omega)
+        positive("mass", self.mass)
 
     def value_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -90,8 +85,7 @@ class LinearRamp(Potential):
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ParameterError(f"ramp slope must be positive, got {self.lam}")
+        positive("ramp slope", self.lam)
 
     def value_array(self, x):
         x = np.asarray(x, dtype=float)
@@ -126,7 +120,8 @@ class PiecewiseConstant(Potential):
 
 @dataclass(frozen=True, eq=False)
 class Sampled(Potential):
-    """Values tabulated on a grid; evaluation off that grid interpolates linearly."""
+    """Values tabulated on a grid and read by linear interpolation, which returns
+    each node's own value; an infinite value is a hard wall, nan is rejected."""
 
     values: np.ndarray
     grid: Grid
@@ -137,17 +132,12 @@ class Sampled(Potential):
             raise ParameterError(
                 f"sampled potential has {v.shape} values for a {self.grid.n}-point grid"
             )
+        if np.isnan(v).any():
+            raise ParameterError("sampled potential values must not be nan")
         object.__setattr__(self, "values", v)
 
     def value_array(self, x):
         x = np.asarray(x, dtype=float)
-        if (
-            x.shape == (self.grid.n,)
-            and x.size
-            and x[0] == self.grid.x_min
-            and x[-1] == self.grid.x_max
-        ):
-            return self.values.copy()
         finite = np.where(np.isfinite(self.values), self.values, 0.0)
         out = np.interp(x, self.grid.points, finite)
         wall = np.interp(x, self.grid.points, np.isinf(self.values).astype(float))

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _EQUAL_ENERGY_RTOL, ScatteringResult
+from .analytic import ScatteringResult, _equal_energies
 from .constants import NATURAL, PhysicalConstants
-from .errors import ParameterError, UnsupportedMethodError
+from .errors import ParameterError, UnsupportedMethodError, positive
 from .potentials import Potential, segment_list
 
 _SCALE_EXTRACT_THRESHOLD = 300.0
@@ -95,6 +95,7 @@ def _prepare(potential, energies, mass, constants, sweep=False):
     channel.  A sweep converts each row with float() first and prefixes its
     errors with the row.
     """
+    positive("mass", mass)
     interfaces, region_v = _region_layout(potential)
     v_left, v_right = region_v[0], region_v[-1]
     same_asymptotes = v_left == v_right
@@ -108,8 +109,7 @@ def _prepare(potential, energies, mass, constants, sweep=False):
             except (TypeError, ValueError, OverflowError) as exc:
                 exc.args = (prefix + str(exc),)
                 raise
-        if E <= 0.0:
-            raise ParameterError(f"{prefix}energy must be positive, got {E}")
+        positive(prefix + "energy", E)
         if not same_asymptotes:
             raise UnsupportedMethodError(
                 f"{prefix}asymptotic potentials differ ({v_left} vs {v_right}); "
@@ -123,9 +123,8 @@ def _prepare(potential, energies, mass, constants, sweep=False):
         checked.append(E)
     E = np.array(checked, dtype=float).reshape(-1, 1)
     v = np.array(region_v, dtype=float)
-    diff = E - v
-    linear = np.abs(diff) <= _EQUAL_ENERGY_RTOL * np.maximum(np.abs(E), np.abs(v))
-    k = (2.0 * mass * diff).astype(np.complex128)
+    linear = _equal_energies(E, v)
+    k = (2.0 * mass * (E - v)).astype(np.complex128)
     np.sqrt(k, out=k)
     k /= constants.hbar
     k[linear] = 0.0

@@ -462,6 +462,10 @@ INPUT_CHECKS = {
                                ParameterError, "mass and omega must be positive"),
     "sommerfeld_wilson_omega": (lambda: sommerfeld_wilson_oscillator_energy(1, 0.0),
                                 ParameterError, "omega must be positive"),
+    "packet_alpha_nan": (lambda: GaussianPacketParams(math.nan, 0.0), ParameterError,
+                         "^alpha must be positive, got nan$"),
+    "well_energy_a_inf": (lambda: well_energy(1, math.inf), ParameterError,
+                          "^well width must be finite, got inf$"),
 }
 
 

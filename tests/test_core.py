@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from qm1d import (
     NATURAL,
+    Barrier,
+    EvolutionConfig,
     GaussianPacketParams,
     InfiniteWell,
+    PhysicalConstants,
     PiecewiseConstant,
     Space,
     WaveFunction,
+    barrier_scattering,
     build_hamiltonian,
     continuity_residual,
     crank_nicolson_step,
+    evolve,
     expectation,
     gaussian_packet_x,
     inner_product,
@@ -20,10 +27,13 @@ from qm1d import (
     normalize,
     position_operator,
     probability_current,
+    region_waves,
     solve_bound_states,
     split_step,
     to_momentum_space,
     to_position_space,
+    transfer_scattering,
+    transmission_sweep,
 )
 from qm1d.core import peak_fraction
 from qm1d.errors import (
@@ -220,8 +230,6 @@ def test_wavefunction_values_are_immutable():
 
 
 def test_constants_validation():
-    from qm1d import PhysicalConstants
-
     with pytest.raises(ParameterError):
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ParameterError):
@@ -303,6 +311,7 @@ def test_peak_fraction_is_scale_free(scale):
     assert peak_fraction(clipped, (0, -1), 0.0) == 0.0
 
 
+_PSI = WaveFunction(_GRID, np.exp(-_GRID.points**2))
 # (call, exception, message fragment): input checks no other test reaches.
 INPUT_CHECKS = {
     "amplitude_count": (lambda: WaveFunction(make_grid(0.0, 1.0, 8), np.zeros(7)),
@@ -311,7 +320,36 @@ INPUT_CHECKS = {
         lambda: WaveFunction(make_grid(0.0, 1.0, 8), np.zeros(8), Space.MOMENTUM),
         ConfigurationError, "requires dp",
     ),
+    "hbar_nan": (lambda: PhysicalConstants(hbar=math.nan), ParameterError,
+                 "^hbar must be positive, got nan$"),
+    "hbar_inf": (lambda: PhysicalConstants(hbar=math.inf), ParameterError,
+                 "^hbar must be finite, got inf$"),
+    "constants_mass_nan": (lambda: PhysicalConstants(mass=math.nan), ParameterError,
+                           "^mass must be positive, got nan$"),
+    "constants_mass_inf": (lambda: PhysicalConstants(mass=math.inf), ParameterError,
+                           "^mass must be finite, got inf$"),
+    "config_dt_nan": (lambda: EvolutionConfig(dt=math.nan, steps=1), ParameterError,
+                      "^dt must be positive, got nan$"),
+    "continuity_dt_nan": (lambda: continuity_residual(_PSI, _PSI, math.nan, NATURAL),
+                          ParameterError, "^dt must be positive, got nan$"),
 }
+
+# Every function a bare mass enters, each with a mass outside 0 < m < inf.
+_MASS_ENTRIES = {
+    "build_hamiltonian": lambda m: build_hamiltonian(_PSI.grid, PiecewiseConstant(), m, NATURAL),
+    "evolve": lambda m: evolve(_PSI, PiecewiseConstant(), EvolutionConfig(0.01, 1), mass=m),
+    "split_step": lambda m: split_step(_PSI, PiecewiseConstant(), 0.01, mass=m),
+    "transfer_scattering": lambda m: transfer_scattering(Barrier(1.0, 1.0), 0.5, mass=m),
+    "transmission_sweep": lambda m: transmission_sweep(Barrier(1.0, 1.0), [0.5], mass=m),
+    "region_waves": lambda m: region_waves(Barrier(1.0, 1.0), 0.5, mass=m),
+    "barrier_scattering": lambda m: barrier_scattering(0.5, 1.0, 1.0, mass=m),
+}
+_BAD_MASSES = {-1.0: "positive, got -1.0", 0.0: "positive, got 0.0",
+               math.nan: "positive, got nan", math.inf: "finite, got inf"}
+INPUT_CHECKS.update({
+    f"mass_{m}_{name}": (lambda call=call, m=m: call(m), ParameterError, f"^mass must be {rule}$")
+    for name, call in _MASS_ENTRIES.items() for m, rule in _BAD_MASSES.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))

@@ -110,12 +110,30 @@ def test_sampled_passthrough_on_own_grid():
     values, mask = sample_on_grid(Sampled(values=raw, grid=g), g)
     assert np.array_equal(values, raw)
     assert not mask.any()
+    # every node reads its own value, on the grid and off it, at any magnitude;
+    # an infinite node of either sign is a wall
+    rng = np.random.default_rng(7)
+    raw = rng.choice([-1.0, 1.0], g.n) * 10.0 ** rng.uniform(-300, 300, g.n)
+    raw[[3, 17]] = math.inf, -math.inf
+    sampled = Sampled(values=raw, grid=g)
+    values, mask = sample_on_grid(sampled, g)
+    assert np.flatnonzero(mask).tolist() == [3, 17]
+    assert np.array_equal(values, np.where(mask, 0.0, raw))
+    read = np.where(mask, math.inf, raw).tolist()
+    assert sampled.value_array(g.points).tolist() == read
+    assert [evaluate(sampled, x) for x in g.points] == read
 
 
 def test_sampled_interpolates_elsewhere():
     g = make_grid(0, 1, 11)
     v = Sampled(values=g.points.copy(), grid=g)
     assert evaluate(v, 0.55) == pytest.approx(0.55)
+    # a probe with the grid's length and end points is interpolated like any other
+    squared = Sampled(values=g.points**2, grid=g)
+    probe = np.array([0.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 1.0])
+    expected = np.interp(probe, g.points, g.points**2)
+    assert np.array_equal(squared.value_array(probe), expected)
+    assert squared.value_array(probe)[1] == pytest.approx(0.905)
 
 
 def test_fully_masked_grid_rejected():
@@ -148,6 +166,16 @@ INPUT_CHECKS = {
         lambda: transmission_sweep(Sampled(values=np.zeros(8), grid=_G8), [1.0]),
         ParameterError, "Sampled is not a piecewise-constant potential",
     ),
+    "barrier_height_nan": (lambda: Barrier(v0=math.nan, a=1.0), ParameterError,
+                           "barrier height must be positive, got nan"),
+    "harmonic_omega_inf": (lambda: Harmonic(omega=math.inf), ParameterError,
+                           "omega must be finite, got inf"),
+    "sweep_row_nan": (lambda: transmission_sweep(Barrier(v0=1.0, a=1.0), [0.5, math.nan]),
+                      ParameterError, "sweep row 1 (E=nan): energy must be positive, got nan"),
+    "sweep_row_inf": (lambda: transmission_sweep(Barrier(v0=1.0, a=1.0), [math.inf, 0.5]),
+                      ParameterError, "sweep row 0 (E=inf): energy must be finite, got inf"),
+    "sampled_nan": (lambda: Sampled(values=np.where(_G8.points > 0.5, math.nan, 0.0), grid=_G8),
+                    ParameterError, "sampled potential values must not be nan"),
 }
 
 

@@ -153,6 +153,20 @@ def test_interior_step_energy_branch():
     assert abs(res.t - closed.t) < 1e-12
 
 
+def test_closed_form_and_kernel_share_the_equal_energy_branch():
+    # Every ulp within 40 of each edge v0 (1 -+ 1e-12): the closed form's linear
+    # branch sets c_plus = 1 + r exactly, and the kernel's shows as the kind of
+    # the barrier region.  At v0 = 58.22... and E = 58.220381986017905 the
+    # ratio test |1 - E/v0| < 1e-12 and the kernel's difference test round apart.
+    for v0 in (58.22038198607613, 4.0, 0.37):
+        for edge in (v0 * (1.0 - 1e-12), v0 * (1.0 + 1e-12)):
+            energies = edge + np.spacing(edge) * np.arange(-40, 41)
+            for E in energies.tolist():
+                closed = barrier_scattering(E, v0, 1.0)
+                kernel = region_waves(Barrier(v0=v0, a=1.0), E)[1]
+                assert (closed.c_plus == 1.0 + closed.r) == (kernel.kind == "linear"), E
+
+
 def test_sweep_matches_single_calls():
     energies = [0.5, 1.0, 1.5]
     rows = transmission_sweep(Barrier(v0=2.0, a=1.0), energies)

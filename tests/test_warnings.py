@@ -1,4 +1,5 @@
-"""Every qm1d warning comes from errors.warn and names the caller's line."""
+"""Every qm1d warning comes from errors.warn and names the caller's line, and
+every positivity guard is errors.positive."""
 
 import math
 import warnings
@@ -79,9 +80,19 @@ def test_default_filter_prints_one_warning_of_a_bound_check():
     assert [w.category for w in caught] == [NORM, EDGE]
 
 
+def _sources():
+    return {path.name: path.read_text() for path in Path(qm1d.__file__).parent.glob("*.py")}
+
+
 def test_only_errors_module_warns():
-    sources = {path.name: path.read_text() for path in Path(qm1d.__file__).parent.glob("*.py")}
+    sources = _sources()
     assert "errors.py" in sources
     offenders = [name for name, text in sorted(sources.items())
                  if name != "errors.py" and ("warnings.warn(" in text or "stacklevel" in text)]
     assert offenders == []
+
+
+def test_only_errors_module_guards_positivity():
+    # cli.py's schema parser words its own SchemaError for scenario files
+    holders = {name for name, text in _sources().items() if "must be positive" in text}
+    assert holders == {"cli.py", "errors.py"}

@@ -11,13 +11,14 @@ Library results that no CLI scenario reaches are hashed as well: bound
 states (energies, states, residuals) of both stencils, ``h.apply`` across a
 hard wall, full complex Crank-Nicolson snapshots, a barrier and a segment
 stack sampled on a grid with points on their interfaces, and the barrier's
-``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes and a sweep
-across one of its plateaus.  Each side runs in its own interpreter with
-``PYTHONPATH`` set to its source tree, so the two never share imported
-modules.  Data files and library results are compared by sha256;
-``*.meta.json`` sidecars carry timestamps and are skipped.  Exit
-status 0 means every scenario exits alike on both sides and every data file
-and library result exists on both sides with the same digest.
+``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a sweep
+across one of its plateaus, a walled ``Sampled`` table read at its cell
+midpoints and one with walls of both signs sampled on its grid.  Each side
+runs in its own interpreter with ``PYTHONPATH`` set to its source tree, so
+the two never share imported modules.  Data files and library results are
+compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
+skipped.  Exit status 0 means every scenario exits alike on both sides and
+every data file and library result exists on both sides with the same digest.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ print(json.dumps(codes))
 """
 
 # Prints the sha256 of each public-API result below as one JSON object, by
-# name: "library/<stencil order>/<problem>/<result>" for bound states and
-# "library/segments/<potential>/<result>[/<energy>]" for segment potentials.
+# name: "library/<stencil order>/<problem>/<result>" for bound states,
+# "library/segments/<potential>/<result>[/<energy>]" for segment potentials
+# and "library/sampled/<potential>/<result>" for sampled ones.
 _LIBRARY = """
 import hashlib, json, math, warnings
 import numpy as np
@@ -102,6 +104,12 @@ values[wall] = 0.0
 config = EvolutionConfig(dt=0.02, steps=40, observables_every=5)
 trajectory = evolve(WaveFunction(osc, values), walled, config)
 sums["library/2/walled/crank_nicolson"] = sha(*(s.values for s in trajectory.snapshots))
+
+# Sampled potentials read between their nodes, and walls of both signs on the grid.
+midpoints = 0.5 * (osc.points[:-1] + osc.points[1:])
+sums["library/sampled/walled/value_array"] = sha(walled.value_array(midpoints))
+two_walls = Sampled(values=np.where(osc.points < -5.0, -math.inf, walled_values), grid=osc)
+sums["library/sampled/two_walls/sample_on_grid"] = sha(*sample_on_grid(two_walls, osc))
 
 # Piecewise-constant potentials: sampling on a grid with points on every
 # interface, and scattering amplitudes no CLI table holds.
