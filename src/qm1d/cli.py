@@ -44,7 +44,7 @@ from .constants import PhysicalConstants, si_constants
 from .core import Grid, WaveFunction, make_grid, normalize
 from .eigensolver import Spectrum, build_hamiltonian, solve_bound_states
 from .errors import QmError, SolverError
-from .evolution import SERIES, STEPPERS, EvolutionConfig, Trajectory, evolve
+from .evolution import SERIES, STEPPERS, EvolutionConfig, Trajectory, _stream
 from .observables import (
     momentum_operator,
     position_operator,
@@ -361,14 +361,14 @@ def _execute_evolve(spec, constants):
         method=spec["method"],
         observables_every=spec.get("observables_every", 1),
     )
-    trajectory = evolve(psi0, spec["potential"], config, constants.mass, constants)
-    block = (trajectory.times, *(getattr(trajectory, name) for name in SERIES))
-    outputs = {spec["output"]["path"]: (["t", *SERIES], [block])}
+    keep = (lambda v: np.abs(v) ** 2) if spec.get("emit_density") else (lambda v: None)
+    times, series, densities = _stream(psi0, spec["potential"], config, constants.mass,
+                                       constants, keep)
+    outputs = {spec["output"]["path"]: (["t", *SERIES], [(times, *series)])}
     if spec.get("emit_density"):
-        density = np.array([np.abs(snap.values) ** 2 for snap in trajectory.snapshots])
         outputs[_derived_path(spec["output"]["path"], "density")] = (_PLOT_COLUMNS, [
             ("density", t, psi0.grid.points, values)
-            for t, values in zip(trajectory.times.tolist(), density)
+            for t, values in zip(times.tolist(), densities)
         ])
     return outputs
 

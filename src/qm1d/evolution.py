@@ -15,7 +15,9 @@ hbar / E_max of the occupied spectrum (a factor of ten is a good default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from .errors import (
     UnsupportedMethodError,
     positive,
 )
-from .observables import _SnapshotObservables
+from .observables import _SnapshotObservables, _warn_if_unnormalized
 from .potentials import Potential
-from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta
+from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, warn_hot_edges
 
 METHOD_CRANK_NICOLSON = "crank_nicolson"
 METHOD_SPLIT_STEP = "split_step"
@@ -72,8 +74,10 @@ class Trajectory:
 SERIES = tuple(f.name for f in fields(Trajectory)[2:])
 
 
-def _check_hbar(h: DiscreteHamiltonian, constants: PhysicalConstants):
-    """The steppers' phases use constants.hbar; H was built with h.hbar."""
+def _check_step(h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
+    """dt is finite (a negative dt steps back), and H has the hbar of the phases."""
+    if not math.isfinite(dt):
+        raise ParameterError(f"dt must be finite, got {dt}")
     if h.hbar != constants.hbar:
         raise ConfigurationError(f"H was built with hbar = {h.hbar!r}, not {constants.hbar!r}")
 
@@ -97,7 +101,7 @@ class _CrankNicolson:
                 f"Crank-Nicolson steps the 3-point Hamiltonian only; got a stencil "
                 f"of order {h.order} (build it with order=2)"
             )
-        _check_hbar(h, constants)
+        _check_step(h, dt, constants)
         # Imported per stepper, not at module top (see solve_bound_states);
         # the step itself reuses the solver kept here.
         from scipy.linalg.lapack import zgttrf, zgttrs
@@ -157,7 +161,7 @@ class _SplitStep:
             raise UnsupportedMethodError(
                 f"split-step cannot handle hard walls; use {METHOD_CRANK_NICOLSON}"
             )
-        _check_hbar(h, constants)
+        _check_step(h, dt, constants)
         self.half_potential = np.exp(-0.5j * h.potential_values * dt / constants.hbar)
         p, _ = fft_momenta(h.grid, constants)
         self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
@@ -191,6 +195,35 @@ def split_step(
 STEPPERS = {METHOD_CRANK_NICOLSON: _CrankNicolson, METHOD_SPLIT_STEP: _SplitStep}
 
 
+def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, mass: float,
+            constants: PhysicalConstants, keep: Callable[[np.ndarray], object]):
+    """Step psi0 and observe each recorded state while it is still in cache: the
+    recorded times, the SERIES as arrays and keep(values) of each recorded state.
+    A step failure is re-raised with "step k: " prefixed; the series' warnings
+    are issued after the last step, in snapshot order, so a failed run has none."""
+    h = build_hamiltonian(psi0.grid, potential, mass, constants)
+    stepper = STEPPERS[config.method](h, config.dt, constants)
+    observe = _SnapshotObservables(h, constants)
+    times, observed, kept = [], [], []
+    values = psi0.values
+    for k in range(config.steps + 1):
+        if k:
+            try:
+                values = stepper.step_values(values)
+            except Exception as exc:
+                exc.args = (f"step {k}: {exc}",)
+                raise
+        if k % config.observables_every == 0 or k == config.steps:
+            times.append(k * config.dt)
+            observed.append(observe(values))
+            kept.append(keep(values))
+    for row, edge in observed:
+        _warn_if_unnormalized(row[0])
+        warn_hot_edges(edge)
+    rows = [row for row, _ in observed]
+    return np.asarray(times), tuple(map(np.array, zip(*rows))), kept
+
+
 def evolve(
     psi0: WaveFunction,
     potential: Potential,
@@ -200,28 +233,11 @@ def evolve(
 ) -> Trajectory:
     """Propagate and record snapshots every `observables_every` steps.
 
-    The initial state and the final step are always recorded.  Step
-    failures are re-raised with "step k: " prefixed to their message.
+    The initial state (psi0 itself) and the final step are always recorded.
+    Step failures are re-raised with "step k: " prefixed to their message.
     """
-    grid = psi0.grid
-    h = build_hamiltonian(grid, potential, mass, constants)
-    stepper = STEPPERS[config.method](h, config.dt, constants)
-    observe = _SnapshotObservables(h, constants)
+    def snapshot(values: np.ndarray) -> WaveFunction:
+        return psi0 if values is psi0.values else WaveFunction(psi0.grid, values)
 
-    times = [0.0]
-    snapshots = [psi0]
-    values = psi0.values
-    for k in range(1, config.steps + 1):
-        try:
-            values = stepper.step_values(values)
-        except Exception as exc:
-            exc.args = (f"step {k}: {exc}",)
-            raise
-        if k % config.observables_every == 0 or k == config.steps:
-            times.append(k * config.dt)
-            snapshots.append(WaveFunction(grid, values))
-
-    # One snapshot at a time once stepping is done, so a failed run warns of
-    # nothing and no (snapshots, n) array is built.
-    rows = [observe(snap.values) for snap in snapshots]
-    return Trajectory(np.asarray(times), snapshots, *map(np.array, zip(*rows)))
+    times, series, snapshots = _stream(psi0, potential, config, mass, constants, snapshot)
+    return Trajectory(times, snapshots, *series)

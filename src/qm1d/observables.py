@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared
+from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared, peak_fraction
 from .eigensolver import DiscreteHamiltonian
 from .errors import (
     EdgeAmplitudeWarning,
@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     warn,
 )
-from .spectral import fft_momenta, to_momentum_space, to_position_space, warn_if_edges_hot
+from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, to_momentum_space, to_position_space
 
 # Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
@@ -154,7 +154,10 @@ class _SnapshotObservables:
 
     Equal to roundoff to norm_squared, expectation and uncertainty of the
     position, momentum and Hamiltonian operators, from one density and one
-    unshifted FFT, each warning at most once per call and at evolve's caller.
+    unshifted FFT.  A call decides the two warnings those would issue and
+    emits neither: the norm is a series and the edge peak_fraction is
+    returned with the row.  The evolution loop emits them once its last step
+    has succeeded, so a failed run warns of nothing.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
@@ -163,13 +166,13 @@ class _SnapshotObservables:
         self.dx = h.grid.dx
         self.p, self.p_weight = fft_momenta(h.grid, constants)
 
-    def __call__(self, values: np.ndarray) -> tuple[float, ...]:
-        """The series in evolution.Trajectory's field order."""
+    def __call__(self, values: np.ndarray) -> tuple[tuple[float, ...], float]:
+        """The series in evolution.Trajectory's field order, and the edge
+        peak_fraction (0.0 when within EDGE_AMPLITUDE_TOL)."""
         dx = self.dx
         density = np.abs(values) ** 2
         norm = float(np.sum(density) * dx)
-        _warn_if_unnormalized(norm)
-        warn_if_edges_hot(values)
+        edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
         x_mean = float(np.sum(self.x * density) * dx)
         x_var = float(np.sum((self.x - x_mean) ** 2 * density) * dx)
         p_density = np.abs(np.fft.fft(values)) ** 2 * self.p_weight
@@ -177,7 +180,7 @@ class _SnapshotObservables:
         p_var = float(np.sum((self.p - p_mean) ** 2 * p_density))
         energy = float(np.vdot(values, self.h.apply(values)).real * dx)
         return (norm, x_mean, p_mean, math.sqrt(max(x_var, 0.0)),
-                math.sqrt(max(p_var, 0.0)), energy)
+                math.sqrt(max(p_var, 0.0)), energy), edge
 
 
 def commutator_expectation(op_a: Operator, op_b: Operator, psi: WaveFunction) -> complex:

@@ -52,9 +52,9 @@ def fft_momenta(grid: Grid, constants: PhysicalConstants) -> tuple[np.ndarray, f
     return np.fft.ifftshift(mgrid.p), weight
 
 
-def warn_if_edges_hot(values: np.ndarray):
-    """EdgeAmplitudeWarning when an end point holds more than EDGE_AMPLITUDE_TOL of the peak."""
-    fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
+def warn_hot_edges(fraction: float):
+    """EdgeAmplitudeWarning for a nonzero peak_fraction of a state at EDGES
+    against EDGE_AMPLITUDE_TOL."""
     if fraction:
         warn(f"position-space state has {fraction:.2e} of its peak amplitude at a grid edge; "
              "the periodic transform will not approximate the continuum integral accurately",
@@ -64,7 +64,7 @@ def warn_if_edges_hot(values: np.ndarray):
 def to_momentum_space(psi: WaveFunction, constants: PhysicalConstants) -> WaveFunction:
     """Forward transform of a position-space state onto the conjugate grid."""
     check_state("to_momentum_space", psi, Space.POSITION)
-    warn_if_edges_hot(psi.values)
+    warn_hot_edges(peak_fraction(psi.values, EDGES, EDGE_AMPLITUDE_TOL))
     grid = psi.grid
     mgrid = momentum_grid(grid, constants)
     raw = np.fft.fftshift(np.fft.fft(psi.values))

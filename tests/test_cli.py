@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,32 @@ def test_evolve_scenario(tmp_path):
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
     final = rows[-1]
     assert float(final[2]) == pytest.approx(2.0 * float(final[0]), abs=1e-6)
+
+
+# (emit_density, observables_every, bound in bytes): the series alone, and
+# the density of every tenth state (31 float64 rows of 2048, 0.5 MB).  A complex
+# snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.
+@pytest.mark.parametrize("density, every, bound", [(False, 1, 2_000_000), (True, 10, 1_500_000)])
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, bound):
+    body = {
+        "command": "evolve", "constants": {"profile": "natural"},
+        "grid": {"x_min": -24.0, "x_max": 42.0, "n": 2048},
+        "potential": {"kind": "piecewise_constant", "segments": []},
+        "initial": {"alpha": 0.5, "k0": 6.0}, "method": method, "dt": 0.01, "steps": 300,
+        "observables_every": every, "emit_density": density,
+        "output": {"format": "csv", "path": "run.csv"},
+    }
+    argv = ["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0  # imports and the LAPACK load are not traced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound
 
 
 def test_packet_scenario_width_series(tmp_path):

@@ -351,6 +351,18 @@ INPUT_CHECKS.update({
     for name, call in _MASS_ENTRIES.items() for m, rule in _BAD_MASSES.items()
 })
 
+# Both single steps, each with a dt that is not finite (a negative one steps back).
+_STEP_ENTRIES = {
+    "crank_nicolson_step": lambda dt: crank_nicolson_step(
+        _PSI, build_hamiltonian(_PSI.grid, PiecewiseConstant(), 1.0, NATURAL), dt, NATURAL),
+    "split_step": lambda dt: split_step(_PSI, PiecewiseConstant(), dt),
+}
+INPUT_CHECKS.update({
+    f"dt_{dt}_{name}": (lambda call=call, dt=dt: call(dt), ParameterError,
+                        f"^dt must be finite, got {dt}$")
+    for name, call in _STEP_ENTRIES.items() for dt in (math.nan, math.inf, -math.inf)
+})
+
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
 def test_input_checks(case):

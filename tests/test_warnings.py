@@ -40,6 +40,7 @@ COLD = COLD.with_values(2.0 * COLD.values)
 X, P = position_operator(GRID), momentum_operator(GRID)
 FREE = PiecewiseConstant()
 SPLIT = EvolutionConfig(dt=0.01, steps=3, method="split_step")
+CRANK_NICOLSON = EvolutionConfig(dt=0.01, steps=3, method="crank_nicolson")
 OBSERVE_ONLY = EvolutionConfig(dt=0.01, steps=0, method="split_step")
 # A wall at the middle of a box splits it into two equal wells: a degenerate pair.
 _BOX = make_grid(0.0, 1.0, 101)
@@ -58,6 +59,7 @@ CASES = {
     "bound_check": (lambda: uncertainty_bound_check(X, P, HOT), [NORM, NORM, EDGE, EDGE]),
     "evolve_hot": (lambda: evolve(HOT, FREE, OBSERVE_ONLY), [NORM, EDGE]),
     "evolve_steps": (lambda: evolve(COLD, FREE, SPLIT), [NORM] * 4),
+    "evolve_steps_cn": (lambda: evolve(COLD, FREE, CRANK_NICOLSON), [NORM] * 4),
     "near_degeneracy": (lambda: solve_bound_states(TWIN_WELLS, 2), [NearDegeneracyWarning]),
 }
 

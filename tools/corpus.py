@@ -9,8 +9,10 @@ blocks end at, just before and just after the writers' 256-row chunks) plus
 the perfbench scenarios of seeds 1-3 of every workload, in their own format.
 Library results that no CLI scenario reaches are hashed as well: bound
 states (energies, states, residuals) of both stencils, ``h.apply`` across a
-hard wall, full complex Crank-Nicolson snapshots, a barrier and a segment
-stack sampled on a grid with points on their interfaces, and the barrier's
+hard wall, the complex snapshots and six series of a walled Crank-Nicolson
+run and of a free split-step run through the public ``evolve`` (the CLI
+streams its series without it), a barrier and a segment stack sampled on a
+grid with points on their interfaces, and the barrier's
 ``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a sweep
 across one of its plateaus, a walled ``Sampled`` table read at its cell
 midpoints and one with walls of both signs sampled on its grid.  Each side
@@ -58,16 +60,18 @@ print(json.dumps(codes))
 
 # Prints the sha256 of each public-API result below as one JSON object, by
 # name: "library/<stencil order>/<problem>/<result>" for bound states,
-# "library/segments/<potential>/<result>[/<energy>]" for segment potentials
-# and "library/sampled/<potential>/<result>" for sampled ones.
+# "library/segments/<potential>/<result>[/<energy>]" for segment potentials,
+# "library/sampled/<potential>/<result>" for sampled ones and
+# "library/free/<method>[/series]" for a free packet through evolve.
 _LIBRARY = """
 import hashlib, json, math, warnings
 import numpy as np
 warnings.simplefilter("ignore")
 from qm1d import (NATURAL, Barrier, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp,
                   PiecewiseConstant, Sampled, WaveFunction, build_hamiltonian, evolve,
-                  make_grid, region_waves, sample_on_grid, solve_bound_states,
+                  make_grid, normalize, region_waves, sample_on_grid, solve_bound_states,
                   transfer_scattering, transmission_sweep)
+from qm1d.evolution import SERIES
 
 def sha(*arrays):
     h = hashlib.sha256()
@@ -104,6 +108,15 @@ values[wall] = 0.0
 config = EvolutionConfig(dt=0.02, steps=40, observables_every=5)
 trajectory = evolve(WaveFunction(osc, values), walled, config)
 sums["library/2/walled/crank_nicolson"] = sha(*(s.values for s in trajectory.snapshots))
+sums["library/2/walled/crank_nicolson/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
+
+# The public evolve on a free split-step packet: its snapshots and its series.
+free = make_grid(-20.0, 30.0, 512)
+packet = normalize(WaveFunction(free, np.exp(-0.5 * free.points**2 + 2j * free.points)))
+config = EvolutionConfig(dt=0.01, steps=40, method="split_step", observables_every=4)
+trajectory = evolve(packet, PiecewiseConstant(), config)
+sums["library/free/split_step"] = sha(*(s.values for s in trajectory.snapshots))
+sums["library/free/split_step/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
 
 # Sampled potentials read between their nodes, and walls of both signs on the grid.
 midpoints = 0.5 * (osc.points[:-1] + osc.points[1:])
