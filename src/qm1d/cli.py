@@ -59,7 +59,7 @@ from .potentials import (
     Potential,
     Sampled,
 )
-from .scattering import transmission_sweep
+from .scattering import _scatter
 
 OUTPUT_DIR_ENV = "QM1D_OUTPUT_DIR"
 
@@ -334,11 +334,13 @@ def _execute_spectrum(spec, constants):
 
 
 def _execute_scatter(spec, constants):
-    results = transmission_sweep(spec["potential"], spec["energies"], constants.mass, constants)
+    E, r, t, _, _ = _scatter(spec["potential"], spec["energies"], constants.mass, constants,
+                              sweep=True)
+    r, t = r.tolist(), t.tolist()
     columns = ["energy", "prob_R", "prob_T", "phase_R", "phase_T"]
-    block = tuple(np.array(cells, dtype=np.float64) for cells in (
-        [r.energy for r in results], [r.prob_r for r in results], [r.prob_t for r in results],
-        [cmath.phase(r.r) for r in results], [cmath.phase(r.t) for r in results]))
+    block = (E, *(np.array(cells, dtype=np.float64) for cells in (
+        [abs(c) ** 2 for c in r], [abs(c) ** 2 for c in t],
+        [cmath.phase(c) for c in r], [cmath.phase(c) for c in t])))
     return {spec["output"]["path"]: (columns, [block])}
 
 

@@ -3,14 +3,23 @@
 Each region carries a two-component amplitude for its forward and backward
 basis solutions; 2x2 interface matrices chain them left to right by
 matching the wavefunction and its derivative (Ando & Itoh, J. Appl. Phys.
-61, 1497 (1987)).  One kernel does this for an array of energies at once:
-``transmission_sweep`` is that kernel and ``transfer_scattering`` its
-one-energy case.  Amplitudes are referenced to the left edge of each region,
-and evanescent regions have their exponential growth factored into a
-separate log-domain scale, so thick barriers neither overflow nor lose the
-transmitted amplitude to cancellation: with the total chain M, the results
-are R = -M21/M22 and T = det(M)/M22, where det(M) telescopes to
-k_left/k_right.
+61, 1497 (1987)), written out in closed form on (nE,) arrays.  Region 0 is
+referenced to its right edge and every later region to its left edge, so
+interface j's matrix W_{j+1}(0)^-1 W_j(delta_j) holds only region j's width.
+Between exponential regions it is [[u (1+q), d (1-q)], [u (1-q), d (1+q)]] / 2,
+with q = k_j/k_{j+1} and u = 1/d = exp(i k_j delta_j); a region at E = V
+takes its linear solution instead.  ``_scatter`` is the kernel for an array
+of energies.  Evanescent regions have their growth factored into a separate
+log-domain scale, so thick barriers neither overflow nor lose the
+transmitted amplitude to cancellation: with the total chain M, R = -M21/M22
+and T = det(M)/M22, where det(M) telescopes to k_left/k_right.
+
+numpy's complex multiply loop may fuse multiply-adds, an ulp apart from one
+CPU to another, so every complex-by-complex product that reaches a result
+goes through `_times`: u f, d b, q (u f - d b) and i k (u f - d b) in
+`_advance`, r's phase and c_plus/c_minus.  Products by +-1j or a real (delta,
+1/2, T's scale) round each part once, and numpy's complex divisions (q,
+b/(i k), M21/M22, T) give the same bits at any batch size; they stay numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ _SCALE_EXTRACT_THRESHOLD = 300.0
 # the kernel's r to this absolute error.  Valid stacks give below 1e-13; an
 # amplitude that underflowed or overflowed on the way gives O(1).
 _ASSEMBLY_TOL = 1e-10
+# the rows of the 2x2 identity as (2, 1) amplitude columns for _advance
+_EYE = np.eye(2, dtype=np.complex128)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -53,36 +64,28 @@ class RegionWave:
     kind: str
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.x_ref
+        d = np.asarray(x, dtype=float) - self.x_ref
         if self.kind == "linear":
             return self.forward + self.backward * d
         k = self.wavenumber
         return self.forward * np.exp(1j * k * d) + self.backward * np.exp(-1j * k * d)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.x_ref
+        d = np.asarray(x, dtype=float) - self.x_ref
         if self.kind == "linear":
             return np.full(d.shape, self.backward, dtype=np.complex128)
         k = self.wavenumber
-        return 1j * k * (
-            self.forward * np.exp(1j * k * d) - self.backward * np.exp(-1j * k * d)
-        )
+        return 1j * k * (self.forward * np.exp(1j * k * d) - self.backward * np.exp(-1j * k * d))
 
 
 def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
-    """Interface positions and the constant potential of every region.
-
-    A potential with no finite interfaces (uniform everywhere) yields an
-    empty interface list and a single region value.
-    """
+    """Interface positions and the constant potential of every region; a
+    potential with no finite interfaces has none and a single region."""
     interfaces: list[float] = []
     for start, end, _ in segment_list(potential):
         for bound in (start, end):
             if math.isfinite(bound) and (not interfaces or bound > interfaces[-1]):
                 interfaces.append(bound)
-
     mids = [0.5 * (left + right) for left, right in zip(interfaces[:-1], interfaces[1:])]
     probes = [interfaces[0] - 1.0, *mids, interfaces[-1] + 1.0] if interfaces else [0.0]
     return interfaces, potential.value_array(np.array(probes)).tolist()
@@ -91,83 +94,47 @@ def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
 def _prepare(potential, energies, mass, constants, sweep=False):
     """Layout, energies, (nE, regions) wavenumbers and the E == V mask.
 
-    Rows are checked in input order: sign, equal asymptotes, open incident
-    channel.  A sweep converts each row with float() first and prefixes its
-    errors with the row.
+    The rows are checked as one array, then the first bad one alone for its
+    message: sign, equal asymptotes, open incident channel.  A sweep converts
+    each row with float() first and prefixes its errors with the row.
     """
     positive("mass", mass)
     interfaces, region_v = _region_layout(potential)
     v_left, v_right = region_v[0], region_v[-1]
-    same_asymptotes = v_left == v_right
-    checked = []
-    for i, E in enumerate(energies):
-        prefix = ""
-        if sweep:
-            prefix = f"sweep row {i} (E={E}): "
-            try:
-                E = float(E)
-            except (TypeError, ValueError, OverflowError) as exc:
-                exc.args = (prefix + str(exc),)
-                raise
+    rows, failed = list(energies), None
+
+    def check(i, E):
+        prefix = f"sweep row {i} (E={rows[i]}): " if sweep else ""
         positive(prefix + "energy", E)
-        if not same_asymptotes:
+        if v_left != v_right:
             raise UnsupportedMethodError(
                 f"{prefix}asymptotic potentials differ ({v_left} vs {v_right}); "
-                "flux-normalized transmission is not supported"
-            )
+                "flux-normalized transmission is not supported")
         if E <= v_left:
-            raise ParameterError(
-                f"{prefix}E={E} does not propagate in the asymptotic regions "
-                f"(V={v_left}); the incident channel is evanescent"
-            )
-        checked.append(E)
-    E = np.array(checked, dtype=float).reshape(-1, 1)
+            raise ParameterError(f"{prefix}E={E} does not propagate in the asymptotic regions "
+                                 f"(V={v_left}); the incident channel is evanescent")
+
+    if not sweep:
+        check(0, rows[0])
+    values = []
+    try:
+        values.extend(map(float, rows))  # keeps the rows before one that fails
+    except (TypeError, ValueError, OverflowError) as exc:
+        failed = exc
+    E = np.array(values)
+    bad = (v_left != v_right) | ~(E > 0.0) | (E == math.inf) | (E <= v_left)
+    if bad.any():
+        check(int(bad.argmax()), values[bad.argmax()])
+    if failed is not None:
+        failed.args = (f"sweep row {len(values)} (E={rows[len(values)]}): {failed}",)
+        raise failed
     v = np.array(region_v, dtype=float)
-    linear = _equal_energies(E, v)
-    k = (2.0 * mass * (E - v)).astype(np.complex128)
+    linear = _equal_energies(E[:, None], v)
+    k = (2.0 * mass * (E[:, None] - v)).astype(np.complex128)
     np.sqrt(k, out=k)
     k /= constants.hbar
     k[linear] = 0.0
-    return interfaces, E[:, 0], linear, k
-
-
-def _basis_matrix(linear, k, delta: float, shift=0.0) -> np.ndarray:
-    """(nE, 2, 2) values and derivatives of the two basis solutions at delta.
-
-    `shift` subtracts a real log-scale inside the exponent, so evanescent
-    regions never overflow; callers account for exp(shift) separately.
-    """
-    up = np.exp(1j * k * delta - shift)
-    down = np.exp(-1j * k * delta - shift)
-    w = np.empty(k.shape + (2, 2), dtype=np.complex128)
-    w[:, 0, 0], w[:, 0, 1] = up, down
-    w[:, 1, 0], w[:, 1, 1] = 1j * k * up, -1j * k * down
-    w[linear] = ((1.0, delta), (0.0, 1.0))
-    return w
-
-
-def _interface_bases(interfaces, linear, k, extract: bool):
-    """Yield (shift, w_left, w_right) for each interface, left to right.
-
-    w_left and w_right (nE, 2, 2) are the basis matrices of regions j and
-    j+1 at the interface, so solve(w_right, w_left) maps region j's
-    amplitudes to region j+1's.  Region 0 is referenced to its right edge
-    and every later region to its left edge, so only w_left contains a
-    region's width.  With `extract`, an evanescent region wider than
-    _SCALE_EXTRACT_THRESHOLD e-folds has its growth exp(shift) taken out of
-    w_left.
-    """
-    refs = interfaces[:1] + interfaces
-    for j, x_c in enumerate(interfaces):
-        delta = x_c - refs[j]
-        shift = 0.0
-        if extract:
-            # e-folds across region j; zero unless it is evanescent (k = i beta)
-            beta_w = np.where(k[:, j].real == 0.0, k[:, j].imag * delta, 0.0)
-            shift = np.where(beta_w > _SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
-        w_left = _basis_matrix(linear[:, j], k[:, j], delta, shift)
-        w_right = _basis_matrix(linear[:, j + 1], k[:, j + 1], x_c - refs[j + 1])
-        yield shift, w_left, w_right
+    return interfaces, E, linear, k
 
 
 def _times(a, b):
@@ -179,45 +146,71 @@ def _times(a, b):
     return out
 
 
+def _advance(k, linear, j, delta, f, b, shift=0.0):
+    """W_{j+1}(0)^-1 W_j(delta) in closed form, applied to region-j amplitudes
+    (f, b), arrays (..., nE).  At the interface region j's wave has value
+    u f + d b and derivative i k_j (u f - d b), or f + delta b and b at
+    E = V; region j+1 splits them as (value +- derivative / (i k_{j+1})) / 2.
+    `shift` subtracts a real log-scale inside region j's exponent; callers
+    keep exp(shift)."""
+    k_left, lin_left, lin_right = k[:, j], linear[:, j], linear[:, j + 1]
+    up = np.exp(1j * k_left * delta - shift)
+    down = np.exp(-1j * k_left * delta - shift)
+    k_right = np.where(lin_right, 1.0, k[:, j + 1])  # not 0 on E = V rows
+    p, m = _times(up, f), _times(down, b)
+    value, odd = p + m, p - m
+    w = _times(k_left / k_right, odd)  # derivative / (i k_right)
+    if not (lin_left.any() or lin_right.any()):
+        return 0.5 * (value + w), 0.5 * (value - w)
+    value = np.where(lin_left, f + delta * b, value)
+    slope = np.where(lin_left, b, _times(1j * k_left, odd))
+    w = np.where(lin_left, b / (1j * k_right), w)
+    return (np.where(lin_right, value, 0.5 * (value + w)),
+            np.where(lin_right, slope, 0.5 * (value - w)))
+
+
 def _chain(interfaces, linear, k):
-    """r, t, c_plus and c_minus per energy for unit incidence from the left."""
+    """r, t, c_plus and c_minus per energy for unit incidence from the left
+    (c_plus and c_minus only for one region on [0, a), else lists of None)."""
     n = k.shape[0]
     if not interfaces:  # uniform potential: the incident wave passes unchanged
         return np.zeros(n, np.complex128), np.ones(n, np.complex128), [None] * n, [None] * n
     log_scale = np.zeros(n)
-    m_total = np.eye(2, dtype=np.complex128)
-    bases = _interface_bases(interfaces, linear, k, extract=True)
-    for j, (shift, w_left, w_right) in enumerate(bases):
+    # f and b are the rows (M11, M12) and (M21, M22) of the running product;
+    # region 0 is referenced to its right edge, so interface 0 has no width
+    f, b = first = _advance(k, linear, 0, 0.0, *_EYE)
+    for j in range(1, len(interfaces)):
+        delta = interfaces[j] - interfaces[j - 1]
+        # e-folds across region j; zero unless it is evanescent (k = i beta)
+        beta_w = np.where(k[:, j].real == 0.0, k[:, j].imag * delta, 0.0)
+        shift = np.where(beta_w > _SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
         log_scale += shift
-        m_total = np.linalg.solve(w_right, w_left) @ m_total
-        if j == 0:
-            m_after_first = m_total
-
+        f, b = _advance(k, linear, j, delta, f, b, shift)
     k0, x0, xm = k[:, 0], interfaces[0], interfaces[-1]
-    r = _times(-(m_total[:, 1, 0] / m_total[:, 1, 1]), np.exp(2j * k0 * x0))
+    r = _times(-(b[0] / b[1]), np.exp(2j * k0 * x0))
     # T from the determinant identity avoids the catastrophic cancellation of
     # M11 - M12 M21 / M22 for thick barriers; equal asymptotes make det(M) = 1
     # but for the scale.  The complex exp calls libm's exp, like math.exp
     # (numpy's real exp loop is vectorised per CPU, an ulp apart).
     det_total = np.exp(-log_scale + 0j).real
-    t = np.exp(1j * k0 * (x0 - xm)) * det_total / m_total[:, 1, 1]
-
-    c_plus = c_minus = [None] * n
-    if len(interfaces) == 2 and x0 == 0.0:
-        incoming = np.stack([np.exp(1j * k0 * x0), r * np.exp(-1j * k0 * x0)], axis=-1)
-        f1, b1 = (m_after_first @ incoming[:, :, None])[:, :, 0].T
-        # Below the barrier top the forward basis decays, so the exp(+beta x)
-        # coefficient is the backward amplitude.
-        decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
-        c_plus = np.where(decaying, b1, f1).tolist()
-        c_minus = np.where(decaying, f1, b1).tolist()
-    return r, t, c_plus, c_minus
+    t = np.exp(1j * k0 * (x0 - xm)) * det_total / b[1]
+    if len(interfaces) != 2 or x0 != 0.0:
+        return r, t, [None] * n, [None] * n
+    # region 1's amplitudes from the incident pair (1, r); below the barrier
+    # top the forward basis decays, so exp(+beta x)'s is the backward one
+    f1, b1 = (row[0] + _times(row[1], r) for row in first)
+    decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
+    return r, t, np.where(decaying, b1, f1).tolist(), np.where(decaying, f1, b1).tolist()
 
 
 def _scatter(potential, energies, mass, constants, sweep):
-    """The batched kernel: one ScatteringResult per energy, in input order."""
+    """The kernel: E, r, t, c_plus and c_minus per energy in input order, as
+    _prepare and _chain give them; a sweep names a bad row's index."""
     interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
-    r, t, c_plus, c_minus = _chain(interfaces, linear, k)
+    return (E, *_chain(interfaces, linear, k))
+
+
+def _results(E, r, t, c_plus, c_minus) -> list[ScatteringResult]:
     return [
         ScatteringResult(r=ri, t=ti, prob_r=abs(ri) ** 2, prob_t=abs(ti) ** 2,
                          energy=Ei, c_plus=cp, c_minus=cm)
@@ -232,7 +225,7 @@ def transmission_sweep(
     constants: PhysicalConstants = NATURAL,
 ) -> list[ScatteringResult]:
     """R, T of a piecewise-constant stack at every energy, in input order."""
-    return _scatter(potential, energies, mass, constants, sweep=True)
+    return _results(*_scatter(potential, energies, mass, constants, sweep=True))
 
 
 def transfer_scattering(
@@ -242,7 +235,7 @@ def transfer_scattering(
     constants: PhysicalConstants = NATURAL,
 ) -> ScatteringResult:
     """R, T of a piecewise-constant stack for unit incidence from the left."""
-    return _scatter(potential, [E], mass, constants, sweep=False)[0]
+    return _results(*_scatter(potential, [E], mass, constants, sweep=False))[0]
 
 
 def region_waves(
@@ -253,14 +246,15 @@ def region_waves(
 ) -> list[RegionWave]:
     """The fully assembled per-region solution, outermost regions included.
 
-    Starts from the kernel's transmitted wave (t, 0) and solves for each
-    region's amplitudes right to left, so through an evanescent region the
-    chain follows the growing solution and no error is amplified.  Raises
-    ParameterError when t is below the smallest normal float, or when the
-    incident region does not come back to unit incidence and the kernel's r
-    within _ASSEMBLY_TOL: each region's amplitudes are referenced to its
-    left edge, so one evanescent region wider than about 360 e-folds has a
-    growing amplitude below the float range.
+    Starts from the kernel's transmitted wave (t, 0) and applies each
+    interface's inverse right to left (its adjugate over its determinant,
+    the ratio of the regions' Wronskians), so through an evanescent region
+    the chain follows the growing solution and no error is amplified.
+    Raises ParameterError when t is below the smallest normal float, or when
+    an evanescent region's amplitude is, or the incident region does not
+    come back to unit incidence and the kernel's r within _ASSEMBLY_TOL:
+    amplitudes are referenced to each region's left edge, so past about 360
+    e-folds a growing one underflows.
     """
     interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
     r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])
@@ -269,25 +263,31 @@ def region_waves(
             f"E={E}: the transmitted amplitude |t| = {abs(t):.3g} underflows; "
             "the stack is too opaque to assemble region by region"
         )
-    kinds = ["linear" if flag else "exp" for flag in linear[0]]
     ks = [0.0 if flag else complex(kj) for flag, kj in zip(linear[0], k[0])]
+    wronskian = [1.0 if flag else -2j * kj for flag, kj in zip(linear[0], ks)]
     refs = (interfaces[:1] or [0.0]) + interfaces
-    pairs = [np.array([t * cmath.exp(1j * ks[-1] * refs[-1]), 0.0])]
-    with np.errstate(all="ignore"):  # under- and overflow fail the check below
-        for _, w_left, w_right in reversed(list(_interface_bases(interfaces, linear, k, False))):
-            pairs.append(np.linalg.solve(w_left[0], w_right[0] @ pairs[-1]))
+    pairs = [(t * cmath.exp(1j * ks[-1] * refs[-1]), 0j)]
+    with np.errstate(all="ignore"):  # under- and overflow fail the checks below
+        for j in reversed(range(len(interfaces))):
+            rows = _advance(k, linear, j, interfaces[j] - refs[j], *_EYE)
+            (m11, m12), (m21, m22) = (row[:, 0].tolist() for row in rows)
+            det, (f, b) = wronskian[j] / wronskian[j + 1], pairs[-1]
+            pairs.append(((m22 * f - m12 * b) / det, (m11 * b - m21 * f) / det))
     pairs.reverse()
     k0, x0 = ks[0], refs[0]
     incident = np.array([cmath.exp(1j * k0 * x0), r * cmath.exp(-1j * k0 * x0)])
-    off = np.max(np.abs(pairs[0] - incident))
-    if not off <= _ASSEMBLY_TOL:  # also catches nan
+    off = np.max(np.abs(np.array(pairs[0]) - incident))
+    tiny = min((abs(c) for flag, kj, pair in zip(linear[0], ks, pairs)
+                if not flag and kj.real == 0.0 for c in pair), default=math.inf)
+    if not (off <= _ASSEMBLY_TOL and tiny >= sys.float_info.min):  # also catches nan
         raise ParameterError(
-            f"E={E}: the region amplitudes leave the float range (incident "
-            f"amplitudes off by {off:.2g}); the stack is too opaque to assemble "
-            "region by region"
+            f"E={E}: the region amplitudes leave the float range (incident amplitudes "
+            f"off by {off:.2g}, smallest evanescent amplitude {tiny:.2g}); the stack "
+            "is too opaque to assemble region by region"
         )
     bounds = [-math.inf] + interfaces + [math.inf]
     return [
-        RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1], kinds[j])
+        RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1],
+                   "linear" if linear[0, j] else "exp")
         for j, (f, b) in enumerate(pairs)
     ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qm1d import (
+    NATURAL,
     Barrier,
     PiecewiseConstant,
     barrier_scattering,
@@ -13,6 +14,7 @@ from qm1d import (
     transfer_scattering,
     transmission_sweep,
 )
+from qm1d import scattering
 from qm1d.errors import ParameterError, UnsupportedMethodError
 
 
@@ -286,4 +288,220 @@ def test_region_waves_reject_what_floats_cannot_hold():
     # barrier region, about |t| exp(-424), is not
     assert transfer_scattering(Barrier(v0=2.0, a=300.0), 1.0).t != 0.0
     with pytest.raises(ParameterError, match="too opaque"):
+        region_waves(Barrier(v0=2.0, a=300.0), 1.0)
+
+
+# --- The closed-form kernel against the LAPACK chain it replaced -------------
+# The oracle below is the earlier kernel: each interface matrix solved from the
+# two basis matrices with np.linalg.solve and chained with @.  It reads the
+# layout, energies and wavenumbers from the kernel's own _prepare, so only the
+# interface algebra is compared.
+
+
+def _oracle_basis(linear, k, delta, shift=0.0):
+    up = np.exp(1j * k * delta - shift)
+    down = np.exp(-1j * k * delta - shift)
+    w = np.empty(k.shape + (2, 2), dtype=np.complex128)
+    w[:, 0, 0], w[:, 0, 1] = up, down
+    w[:, 1, 0], w[:, 1, 1] = 1j * k * up, -1j * k * down
+    w[linear] = ((1.0, delta), (0.0, 1.0))
+    return w
+
+
+def _oracle_bases(interfaces, linear, k, extract):
+    refs = interfaces[:1] + interfaces
+    for j, x_c in enumerate(interfaces):
+        delta, shift = x_c - refs[j], 0.0
+        if extract:
+            beta_w = np.where(k[:, j].real == 0.0, k[:, j].imag * delta, 0.0)
+            shift = np.where(beta_w > scattering._SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
+        w_left = _oracle_basis(linear[:, j], k[:, j], delta, shift)
+        w_right = _oracle_basis(linear[:, j + 1], k[:, j + 1], x_c - refs[j + 1])
+        yield shift, w_left, w_right
+
+
+def _oracle_chain(potential, energies, mass=1.0, constants=NATURAL):
+    """r, t, c_plus, c_minus arrays of the solve-based chain."""
+    interfaces, _, linear, k = scattering._prepare(potential, energies, mass, constants, True)
+    log_scale = np.zeros(k.shape[0])
+    m_total = np.eye(2, dtype=np.complex128)
+    for j, (shift, w_left, w_right) in enumerate(_oracle_bases(interfaces, linear, k, True)):
+        log_scale += shift
+        m_total = np.linalg.solve(w_right, w_left) @ m_total
+        if j == 0:
+            m_after_first = m_total
+    k0, x0, xm = k[:, 0], interfaces[0], interfaces[-1]
+    r = -(m_total[:, 1, 0] / m_total[:, 1, 1]) * np.exp(2j * k0 * x0)
+    t = np.exp(1j * k0 * (x0 - xm)) * np.exp(-log_scale) / m_total[:, 1, 1]
+    incoming = np.stack([np.exp(1j * k0 * x0), r * np.exp(-1j * k0 * x0)], axis=-1)
+    f1, b1 = (m_after_first @ incoming[:, :, None])[:, :, 0].T
+    decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
+    return r, t, np.where(decaying, b1, f1), np.where(decaying, f1, b1)
+
+
+def _oracle_region_pairs(potential, E, mass=1.0, constants=NATURAL):
+    """Region amplitudes solved right to left from the oracle's t."""
+    interfaces, _, linear, k = scattering._prepare(potential, [E], mass, constants)
+    t = complex(_oracle_chain(potential, [E], mass, constants)[1][0])
+    refs = (interfaces[:1] or [0.0]) + interfaces
+    pairs = [np.array([t * cmath.exp(1j * complex(k[0, -1]) * refs[-1]), 0.0])]
+    for _, w_left, w_right in reversed(list(_oracle_bases(interfaces, linear, k, False))):
+        pairs.append(np.linalg.solve(w_left[0], w_right[0] @ pairs[-1]))
+    return pairs[::-1]
+
+
+def _random_stack(rng, scale=1.0, height=1.0):
+    edges = np.sort(rng.uniform(-3.0, 3.0, size=rng.integers(2, 8))) * scale
+    return tuple((float(a), float(b), float(rng.uniform(-2.0, 5.0)) * height)
+                 for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _assert_sweep_matches_oracle(potential, energies, mass=1.0, constants=NATURAL):
+    rows = transmission_sweep(potential, energies, mass, constants)
+    r0, t0, _, _ = _oracle_chain(potential, energies, mass, constants)
+    r = np.array([row.r for row in rows])
+    t = np.array([row.t for row in rows])
+    assert np.all(np.abs(r - r0) <= 1e-13)
+    assert np.all(np.abs(t - t0) <= 1e-13 * np.abs(t0))
+    return rows
+
+
+def test_closed_form_kernel_matches_solve_oracle_on_random_stacks():
+    # each sweep mixes random energies with every positive plateau of the
+    # stack, so E = V rows take the linear branch next to exponential ones
+    rng = np.random.default_rng(2024)
+    plateaus = 0
+    for _ in range(60):
+        segments = _random_stack(rng)
+        energies = [*rng.uniform(0.05, 8.0, 25).tolist(), *(v for _, _, v in segments if v > 0)]
+        rows = _assert_sweep_matches_oracle(PiecewiseConstant(segments=segments), energies)
+        plateaus += sum(v > 0 for _, _, v in segments)
+        assert len(rows) == len(energies)
+    assert plateaus > 60
+
+
+def test_closed_form_kernel_matches_solve_oracle_past_the_scale_threshold():
+    # beta * a reaches about 330 e-folds: the log-domain scale is taken out
+    energies = np.linspace(0.02, 5.8, 300)
+    beta_a = np.sqrt(2.0 * np.clip(4.0 - energies, 0.0, None)) * 120.0
+    assert (beta_a > scattering._SCALE_EXTRACT_THRESHOLD).sum() > 20
+    _assert_sweep_matches_oracle(Barrier(v0=4.0, a=120.0), energies)
+    stack = PiecewiseConstant(((0.0, 60.0, 4.0), (60.0, 61.0, 4.0), (62.0, 180.0, 5.0)))
+    _assert_sweep_matches_oracle(stack, [0.3, 1.0, 3.9, 4.0, 4.5, 5.0, 7.0])
+
+
+def test_closed_form_kernel_matches_solve_oracle_in_si_units():
+    m_e, ev, angstrom = 9.1093837015e-31, 1.602176634e-19, 1e-10
+    si = si_constants(m_e)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        segments = _random_stack(rng, scale=angstrom, height=ev)
+        energies = [*(rng.uniform(0.05, 8.0, 10) * ev).tolist(),
+                    *(v for _, _, v in segments if v > 0)]
+        _assert_sweep_matches_oracle(PiecewiseConstant(segments=segments), energies, m_e, si)
+
+
+@pytest.mark.parametrize("v0, a", [(4.0, 1.0), (2.0, 3.0), (4.0, 120.0)])
+def test_closed_form_interior_coefficients_match_solve_oracle(v0, a):
+    energies = [*np.linspace(0.05, 9.0, 61).tolist(), v0]
+    rows = transmission_sweep(Barrier(v0=v0, a=a), energies)
+    _, _, c_plus, c_minus = _oracle_chain(Barrier(v0=v0, a=a), energies)
+    assert np.all(np.abs(np.array([row.c_plus for row in rows]) - c_plus) <= 1e-13)
+    assert np.all(np.abs(np.array([row.c_minus for row in rows]) - c_minus) <= 1e-13)
+
+
+def test_closed_form_region_waves_match_solve_oracle():
+    rng = np.random.default_rng(11)
+    cases = [(Barrier(v0=4.0, a=a), 0.5) for a in (5.0, 120.0)]
+    for _ in range(40):
+        segments = _random_stack(rng)
+        potential = PiecewiseConstant(segments=segments)
+        cases += [(potential, float(E)) for E in rng.uniform(0.05, 8.0, 2)]
+        cases += [(potential, v) for _, _, v in segments[:1] if v > 0]
+    for potential, E in cases:
+        waves = region_waves(potential, E)
+        for wave, pair in zip(waves, _oracle_region_pairs(potential, E), strict=True):
+            scale = np.max(np.abs(pair))
+            assert abs(wave.forward - pair[0]) <= 1e-13 * scale
+            assert abs(wave.backward - pair[1]) <= 1e-13 * scale
+
+
+# --- Sweep energies are checked as one array, with the per-row messages ------
+
+_BARRIER = Barrier(v0=2.0, a=1.0)
+_STEP = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
+_RAISED = PiecewiseConstant(segments=((-math.inf, math.inf, 2.0),))
+SWEEP_ERRORS = {
+    "nan_first": (_BARRIER, [math.nan, 1.0, 2.0], ParameterError,
+                  "sweep row 0 (E=nan): energy must be positive, got nan"),
+    "inf_middle": (_BARRIER, [1.0, math.inf, 2.0], ParameterError,
+                   "sweep row 1 (E=inf): energy must be finite, got inf"),
+    "minus_inf_last": (_BARRIER, [1.0, 2.0, -math.inf], ParameterError,
+                       "sweep row 2 (E=-inf): energy must be positive, got -inf"),
+    "zero_last": (_BARRIER, [1.0, 0], ParameterError,
+                  "sweep row 1 (E=0): energy must be positive, got 0.0"),
+    "string_middle": (_BARRIER, [1.0, "x", 2.0], ValueError,
+                      "sweep row 1 (E=x): could not convert string to float: 'x'"),
+    "none_last": (_BARRIER, [1.0, None], TypeError,
+                  "sweep row 1 (E=None): float() argument must be a string or a real "
+                  "number, not 'NoneType'"),
+    "two_bad_rows": (_BARRIER, [1.0, -1.0, math.nan], ParameterError,
+                     "sweep row 1 (E=-1.0): energy must be positive, got -1.0"),
+    "bad_row_before_string": (_BARRIER, [1.0, -2.0, "x"], ParameterError,
+                              "sweep row 1 (E=-2.0): energy must be positive, got -2.0"),
+    "array_nan_last": (_BARRIER, np.array([0.5, 1.0, np.nan]), ParameterError,
+                       "sweep row 2 (E=nan): energy must be positive, got nan"),
+    "asymptotes": (_STEP, [2.0, 3.0], UnsupportedMethodError,
+                   "sweep row 0 (E=2.0): asymptotic potentials differ (0.0 vs 1.0); "
+                   "flux-normalized transmission is not supported"),
+    "asymptotes_after_sign": (_STEP, [-1.0, 3.0], ParameterError,
+                              "sweep row 0 (E=-1.0): energy must be positive, got -1.0"),
+    "asymptotes_after_string": (_STEP, ["x", 3.0], ValueError,
+                                "sweep row 0 (E=x): could not convert string to float: 'x'"),
+    "closed_middle": (_RAISED, [3.0, 1.0, 2.0], ParameterError,
+                      "sweep row 1 (E=1.0): E=1.0 does not propagate in the asymptotic "
+                      "regions (V=2.0); the incident channel is evanescent"),
+    "closed_at_asymptote_last": (_RAISED, [3.0, 4.0, 2.0], ParameterError,
+                                 "sweep row 2 (E=2.0): E=2.0 does not propagate in the "
+                                 "asymptotic regions (V=2.0); the incident channel is evanescent"),
+    "closed_before_nan": (_RAISED, [3.0, 1.5, math.nan], ParameterError,
+                          "sweep row 1 (E=1.5): E=1.5 does not propagate in the asymptotic "
+                          "regions (V=2.0); the incident channel is evanescent"),
+    "int_overflow": (_BARRIER, [1.0, 10**400], OverflowError,
+                     f"sweep row 1 (E={10**400}): int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
+def test_sweep_errors_name_the_first_bad_row(case):
+    potential, energies, error, message = SWEEP_ERRORS[case]
+    with pytest.raises(error) as info:
+        transmission_sweep(potential, energies)
+    assert str(info.value) == message
+
+
+def test_single_energy_errors_keep_their_messages():
+    cases = [
+        (lambda: transfer_scattering(_BARRIER, math.nan), ParameterError,
+         "energy must be positive, got nan"),
+        (lambda: transfer_scattering(_BARRIER, math.inf), ParameterError,
+         "energy must be finite, got inf"),
+        (lambda: transfer_scattering(_STEP, 2.0), UnsupportedMethodError,
+         "asymptotic potentials differ (0.0 vs 1.0); flux-normalized transmission is not supported"),
+        (lambda: region_waves(_RAISED, 1.0), ParameterError,
+         "E=1.0 does not propagate in the asymptotic regions (V=2.0); the incident channel "
+         "is evanescent"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_region_waves_keep_refusing_424_e_folds():
+    # Out of scope here: the growing amplitude of this barrier region, about
+    # |t| exp(-424) ~ 1e-368, is below the float range, so the assembled wave
+    # cannot be continuous at x = 300 and region_waves must refuse it.
+    with pytest.raises(ParameterError, match=r"^E=1\.0: the region amplitudes leave the "
+                       r"float range .* the stack is too opaque to assemble region by region$"):
         region_waves(Barrier(v0=2.0, a=300.0), 1.0)

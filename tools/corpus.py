@@ -21,13 +21,18 @@ the two never share imported modules.  Data files and library results are
 compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
 skipped.  Exit status 0 means every scenario exits alike on both sides and
 every data file and library result exists on both sides with the same digest.
+For a data file whose digest differs, the report gives its largest absolute
+and relative numeric cell difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +293,58 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
+def _cells(path: Path) -> list:
+    """A data file's cells in reading order: the leaves of a JSON document or
+    the fields of a CSV table."""
+    text = path.read_text()
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        return [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+    leaves, stack = [], [document]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            stack += reversed(list(node.values()))
+        elif isinstance(node, list):
+            stack += reversed(node)
+        else:
+            leaves.append(node)
+    return leaves
+
+
+def _number(cell) -> float | None:
+    if isinstance(cell, bool):
+        return None
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def cell_difference(this: Path, against: Path) -> str:
+    """The largest absolute and relative difference between the numeric cells
+    of two data files of the same shape; other differing cells are counted."""
+    cells = _cells(this), _cells(against)
+    if len(cells[0]) != len(cells[1]):
+        return f"{len(cells[0])} vs {len(cells[1])} cells"
+    moved = other = 0
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(*cells):
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            other += 1
+            continue
+        moved += 1
+        worst_abs = max(worst_abs, abs(x - y))
+        worst_rel = max(worst_rel, abs(x - y) / (max(abs(x), abs(y)) or 1.0))
+    text = f"{moved} numeric cells moved, max abs {worst_abs:.2g}, max rel {worst_rel:.2g}"
+    return text + (f"; {other} other cells differ" if other else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, type=Path,
@@ -303,13 +360,19 @@ def main(argv=None) -> int:
         for side, src in (("this", REPO / "src"), ("against", args.against)):
             codes[side] = run_side(src.resolve(), runs, scenarios, tmp / side)
             sums[side] = digests(tmp / side) | _child(src.resolve(), _LIBRARY)
+        moved = {
+            name: cell_difference(tmp / "this" / name, tmp / "against" / name)
+            for name in sums["this"].keys() & sums["against"].keys()
+            if not name.startswith("library/") and sums["this"][name] != sums["against"][name]
+        }
     failures = [
         f"exit codes differ for {sub}: {a} vs {b}"
         for (_, sub, _), a, b in zip(runs, codes["this"], codes["against"]) if a != b
     ]
     failures += [f"scenario {sub} exited {a}" for (_, sub, _), a in zip(runs, codes["this"]) if a]
     failures += [
-        f"{name}: sha256 differs or missing on one side"
+        f"{name}: sha256 differs ({moved[name]})" if name in moved
+        else f"{name}: sha256 differs or missing on one side"
         for name in sorted(set(sums["this"]) | set(sums["against"]))
         if sums["this"].get(name) != sums["against"].get(name)
     ]
