@@ -14,12 +14,12 @@ log-domain scale, so thick barriers neither overflow nor lose the
 transmitted amplitude to cancellation: with the total chain M, R = -M21/M22
 and T = det(M)/M22, where det(M) telescopes to k_left/k_right.
 
-numpy's complex multiply loop may fuse multiply-adds, an ulp apart from one
-CPU to another, so every complex-by-complex product that reaches a result
-goes through `_times`: u f, d b, q (u f - d b) and i k (u f - d b) in
-`_advance`, r's phase and c_plus/c_minus.  Products by +-1j or a real (delta,
-1/2, T's scale) round each part once, and numpy's complex divisions (q,
-b/(i k), M21/M22, T) give the same bits at any batch size; they stay numpy.
+numpy's complex multiply loop may fuse multiply-adds, an ulp apart from one CPU
+to another, so every complex-by-complex product that reaches a result goes
+through `_times`: u f, d b, q (u f - d b) and i k (u f - d b) in `_advance`,
+r's phase and c_plus/c_minus.  Products by +-1j or a real round each part once,
+and numpy's complex divisions (q, b/(i k), M21/M22, T) give the same bits at
+any batch size; they stay numpy.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ _SCALE_EXTRACT_THRESHOLD = 300.0
 # the kernel's r to this absolute error.  Valid stacks give below 1e-13; an
 # amplitude that underflowed or overflowed on the way gives O(1).
 _ASSEMBLY_TOL = 1e-10
-# the rows of the 2x2 identity as (2, 1) amplitude columns for _advance
-_EYE = np.eye(2, dtype=np.complex128)[:, :, None]
+_EYE = np.eye(2, dtype=np.complex128)[:, :, None]  # identity rows, as (2, 1) for _advance
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,17 @@ class RegionWave:
 
 
 def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
-    """Interface positions and the constant potential of every region; a
-    potential with no finite interfaces has none and a single region."""
+    """Interface positions and the constant potential of every region.
+
+    A potential with no finite interfaces (uniform everywhere) yields an
+    empty interface list and a single region value.
+    """
     interfaces: list[float] = []
     for start, end, _ in segment_list(potential):
         for bound in (start, end):
             if math.isfinite(bound) and (not interfaces or bound > interfaces[-1]):
                 interfaces.append(bound)
+
     mids = [0.5 * (left + right) for left, right in zip(interfaces[:-1], interfaces[1:])]
     probes = [interfaces[0] - 1.0, *mids, interfaces[-1] + 1.0] if interfaces else [0.0]
     return interfaces, potential.value_array(np.array(probes)).tolist()
@@ -147,12 +150,11 @@ def _times(a, b):
 
 
 def _advance(k, linear, j, delta, f, b, shift=0.0):
-    """W_{j+1}(0)^-1 W_j(delta) in closed form, applied to region-j amplitudes
-    (f, b), arrays (..., nE).  At the interface region j's wave has value
-    u f + d b and derivative i k_j (u f - d b), or f + delta b and b at
-    E = V; region j+1 splits them as (value +- derivative / (i k_{j+1})) / 2.
-    `shift` subtracts a real log-scale inside region j's exponent; callers
-    keep exp(shift)."""
+    """W_{j+1}(0)^-1 W_j(delta) applied in closed form to region-j amplitudes
+    (f, b), arrays (..., nE): region j's wave has value u f + d b and
+    derivative i k_j (u f - d b) at the interface (f + delta b and b at E = V),
+    which region j+1 splits as (value +- derivative / (i k_{j+1})) / 2.  `shift`
+    is a real log-scale taken out of region j's exponent; callers keep it."""
     k_left, lin_left, lin_right = k[:, j], linear[:, j], linear[:, j + 1]
     up = np.exp(1j * k_left * delta - shift)
     down = np.exp(-1j * k_left * delta - shift)
@@ -204,8 +206,7 @@ def _chain(interfaces, linear, k):
 
 
 def _scatter(potential, energies, mass, constants, sweep):
-    """The kernel: E, r, t, c_plus and c_minus per energy in input order, as
-    _prepare and _chain give them; a sweep names a bad row's index."""
+    """The kernel: E, r, t, c_plus and c_minus per energy, in input order."""
     interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
     return (E, *_chain(interfaces, linear, k))
 
@@ -247,14 +248,13 @@ def region_waves(
     """The fully assembled per-region solution, outermost regions included.
 
     Starts from the kernel's transmitted wave (t, 0) and applies each
-    interface's inverse right to left (its adjugate over its determinant,
-    the ratio of the regions' Wronskians), so through an evanescent region
-    the chain follows the growing solution and no error is amplified.
-    Raises ParameterError when t is below the smallest normal float, or when
-    an evanescent region's amplitude is, or the incident region does not
-    come back to unit incidence and the kernel's r within _ASSEMBLY_TOL:
-    amplitudes are referenced to each region's left edge, so past about 360
-    e-folds a growing one underflows.
+    interface's inverse (adjugate over determinant, the ratio of the regions'
+    Wronskians) right to left, so through an evanescent region the chain
+    follows the growing solution and no error is amplified.  Raises
+    ParameterError when t or an evanescent amplitude is below the smallest
+    normal float (amplitudes are referenced to each region's left edge, so a
+    growing one underflows past about 360 e-folds), or when the incident
+    region misses unit incidence and the kernel's r by over _ASSEMBLY_TOL.
     """
     interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
     r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])

@@ -487,7 +487,8 @@ def test_single_energy_errors_keep_their_messages():
         (lambda: transfer_scattering(_BARRIER, math.inf), ParameterError,
          "energy must be finite, got inf"),
         (lambda: transfer_scattering(_STEP, 2.0), UnsupportedMethodError,
-         "asymptotic potentials differ (0.0 vs 1.0); flux-normalized transmission is not supported"),
+         "asymptotic potentials differ (0.0 vs 1.0); flux-normalized transmission is not "
+         "supported"),
         (lambda: region_waves(_RAISED, 1.0), ParameterError,
          "E=1.0 does not propagate in the asymptotic regions (V=2.0); the incident channel "
          "is evanescent"),
