@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import csv
 import io
@@ -59,7 +58,7 @@ from .potentials import (
     Potential,
     Sampled,
 )
-from .scattering import _scatter
+from .scattering import scattering_table
 
 OUTPUT_DIR_ENV = "QM1D_OUTPUT_DIR"
 
@@ -334,13 +333,8 @@ def _execute_spectrum(spec, constants):
 
 
 def _execute_scatter(spec, constants):
-    E, r, t, _, _ = _scatter(spec["potential"], spec["energies"], constants.mass, constants,
-                              sweep=True)
-    r, t = r.tolist(), t.tolist()
+    block = scattering_table(spec["potential"], spec["energies"], constants.mass, constants)
     columns = ["energy", "prob_R", "prob_T", "phase_R", "phase_T"]
-    block = (E, *(np.array(cells, dtype=np.float64) for cells in (
-        [abs(c) ** 2 for c in r], [abs(c) ** 2 for c in t],
-        [cmath.phase(c) for c in r], [cmath.phase(c) for c in t])))
     return {spec["output"]["path"]: (columns, [block])}
 
 

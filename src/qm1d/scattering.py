@@ -99,8 +99,7 @@ def _prepare(potential, energies, mass, constants, sweep=False):
 
     The rows are checked as one array, then the first bad one alone for its
     message: sign, equal asymptotes, open incident channel.  A sweep converts
-    each row with float() first and prefixes its errors with the row.
-    """
+    each row with float() first and prefixes its errors with the row."""
     positive("mass", mass)
     interfaces, region_v = _region_layout(potential)
     v_left, v_right = region_v[0], region_v[-1]
@@ -129,7 +128,8 @@ def _prepare(potential, energies, mass, constants, sweep=False):
     if bad.any():
         check(int(bad.argmax()), values[bad.argmax()])
     if failed is not None:
-        failed.args = (f"sweep row {len(values)} (E={rows[len(values)]}): {failed}",)
+        if sweep:  # a single energy keeps float()'s own message
+            failed.args = (f"sweep row {len(values)} (E={rows[len(values)]}): {failed}",)
         raise failed
     v = np.array(region_v, dtype=float)
     linear = _equal_energies(E[:, None], v)
@@ -172,11 +172,11 @@ def _advance(k, linear, j, delta, f, b, shift=0.0):
 
 
 def _chain(interfaces, linear, k):
-    """r, t, c_plus and c_minus per energy for unit incidence from the left
-    (c_plus and c_minus only for one region on [0, a), else lists of None)."""
+    """r, t and (c_plus, c_minus) per energy for unit incidence from the left
+    (the pair only for one region on [0, a), else None)."""
     n = k.shape[0]
     if not interfaces:  # uniform potential: the incident wave passes unchanged
-        return np.zeros(n, np.complex128), np.ones(n, np.complex128), [None] * n, [None] * n
+        return np.zeros(n, np.complex128), np.ones(n, np.complex128), None
     log_scale = np.zeros(n)
     # f and b are the rows (M11, M12) and (M21, M22) of the running product;
     # region 0 is referenced to its right edge, so interface 0 has no width
@@ -197,32 +197,42 @@ def _chain(interfaces, linear, k):
     det_total = np.exp(-log_scale + 0j).real
     t = np.exp(1j * k0 * (x0 - xm)) * det_total / b[1]
     if len(interfaces) != 2 or x0 != 0.0:
-        return r, t, [None] * n, [None] * n
+        return r, t, None
     # region 1's amplitudes from the incident pair (1, r); below the barrier
     # top the forward basis decays, so exp(+beta x)'s is the backward one
     f1, b1 = (row[0] + _times(row[1], r) for row in first)
     decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
-    return r, t, np.where(decaying, b1, f1).tolist(), np.where(decaying, f1, b1).tolist()
+    return r, t, (np.where(decaying, b1, f1), np.where(decaying, f1, b1))
 
 
 def _scatter(potential, energies, mass, constants, sweep):
-    """The kernel: E, r, t, c_plus and c_minus per energy, in input order."""
+    """The kernel, in input order: E; r, t, |r|^2 and |t|^2 as lists, by scalar abs
+    (numpy's abs loop may round apart from libm's hypot); (c_plus, c_minus) or None."""
     interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
-    return (E, *_chain(interfaces, linear, k))
+    r, t, amplitudes = _chain(interfaces, linear, k)
+    r, t = r.tolist(), t.tolist()
+    return E, r, t, [abs(c) ** 2 for c in r], [abs(c) ** 2 for c in t], amplitudes
 
 
-def _results(E, r, t, c_plus, c_minus) -> list[ScatteringResult]:
-    return [
-        ScatteringResult(r=ri, t=ti, prob_r=abs(ri) ** 2, prob_t=abs(ti) ** 2,
-                         energy=Ei, c_plus=cp, c_minus=cm)
-        for Ei, ri, ti, cp, cm in zip(E.tolist(), r.tolist(), t.tolist(), c_plus, c_minus)
-    ]
+def _results(E, r, t, prob_r, prob_t, amplitudes) -> list[ScatteringResult]:
+    c_pairs = zip(*(c.tolist() for c in amplitudes)) if amplitudes else [(None, None)] * len(r)
+    return [ScatteringResult(r=ri, t=ti, prob_r=pr, prob_t=pt, energy=Ei, c_plus=cp, c_minus=cm)
+            for Ei, ri, ti, pr, pt, (cp, cm) in zip(E.tolist(), r, t, prob_r, prob_t, c_pairs)]
+
+
+def scattering_table(
+    potential: Potential, energies: Sequence[float], mass: float = 1.0,
+    constants: PhysicalConstants = NATURAL,
+) -> tuple[np.ndarray, ...]:
+    """Energy, |r|^2, |t|^2 and the phases of r and t as float arrays, one entry
+    per energy in input order: transmission_sweep's numbers without its objects."""
+    E, r, t, prob_r, prob_t, _ = _scatter(potential, energies, mass, constants, sweep=True)
+    return (E, *(np.array(cells, dtype=np.float64) for cells in (
+        prob_r, prob_t, [cmath.phase(c) for c in r], [cmath.phase(c) for c in t])))
 
 
 def transmission_sweep(
-    potential: Potential,
-    energies: Sequence[float],
-    mass: float = 1.0,
+    potential: Potential, energies: Sequence[float], mass: float = 1.0,
     constants: PhysicalConstants = NATURAL,
 ) -> list[ScatteringResult]:
     """R, T of a piecewise-constant stack at every energy, in input order."""
@@ -230,39 +240,30 @@ def transmission_sweep(
 
 
 def transfer_scattering(
-    potential: Potential,
-    E: float,
-    mass: float = 1.0,
-    constants: PhysicalConstants = NATURAL,
+    potential: Potential, E: float, mass: float = 1.0, constants: PhysicalConstants = NATURAL,
 ) -> ScatteringResult:
     """R, T of a piecewise-constant stack for unit incidence from the left."""
     return _results(*_scatter(potential, [E], mass, constants, sweep=False))[0]
 
 
 def region_waves(
-    potential: Potential,
-    E: float,
-    mass: float = 1.0,
-    constants: PhysicalConstants = NATURAL,
+    potential: Potential, E: float, mass: float = 1.0, constants: PhysicalConstants = NATURAL,
 ) -> list[RegionWave]:
     """The fully assembled per-region solution, outermost regions included.
 
-    Starts from the kernel's transmitted wave (t, 0) and applies each
-    interface's inverse (adjugate over determinant, the ratio of the regions'
-    Wronskians) right to left, so through an evanescent region the chain
-    follows the growing solution and no error is amplified.  Raises
-    ParameterError when t or an evanescent amplitude is below the smallest
-    normal float (amplitudes are referenced to each region's left edge, so a
-    growing one underflows past about 360 e-folds), or when the incident
-    region misses unit incidence and the kernel's r by over _ASSEMBLY_TOL.
-    """
+    Applies each interface's inverse (adjugate over the ratio of the regions'
+    Wronskians) right to left from the transmitted wave (t, 0), so through an
+    evanescent region the chain follows the growing solution and amplifies no
+    error.  Raises ParameterError when t or an evanescent amplitude is below
+    the smallest normal float (a growing one, referenced to its region's left
+    edge, underflows past about 360 e-folds), or when the incident region
+    misses unit incidence and the kernel's r by over _ASSEMBLY_TOL."""
     interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
     r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])
     if abs(t) < sys.float_info.min:
         raise ParameterError(
             f"E={E}: the transmitted amplitude |t| = {abs(t):.3g} underflows; "
-            "the stack is too opaque to assemble region by region"
-        )
+            "the stack is too opaque to assemble region by region")
     ks = [0.0 if flag else complex(kj) for flag, kj in zip(linear[0], k[0])]
     wronskian = [1.0 if flag else -2j * kj for flag, kj in zip(linear[0], ks)]
     refs = (interfaces[:1] or [0.0]) + interfaces
@@ -283,8 +284,7 @@ def region_waves(
         raise ParameterError(
             f"E={E}: the region amplitudes leave the float range (incident amplitudes "
             f"off by {off:.2g}, smallest evanescent amplitude {tiny:.2g}); the stack "
-            "is too opaque to assemble region by region"
-        )
+            "is too opaque to assemble region by region")
     bounds = [-math.inf] + interfaces + [math.inf]
     return [
         RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1],

@@ -206,25 +206,54 @@ def test_sweep_below_barrier_monotone_in_energy():
 def test_sweep_error_carries_row_index():
     with pytest.raises(ParameterError, match="row 1"):
         transmission_sweep(Barrier(v0=2.0, a=1.0), [1.0, -3.0])
-    # each row runs the single-call checks in order: sign, asymptotes, channel
+    # the rows are checked as one array, but the first bad row in input order
+    # runs the single-call checks in order: sign, asymptotes, channel
+    barrier = Barrier(v0=2.0, a=1.0)
     step = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
     raised = PiecewiseConstant(segments=((-math.inf, math.inf, 2.0),))
+    differ = ("asymptotic potentials differ (0.0 vs 1.0); flux-normalized transmission "
+              "is not supported")
+    closed = ("does not propagate in the asymptotic regions (V=2.0); the incident channel "
+              "is evanescent")
     cases = [
-        (Barrier(v0=2.0, a=1.0), [1.0, 2.0, -3], ParameterError,
+        (barrier, [1.0, 2.0, -3], ParameterError,
          "sweep row 2 (E=-3): energy must be positive, got -3.0"),
         (step, [-1.0, 5.0], ParameterError,
          "sweep row 0 (E=-1.0): energy must be positive, got -1.0"),
-        (step, [5.0, -1.0], UnsupportedMethodError,
-         "sweep row 0 (E=5.0): asymptotic potentials differ (0.0 vs 1.0)"),
-        (raised, [3.0, 1.0], ParameterError,
-         "sweep row 1 (E=1.0): E=1.0 does not propagate in the asymptotic regions (V=2.0)"),
-        (Barrier(v0=2.0, a=1.0), [1.0, "x", -3.0], ValueError,
+        (step, [5.0, -1.0], UnsupportedMethodError, f"sweep row 0 (E=5.0): {differ}"),
+        (raised, [3.0, 1.0], ParameterError, f"sweep row 1 (E=1.0): E=1.0 {closed}"),
+        (barrier, [1.0, "x", -3.0], ValueError,
          "sweep row 1 (E=x): could not convert string to float: 'x'"),
+        # nan, +-inf and zero first, in the middle and last
+        (barrier, [math.nan, 1.0, 2.0], ParameterError,
+         "sweep row 0 (E=nan): energy must be positive, got nan"),
+        (barrier, [1.0, math.inf, 2.0], ParameterError,
+         "sweep row 1 (E=inf): energy must be finite, got inf"),
+        (barrier, [1.0, 2.0, -math.inf], ParameterError,
+         "sweep row 2 (E=-inf): energy must be positive, got -inf"),
+        (barrier, [1.0, 0], ParameterError, "sweep row 1 (E=0): energy must be positive, got 0.0"),
+        (barrier, np.array([0.5, 1.0, np.nan]), ParameterError,
+         "sweep row 2 (E=nan): energy must be positive, got nan"),
+        (barrier, [1.0, None], TypeError,
+         "sweep row 1 (E=None): float() argument must be a string or a real number, not "
+         "'NoneType'"),
+        (barrier, [1.0, 10**400], OverflowError,
+         f"sweep row 1 (E={10**400}): int too large to convert to float"),
+        # two bad rows: the first one names the sweep's error
+        (barrier, [1.0, -1.0, math.nan], ParameterError,
+         "sweep row 1 (E=-1.0): energy must be positive, got -1.0"),
+        (barrier, [1.0, -2.0, "x"], ParameterError,
+         "sweep row 1 (E=-2.0): energy must be positive, got -2.0"),
+        (step, ["x", 3.0], ValueError, "sweep row 0 (E=x): could not convert string to float: 'x'"),
+        (raised, [3.0, 1.5, math.nan], ParameterError, f"sweep row 1 (E=1.5): E=1.5 {closed}"),
+        # a closed channel in the middle and exactly at the asymptote, last
+        (raised, [3.0, 1.0, 2.0], ParameterError, f"sweep row 1 (E=1.0): E=1.0 {closed}"),
+        (raised, [3.0, 4.0, 2.0], ParameterError, f"sweep row 2 (E=2.0): E=2.0 {closed}"),
     ]
     for potential, energies, error, message in cases:
         with pytest.raises(error) as info:
             transmission_sweep(potential, energies)
-        assert str(info.value).startswith(message)
+        assert str(info.value) == message
 
 
 def test_unequal_asymptotes_rejected():
@@ -426,77 +455,45 @@ def test_closed_form_region_waves_match_solve_oracle():
             assert abs(wave.backward - pair[1]) <= 1e-13 * scale
 
 
-# --- Sweep energies are checked as one array, with the per-row messages ------
-
-_BARRIER = Barrier(v0=2.0, a=1.0)
-_STEP = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
-_RAISED = PiecewiseConstant(segments=((-math.inf, math.inf, 2.0),))
-SWEEP_ERRORS = {
-    "nan_first": (_BARRIER, [math.nan, 1.0, 2.0], ParameterError,
-                  "sweep row 0 (E=nan): energy must be positive, got nan"),
-    "inf_middle": (_BARRIER, [1.0, math.inf, 2.0], ParameterError,
-                   "sweep row 1 (E=inf): energy must be finite, got inf"),
-    "minus_inf_last": (_BARRIER, [1.0, 2.0, -math.inf], ParameterError,
-                       "sweep row 2 (E=-inf): energy must be positive, got -inf"),
-    "zero_last": (_BARRIER, [1.0, 0], ParameterError,
-                  "sweep row 1 (E=0): energy must be positive, got 0.0"),
-    "string_middle": (_BARRIER, [1.0, "x", 2.0], ValueError,
-                      "sweep row 1 (E=x): could not convert string to float: 'x'"),
-    "none_last": (_BARRIER, [1.0, None], TypeError,
-                  "sweep row 1 (E=None): float() argument must be a string or a real "
-                  "number, not 'NoneType'"),
-    "two_bad_rows": (_BARRIER, [1.0, -1.0, math.nan], ParameterError,
-                     "sweep row 1 (E=-1.0): energy must be positive, got -1.0"),
-    "bad_row_before_string": (_BARRIER, [1.0, -2.0, "x"], ParameterError,
-                              "sweep row 1 (E=-2.0): energy must be positive, got -2.0"),
-    "array_nan_last": (_BARRIER, np.array([0.5, 1.0, np.nan]), ParameterError,
-                       "sweep row 2 (E=nan): energy must be positive, got nan"),
-    "asymptotes": (_STEP, [2.0, 3.0], UnsupportedMethodError,
-                   "sweep row 0 (E=2.0): asymptotic potentials differ (0.0 vs 1.0); "
-                   "flux-normalized transmission is not supported"),
-    "asymptotes_after_sign": (_STEP, [-1.0, 3.0], ParameterError,
-                              "sweep row 0 (E=-1.0): energy must be positive, got -1.0"),
-    "asymptotes_after_string": (_STEP, ["x", 3.0], ValueError,
-                                "sweep row 0 (E=x): could not convert string to float: 'x'"),
-    "closed_middle": (_RAISED, [3.0, 1.0, 2.0], ParameterError,
-                      "sweep row 1 (E=1.0): E=1.0 does not propagate in the asymptotic "
-                      "regions (V=2.0); the incident channel is evanescent"),
-    "closed_at_asymptote_last": (_RAISED, [3.0, 4.0, 2.0], ParameterError,
-                                 "sweep row 2 (E=2.0): E=2.0 does not propagate in the "
-                                 "asymptotic regions (V=2.0); the incident channel is evanescent"),
-    "closed_before_nan": (_RAISED, [3.0, 1.5, math.nan], ParameterError,
-                          "sweep row 1 (E=1.5): E=1.5 does not propagate in the asymptotic "
-                          "regions (V=2.0); the incident channel is evanescent"),
-    "int_overflow": (_BARRIER, [1.0, 10**400], OverflowError,
-                     f"sweep row 1 (E={10**400}): int too large to convert to float"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SWEEP_ERRORS))
-def test_sweep_errors_name_the_first_bad_row(case):
-    potential, energies, error, message = SWEEP_ERRORS[case]
-    with pytest.raises(error) as info:
-        transmission_sweep(potential, energies)
-    assert str(info.value) == message
+# --- Single energies keep the messages of the unprefixed checks --------------
 
 
 def test_single_energy_errors_keep_their_messages():
+    barrier = Barrier(v0=2.0, a=1.0)
+    step = PiecewiseConstant(segments=((0.0, math.inf, 1.0),))
+    raised = PiecewiseConstant(segments=((-math.inf, math.inf, 2.0),))
     cases = [
-        (lambda: transfer_scattering(_BARRIER, math.nan), ParameterError,
+        (lambda: transfer_scattering(barrier, math.nan), ParameterError,
          "energy must be positive, got nan"),
-        (lambda: transfer_scattering(_BARRIER, math.inf), ParameterError,
+        (lambda: transfer_scattering(barrier, math.inf), ParameterError,
          "energy must be finite, got inf"),
-        (lambda: transfer_scattering(_STEP, 2.0), UnsupportedMethodError,
+        (lambda: transfer_scattering(step, 2.0), UnsupportedMethodError,
          "asymptotic potentials differ (0.0 vs 1.0); flux-normalized transmission is not "
          "supported"),
-        (lambda: region_waves(_RAISED, 1.0), ParameterError,
+        (lambda: region_waves(raised, 1.0), ParameterError,
          "E=1.0 does not propagate in the asymptotic regions (V=2.0); the incident channel "
          "is evanescent"),
+        (lambda: transfer_scattering(barrier, 10**400), OverflowError,
+         "int too large to convert to float"),
+        (lambda: region_waves(barrier, 10**400), OverflowError,
+         "int too large to convert to float"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
+
+
+def test_scattering_table_holds_the_sweep_numbers():
+    potential = PiecewiseConstant(segments=((0.0, 1.0, 2.0), (1.0, 1.5, 0.0), (1.5, 2.0, 3.0)))
+    energies = [0.5, 2.0, 3.0, 4.5]
+    rows = transmission_sweep(potential, energies)
+    table = scattering.scattering_table(potential, energies)
+    assert all(column.dtype == np.float64 for column in table)
+    expected = [[row.energy for row in rows], [row.prob_r for row in rows],
+                [row.prob_t for row in rows], [cmath.phase(row.r) for row in rows],
+                [cmath.phase(row.t) for row in rows]]
+    assert [column.tolist() for column in table] == expected
 
 
 def test_region_waves_keep_refusing_424_e_folds():

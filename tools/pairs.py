@@ -1,19 +1,19 @@
 """Alternated parent/change benchmark pairs, written as ``BENCH_<n>.json``.
 
     python tools/pairs.py --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \
-        --title "what the change does" --out BENCH_16.json [--pairs 10] \
-        [--seconds 30] [--workload scatter_sweep ...]
+        --title "what the change does" --out BENCH_16.json
 
-Pair i of a workload runs ``perfbench/run.py --workload W --seed i
---seconds N --trace 0`` once in each checkout, each with its own
-``perfbench/`` and ``src/``.  The side that runs first alternates from pair
-to pair, starting with the parent.  The output holds the change's title, the
-parent's commit, how the pairs were run, the machine, every pair with both
-result objects as run.py printed them, and per workload a summary: for each
+For every workload of ``BENCHMARK.json``, pair i (1 to 10) runs
+``perfbench/run.py --workload W --seed i --seconds N --trace 0`` once in each
+checkout, each with its own ``perfbench/`` and ``src/``; N is the benchmark's
+``run_seconds``.  The side that runs first alternates from pair to pair,
+starting with the parent.  The output holds the change's title, the parent's
+commit, how the pairs were run, the machine, every pair with both result
+objects as run.py printed them, and per workload a summary: for each
 end-to-end metric the median and quartiles of each side and the number of
-pairs in which the change reads lower, and the failed ops of each side.
-The file is rewritten after every pair, so an interrupted run keeps the
-pairs it finished.
+pairs in which the change reads lower, and the failed ops of each side.  The
+file is rewritten after every pair, so an interrupted run keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,17 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--title", required=True, help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append",
-                        help="repeatable; default: every workload of BENCHMARK.json")
     args = parser.parse_args(argv)
-    workloads = args.workload or [
-        w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["parent"],
                             capture_output=True, text=True, check=True).stdout.strip()
-    seconds = f"{args.seconds:g}"
     record = {
         "change": args.title,
         "parent_commit": commit,
@@ -113,11 +110,11 @@ def main(argv=None) -> int:
         "summary": {},
     }
     for workload in workloads:
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], workload, seed, seconds)
             record["pairs"].append(pair)
             record["summary"] = summary(record["pairs"])
             args.out.write_text(json.dumps(record, indent=2) + "\n")
