@@ -16,6 +16,7 @@ stays second order; the time propagators accept only that default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,11 +93,17 @@ class DiscreteHamiltonian:
     def second_off_diagonal(self) -> np.ndarray | None:
         return self.band[2, :-2] if len(self.band) > 2 else None
 
+    @cached_property
+    def active(self) -> slice | np.ndarray:
+        """active_indices as a slice when they are one run (no interior wall),
+        so a full-grid vector's active part is read and written as a view."""
+        idx = self.active_indices
+        return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """H acting on a full-grid vector; excluded points map to zero."""
         out = np.zeros_like(values, dtype=np.complex128)
-        idx = self.active_indices
-        out[idx] = self.apply_active(values[idx])
+        out[self.active] = self.apply_active(values[self.active])
         return out
 
     def apply_active(self, v: np.ndarray) -> np.ndarray:

@@ -94,6 +94,8 @@ class _CrankNicolson:
     # Largest |psi| allowed at an excluded (hard-wall or box-edge) point, as a
     # fraction of the state's own peak |psi|.
     _WALL_TOL = 1e-12
+    # The stepping loop hands every state's h.apply(values) to step_values.
+    uses_h_values = True
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.order != 2:
@@ -115,7 +117,10 @@ class _CrankNicolson:
         off = 1j * lam * h.band[1, :-1]
         *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
 
-    def step_values(self, values: np.ndarray) -> np.ndarray:
+    def step_values(self, values: np.ndarray, h_values: np.ndarray | None = None,
+                    edge: float | None = None) -> np.ndarray:
+        """The next state's values; h_values, when given, is h.apply(values).
+        edge is not read (see _SplitStep.step_values)."""
         # The wall check runs every step; excluded points holding exactly
         # zero (every stepped state) pass without the peak.
         fraction = peak_fraction(values, self.masked, self._WALL_TOL)
@@ -124,11 +129,12 @@ class _CrankNicolson:
                 f"state has {fraction:.2e} of its peak amplitude at an excluded "
                 "(hard-wall or boundary) point; it does not represent an admissible state"
             )
-        idx = self.h.active_indices
-        v = values[idx]
-        rhs = v - 1j * self.lam * self.h.apply_active(v)
+        active = self.h.active
+        v = values[active]
+        hv = self.h.apply_active(v) if h_values is None else h_values[active]
+        rhs = v - 1j * self.lam * hv
         out = np.zeros_like(values, dtype=np.complex128)
-        out[idx], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
+        out[active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
 
 
@@ -156,6 +162,9 @@ class _SplitStep:
     in a round trip, so a step is half * ifft(kinetic * fft(half * psi)).
     """
 
+    # A step reads no H psi: the stepping loop computes it for snapshots only.
+    uses_h_values = False
+
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.wall_mask.any():
             raise UnsupportedMethodError(
@@ -166,8 +175,11 @@ class _SplitStep:
         p, _ = fft_momenta(h.grid, constants)
         self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
 
-    def step_values(self, values: np.ndarray) -> np.ndarray:
-        fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
+    def step_values(self, values: np.ndarray, h_values: np.ndarray | None = None,
+                    edge: float | None = None) -> np.ndarray:
+        """The next state's values; edge, when given, is values' peak_fraction
+        at EDGES, which the guard then reuses.  h_values is not read."""
+        fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if edge is None else edge
         if fraction:
             raise EdgeAmplitudeError(
                 f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
@@ -199,8 +211,11 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
             constants: PhysicalConstants, keep: Callable[[np.ndarray], object]):
     """Step psi0 and observe each recorded state while it is still in cache: the
     recorded times, the SERIES as arrays and keep(values) of each recorded state.
-    A step failure is re-raised with "step k: " prefixed; the series' warnings
-    are issued after the last step, in snapshot order, so a failed run has none."""
+    Each state's H psi and edge peak_fraction are computed at most once: what a
+    recorded state's snapshot takes, its step reuses, and a Crank-Nicolson step
+    gets H psi of an unrecorded state too.  A step failure is re-raised with
+    "step k: " prefixed; the series' warnings are issued after the last step,
+    in snapshot order, so a failed run has none."""
     h = build_hamiltonian(psi0.grid, potential, mass, constants)
     stepper = STEPPERS[config.method](h, config.dt, constants)
     observe = _SnapshotObservables(h, constants)
@@ -209,13 +224,16 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
     for k in range(config.steps + 1):
         if k:
             try:
-                values = stepper.step_values(values)
+                values = stepper.step_values(values, h_values, edge)
             except Exception as exc:
                 exc.args = (f"step {k}: {exc}",)
                 raise
-        if k % config.observables_every == 0 or k == config.steps:
+        recorded = k % config.observables_every == 0 or k == config.steps
+        h_values = h.apply(values) if recorded or stepper.uses_h_values else None
+        edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if recorded else None
+        if recorded:
             times.append(k * config.dt)
-            observed.append(observe(values))
+            observed.append((observe(values, h_values), edge))
             kept.append(keep(values))
     for row, edge in observed:
         _warn_if_unnormalized(row[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared, peak_fraction
+from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared
 from .eigensolver import DiscreteHamiltonian
 from .errors import (
     EdgeAmplitudeWarning,
@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     warn,
 )
-from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, to_momentum_space, to_position_space
+from .spectral import fft_momenta, to_momentum_space, to_position_space
 
 # Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
@@ -149,38 +149,47 @@ def uncertainty(op: Operator, psi: WaveFunction) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
+def _moments(coords: np.ndarray, density: np.ndarray, scale: float) -> tuple[float, float]:
+    """Mean and variance of coords under the weights density * scale, with
+    one temporary folded in place."""
+    work = coords * density
+    mean = float(work.sum() * scale)
+    np.subtract(coords, mean, out=work)
+    work *= work
+    work *= density
+    return mean, float(work.sum() * scale)
+
+
 class _SnapshotObservables:
     """The six evolve series of position-space amplitudes on h's grid.
 
     Equal to roundoff to norm_squared, expectation and uncertainty of the
-    position, momentum and Hamiltonian operators, from one density and one
-    unshifted FFT.  A call decides the two warnings those would issue and
-    emits neither: the norm is a series and the edge peak_fraction is
-    returned with the row.  The evolution loop emits them once its last step
-    has succeeded, so a failed run warns of nothing.
+    position, momentum and Hamiltonian operators, from one density, one
+    unshifted FFT and the state's H psi, which the caller computes once for
+    this and the next step.  A call issues no warning: the norm is a series,
+    and the evolution loop takes the edge peak_fraction itself and warns
+    of both once its last step has succeeded, so a failed run warns of nothing.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
-        self.h = h
         self.x = h.grid.points
         self.dx = h.grid.dx
         self.p, self.p_weight = fft_momenta(h.grid, constants)
 
-    def __call__(self, values: np.ndarray) -> tuple[tuple[float, ...], float]:
-        """The series in evolution.Trajectory's field order, and the edge
-        peak_fraction (0.0 when within EDGE_AMPLITUDE_TOL)."""
-        dx = self.dx
-        density = np.abs(values) ** 2
-        norm = float(np.sum(density) * dx)
-        edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
-        x_mean = float(np.sum(self.x * density) * dx)
-        x_var = float(np.sum((self.x - x_mean) ** 2 * density) * dx)
-        p_density = np.abs(np.fft.fft(values)) ** 2 * self.p_weight
-        p_mean = float(np.sum(self.p * p_density))
-        p_var = float(np.sum((self.p - p_mean) ** 2 * p_density))
-        energy = float(np.vdot(values, self.h.apply(values)).real * dx)
+    def __call__(self, values: np.ndarray, h_values: np.ndarray) -> tuple[float, ...]:
+        """The series in evolution.Trajectory's field order; h_values is
+        h.apply(values)."""
+        density = np.abs(values)
+        density *= density
+        norm = float(density.sum() * self.dx)
+        x_mean, x_var = _moments(self.x, density, self.dx)
+        p_density = np.abs(np.fft.fft(values))
+        p_density *= p_density
+        p_density *= self.p_weight
+        p_mean, p_var = _moments(self.p, p_density, 1.0)
+        energy = float(np.vdot(values, h_values).real * self.dx)
         return (norm, x_mean, p_mean, math.sqrt(max(x_var, 0.0)),
-                math.sqrt(max(p_var, 0.0)), energy), edge
+                math.sqrt(max(p_var, 0.0)), energy)
 
 
 def commutator_expectation(op_a: Operator, op_b: Operator, psi: WaveFunction) -> complex:

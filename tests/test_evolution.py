@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+import qm1d
 from qm1d import (
     NATURAL,
+    DiscreteHamiltonian,
     EvolutionConfig,
     GaussianPacketParams,
     Harmonic,
     InfiniteWell,
     PiecewiseConstant,
+    Sampled,
     WaveFunction,
     build_hamiltonian,
     crank_nicolson_step,
@@ -39,7 +42,9 @@ from qm1d.errors import (
     ParameterError,
     UnsupportedMethodError,
 )
+from qm1d.core import peak_fraction
 from qm1d.evolution import STEPPERS, _CrankNicolson, _SplitStep
+from qm1d.spectral import EDGES
 
 
 def gaussian_on(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -288,7 +293,7 @@ class _TwoArgError(RuntimeError):
 def test_evolve_step_error_keeps_type_and_prefixes_step(monkeypatch, method, stepper):
     taken = []
 
-    def failing_step(self, values):
+    def failing_step(self, values, h_values, edge):
         taken.append(1)
         if len(taken) == 3:
             raise _TwoArgError(7, "injected")
@@ -396,3 +401,89 @@ def test_evolve_warns_on_hot_edge_crank_nicolson_state():
     config = EvolutionConfig(dt=1e-3, steps=0, method="crank_nicolson")
     with pytest.warns(EdgeAmplitudeWarning, match="periodic transform will not approximate"):
         evolve(psi, PiecewiseConstant(), config)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_crank_nicolson_evolve_applies_h_once_per_state(monkeypatch, every):
+    # One H psi per state serves its snapshot's energy and the next step's
+    # right-hand side: N + 1 products for N steps, not 2N + 1.
+    calls = []
+    apply_active = DiscreteHamiltonian.apply_active
+
+    def counted(self, v):
+        calls.append(1)
+        return apply_active(self, v)
+
+    monkeypatch.setattr(DiscreteHamiltonian, "apply_active", counted)
+    g = make_grid(-12, 12, 256)
+    config = EvolutionConfig(dt=0.01, steps=10, observables_every=every)
+    evolve(gaussian_on(g, k0=1.0), PiecewiseConstant(), config)
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_split_step_evolve_takes_edge_fraction_once_per_state(monkeypatch, every):
+    # The guard of a step reuses the fraction its state's snapshot took; an
+    # unrecorded state's step takes it itself.
+    calls = []
+
+    def counted(values, points, tol):
+        if isinstance(points, tuple) and points == EDGES:
+            calls.append(1)
+        return peak_fraction(values, points, tol)
+
+    for module in vars(qm1d).values():
+        if getattr(module, "peak_fraction", None) is peak_fraction and module is not qm1d:
+            monkeypatch.setattr(module, "peak_fraction", counted)
+    g = make_grid(-12, 12, 256)
+    config = EvolutionConfig(dt=0.01, steps=10, method="split_step", observables_every=every)
+    evolve(gaussian_on(g, k0=1.0), PiecewiseConstant(), config)
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_split_step_guard_fires_at_a_state_the_snapshots_skip(every):
+    # The packet reaches the edge at state 40, which observables_every=3 does
+    # not record: its step still takes the fraction and refuses it.  Every
+    # snapshot has norm-squared 4, yet the failed run issues no warning.
+    g = make_grid(-10, 10, 256)
+    psi0 = gaussian_on(g, alpha=0.25, k0=10.0)
+    psi0 = psi0.with_values(2.0 * psi0.values)
+    psi = psi0
+    with pytest.raises(EdgeAmplitudeError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormalizationWarning)
+        for hot in range(60):
+            psi = split_step(psi, PiecewiseConstant(), 0.01)
+    assert hot == 40 and hot % 3
+    config = EvolutionConfig(dt=0.01, steps=60, method="split_step", observables_every=every)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EdgeAmplitudeError, match=r"^step 41: state has .* at a grid edge"):
+            evolve(psi0, PiecewiseConstant(), config)
+    assert caught == []
+
+
+def _walled(grid):
+    values = np.zeros(grid.n)
+    values[grid.n // 2] = math.inf
+    return Sampled(values=values, grid=grid)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("place", ["edge", "wall"])
+def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
+    # psi0 is recorded, and its H psi serves step 1, but the excluded-point
+    # check still runs on it before the step.  The wide packet has 0.37 of its
+    # peak at the box edges (and would warn of them), the narrow one 4e-18
+    # there and its peak on the wall; a failed run issues no warning.
+    g = make_grid(-4, 4, 128)
+    if place == "edge":
+        psi0, potential = gaussian_on(g, alpha=4.0), PiecewiseConstant()
+    else:
+        psi0, potential = gaussian_on(g, alpha=0.1), _walled(g)
+    config = EvolutionConfig(dt=1e-3, steps=5, observables_every=every)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match=r"^step 1: state has .* at an excluded"):
+            evolve(psi0, potential, config)
+    assert caught == []

@@ -11,8 +11,10 @@ Library results that no CLI scenario reaches are hashed as well: bound
 states (energies, states, residuals) of both stencils, ``h.apply`` across a
 hard wall, the complex snapshots and six series of a walled Crank-Nicolson
 run and of a free split-step run through the public ``evolve`` (the CLI
-streams its series without it), a barrier and a segment stack sampled on a
-grid with points on their interfaces, and the barrier's
+streams its series without it) and of a walled Crank-Nicolson and a
+harmonic split-step run whose step count is not a multiple of
+``observables_every``, a barrier and a segment stack sampled on a grid with
+points on their interfaces, and the barrier's
 ``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a sweep
 across one of its plateaus, a walled ``Sampled`` table read at its cell
 midpoints and one with walls of both signs sampled on its grid.  Each side
@@ -66,8 +68,10 @@ print(json.dumps(codes))
 # Prints the sha256 of each public-API result below as one JSON object, by
 # name: "library/<stencil order>/<problem>/<result>" for bound states,
 # "library/segments/<potential>/<result>[/<energy>]" for segment potentials,
-# "library/sampled/<potential>/<result>" for sampled ones and
-# "library/free/<method>[/series]" for a free packet through evolve.
+# "library/sampled/<potential>/<result>" for sampled ones,
+# "library/free/<method>[/series]" for a free packet through evolve and
+# "library/off_cadence/<potential>/<method>[/series]" for evolve runs whose
+# steps are not a multiple of observables_every.
 _LIBRARY = """
 import hashlib, json, math, warnings
 import numpy as np
@@ -108,20 +112,29 @@ for order in (2, 4):
     v = rng.standard_normal(osc.n) + 1j * rng.standard_normal(osc.n)
     h = build_hamiltonian(osc, walled, 1.0, NATURAL, order=order)
     sums[f"library/{order}/walled/apply"] = sha(h.apply(v))
-values = np.exp(-((osc.points - 1.0) ** 2) + 1.5j * osc.points)
-values[wall] = 0.0
-config = EvolutionConfig(dt=0.02, steps=40, observables_every=5)
-trajectory = evolve(WaveFunction(osc, values), walled, config)
-sums["library/2/walled/crank_nicolson"] = sha(*(s.values for s in trajectory.snapshots))
-sums["library/2/walled/crank_nicolson/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
 
-# The public evolve on a free split-step packet: its snapshots and its series.
+# The snapshots and the series of the public evolve.
+def run_evolve(key, psi0, potential, **config):
+    trajectory = evolve(psi0, potential, EvolutionConfig(**config))
+    sums[key] = sha(*(s.values for s in trajectory.snapshots))
+    sums[f"{key}/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
+
+values = np.exp(-((osc.points - 1.0) ** 2) + 1.5j * osc.points)
+smooth_packet = normalize(WaveFunction(osc, values))  # a copy of values
+values[wall] = 0.0
+walled_packet = WaveFunction(osc, values)
+run_evolve("library/2/walled/crank_nicolson", walled_packet, walled,
+           dt=0.02, steps=40, observables_every=5)
 free = make_grid(-20.0, 30.0, 512)
 packet = normalize(WaveFunction(free, np.exp(-0.5 * free.points**2 + 2j * free.points)))
-config = EvolutionConfig(dt=0.01, steps=40, method="split_step", observables_every=4)
-trajectory = evolve(packet, PiecewiseConstant(), config)
-sums["library/free/split_step"] = sha(*(s.values for s in trajectory.snapshots))
-sums["library/free/split_step/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
+run_evolve("library/free/split_step", packet, PiecewiseConstant(),
+           dt=0.01, steps=40, method="split_step", observables_every=4)
+# Off cadence: the last state is recorded because it is the last, and Crank-
+# Nicolson steps from states that no snapshot records.
+run_evolve("library/off_cadence/walled/crank_nicolson", walled_packet, walled,
+           dt=0.02, steps=37, observables_every=5)
+run_evolve("library/off_cadence/harmonic/split_step", smooth_packet,
+           Harmonic(omega=1.0), dt=0.02, steps=37, method="split_step", observables_every=4)
 
 # Sampled potentials read between their nodes, and walls of both signs on the grid.
 midpoints = 0.5 * (osc.points[:-1] + osc.points[1:])
