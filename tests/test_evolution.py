@@ -463,12 +463,6 @@ def test_split_step_guard_fires_at_a_state_the_snapshots_skip(every):
     assert caught == []
 
 
-def _walled(grid):
-    values = np.zeros(grid.n)
-    values[grid.n // 2] = math.inf
-    return Sampled(values=values, grid=grid)
-
-
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("place", ["edge", "wall"])
 def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
@@ -480,7 +474,9 @@ def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
     if place == "edge":
         psi0, potential = gaussian_on(g, alpha=4.0), PiecewiseConstant()
     else:
-        psi0, potential = gaussian_on(g, alpha=0.1), _walled(g)
+        walled = np.zeros(g.n)
+        walled[g.n // 2] = math.inf
+        psi0, potential = gaussian_on(g, alpha=0.1), Sampled(values=walled, grid=g)
     config = EvolutionConfig(dt=1e-3, steps=5, observables_every=every)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
