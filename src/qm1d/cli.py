@@ -41,9 +41,9 @@ from .analytic import (
 )
 from .constants import PhysicalConstants, si_constants
 from .core import Grid, WaveFunction, make_grid, normalize
-from .eigensolver import Spectrum, build_hamiltonian, solve_bound_states
+from .eigensolver import build_hamiltonian, solve_bound_states
 from .errors import QmError, SolverError
-from .evolution import SERIES, STEPPERS, EvolutionConfig, Trajectory, _stream
+from .evolution import SERIES, STEPPERS, EvolutionConfig, _stream
 from .observables import (
     momentum_operator,
     position_operator,
@@ -269,39 +269,6 @@ def _parse_gaussian(obj, where: str) -> dict:
 _PLOT_COLUMNS = ("series", "t", "x", "value")
 
 
-def _plot_table(result) -> tuple[tuple[str, ...], list[tuple]]:
-    """Long-format (series, t, x, value) blocks, one per series, of spectra,
-    trajectories, and transmission sweeps."""
-    if isinstance(result, Spectrum):
-        blocks = [(f"state_{i}", "", state.grid.points, state.values.real)
-                  for i, state in enumerate(result.states)]
-    elif isinstance(result, Trajectory):
-        series = {"width": result.x_spread, "x_mean": result.x_mean, "p_mean": result.p_mean,
-                  "norm": result.norm, "energy": result.energy}
-        blocks = [(name, result.times, "", values) for name, values in series.items()]
-    elif isinstance(result, list):  # transmission sweep
-        energies = [float(r.energy) for r in result]
-        blocks = [("prob_T", "", energies, [float(r.prob_t) for r in result]),
-                  ("prob_R", "", energies, [float(r.prob_r) for r in result])]
-    else:
-        raise QmError(f"no plot-data emitter for {type(result).__name__}")
-    return _PLOT_COLUMNS, blocks
-
-
-def emit_plot_data(result) -> tuple[list[str], list[list]]:
-    """Long-format (series, t, x, value) rows for spectra, trajectories,
-    and transmission sweeps."""
-    columns, blocks = _plot_table(result)
-    return list(columns), [
-        list(row) for block in blocks for row in zip(*(c.tolist() for c in _broadcast(block)))
-    ]
-
-
-def _broadcast(block: tuple):
-    """Each entry of a block as an array of one cell per row."""
-    return np.broadcast_arrays(*map(np.asarray, block))
-
-
 # ---------------------------------------------------------------------------
 # Commands: each executor turns a parsed spec into {output path: table}
 
@@ -328,7 +295,10 @@ def _execute_spectrum(spec, constants):
         block = (levels, energies, reference, np.abs(energies - reference) / np.abs(reference))
     outputs = {spec["output"]["path"]: (["n", "E_numeric", "E_analytic", "rel_error"], [block])}
     if spec.get("emit_states"):
-        outputs[_derived_path(spec["output"]["path"], "states")] = _plot_table(spectrum)
+        outputs[_derived_path(spec["output"]["path"], "states")] = (_PLOT_COLUMNS, [
+            (f"state_{i}", "", state.grid.points, state.values.real)
+            for i, state in enumerate(spectrum.states)
+        ])
     return outputs
 
 
@@ -486,7 +456,7 @@ def _check_finite(name: str, table):
     non-finite float cell, and its leftmost such cell."""
     offset = 0
     for block in table[1]:
-        cells = _broadcast(block)
+        cells = np.broadcast_arrays(*map(np.asarray, block))  # one cell per row
         bad = [~np.isfinite(c) if c.dtype.kind == "f" else np.zeros(c.shape, bool) for c in cells]
         if np.any(bad):
             row, col = np.argwhere(np.transpose(bad))[0]

@@ -2,32 +2,27 @@
 
 Operators act on grid states under the uniform quadrature measure, so a
 Hermitian matrix is Hermitian as an operator and the commutator and
-variance identities hold to roundoff.  The momentum operator differentiates
-spectrally (a transform round trip), which keeps commutator and
-uncertainty-bound checks tight; its expectation defaults to the
-momentum-space moment, with the position-space derivative route available
-as an independent cross-check.
+variance identities hold to roundoff.  Each kind acts on plain amplitude
+arrays through one table, _KINDS.  The momentum operator differentiates
+spectrally, ifft(p * fft(psi)), which keeps commutator and uncertainty-bound
+checks tight.  Position and momentum moments are those of the evolve series,
+over |psi|^2 dx and over |phi(p)|^2 dp from one unshifted FFT; the
+position-space derivative route of <p> stays as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .constants import NATURAL, PhysicalConstants
-from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared
+from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared, peak_fraction
 from .eigensolver import DiscreteHamiltonian
-from .errors import (
-    EdgeAmplitudeWarning,
-    GridMismatchError,
-    NormalizationWarning,
-    ParameterError,
-    warn,
-)
-from .spectral import fft_momenta, to_momentum_space, to_position_space
+from .errors import GridMismatchError, NormalizationWarning, ParameterError, warn
+from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, warn_hot_edges
 
 # Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
@@ -45,29 +40,15 @@ class Operator:
     dense: np.ndarray | None = None
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
-        check_state("Operator.apply", psi, Space.POSITION, self.grid)
-        if self.kind == "position":
-            return psi.with_values(self.grid.points * psi.values)
-        if self.kind == "momentum":
-            phi = to_momentum_space(psi, self.constants)
-            return to_position_space(phi.with_values(phi.coordinates * phi.values), self.constants)
-        if self.kind == "hamiltonian":
-            return psi.with_values(self.hamiltonian.apply(psi.values))
-        return psi.with_values(self.dense @ psi.values)
+        return psi.with_values(_KINDS[self.kind].act(self, *_amplitudes(psi, self)))
 
     def matrix(self) -> np.ndarray:
         """Dense n x n representation; intended for small grids."""
-        if self.kind == "custom":
+        if self.dense is not None:  # a custom operator is its matrix
             return self.dense.copy()
-        n = self.grid.n
-        out = np.empty((n, n), dtype=np.complex128)
-        basis = np.eye(n)
-        with warnings.catch_warnings():
-            # basis columns are not physical states; edge checks do not apply
-            warnings.simplefilter("ignore", EdgeAmplitudeWarning)
-            for j in range(n):
-                out[:, j] = self.apply(WaveFunction(self.grid, basis[:, j])).values
-        return out
+        act = _KINDS[self.kind].act
+        basis = np.eye(self.grid.n, dtype=np.complex128)
+        return np.column_stack([act(self, e, _forward(e, self)) for e in basis])
 
 
 def position_operator(grid: Grid) -> Operator:
@@ -89,9 +70,7 @@ def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
         raise GridMismatchError(f"matrix shape {m.shape} does not match grid size {grid.n}")
     defect = np.max(np.abs(m - m.conj().T))
     if defect > HERMITICITY_TOL * np.max(np.abs(m)):
-        raise ParameterError(
-            f"matrix is not Hermitian: max |A - A^dagger| = {defect:.2e}"
-        )
+        raise ParameterError(f"matrix is not Hermitian: max |A - A^dagger| = {defect:.2e}")
     return Operator(kind="custom", grid=grid, dense=m)
 
 
@@ -102,26 +81,91 @@ def _warn_if_unnormalized(n2: float):
              NormalizationWarning)
 
 
-def _momentum_moments(op: Operator, psi: WaveFunction) -> tuple[float, float]:
-    """Mean and variance of p under |phi(p)|^2 dp on the centered grid."""
-    check_state("momentum operator", psi, Space.POSITION, op.grid)
-    phi = to_momentum_space(psi, op.constants)
-    p = phi.coordinates
-    density = np.abs(phi.values) ** 2
-    mean = np.sum(p * density) * phi.dp
-    return mean, np.sum((p - mean) ** 2 * density) * phi.dp
+def _density(values: np.ndarray, weight: float | None = None) -> np.ndarray:
+    """|values|^2, times weight when one is given, computed in place."""
+    density = np.abs(values)
+    density *= density
+    if weight is not None:
+        density *= weight
+    return density
+
+
+def _moments(coords: np.ndarray, density: np.ndarray, scale: float) -> tuple[float, float]:
+    """Mean and variance of coords under the weights density * scale, with
+    one temporary folded in place."""
+    work = coords * density
+    mean = float(work.sum() * scale)
+    np.subtract(coords, mean, out=work)
+    work *= work
+    work *= density
+    return mean, float(work.sum() * scale)
+
+
+def _position_moments(op: Operator, values: np.ndarray, forward) -> tuple[float, float]:
+    return _moments(op.grid.points, _density(values), op.grid.dx)
+
+
+def _fourier_moments(op: Operator, values: np.ndarray, forward) -> tuple[float, float]:
+    """The moments of |phi(p)|^2 dp, with forward = fft(values)."""
+    p, weight = fft_momenta(op.grid, op.constants)
+    return _moments(p, _density(forward, weight), 1.0)
+
+
+def _fourier_act(op: Operator, values: np.ndarray, forward) -> np.ndarray:
+    return np.fft.ifft(fft_momenta(op.grid, op.constants)[0] * forward)
+
+
+def _applied_moments(op: Operator, values: np.ndarray, forward) -> tuple[complex, float]:
+    """<psi|A psi>, complex, and the variance ||(A - <A>) psi||^2."""
+    applied = _KINDS[op.kind].act(op, values, forward)
+    mean = complex(np.vdot(values, applied) * op.grid.dx)
+    residual = applied - mean.real * values
+    return mean, float(np.sum(np.abs(residual) ** 2) * op.grid.dx)
+
+
+class _Kind(NamedTuple):
+    """An Operator.kind on position-space amplitudes v: A v and (<A>, variance),
+    each called as f(op, v, forward); forward is fft(v) if transforms, else None."""
+
+    act: Callable
+    moments: Callable
+    transforms: bool = False
+
+
+_KINDS = {
+    "position": _Kind(lambda op, v, forward: op.grid.points * v, _position_moments),
+    "momentum": _Kind(_fourier_act, _fourier_moments, transforms=True),
+    "hamiltonian": _Kind(lambda op, v, forward: op.hamiltonian.apply(v), _applied_moments),
+    "custom": _Kind(lambda op, v, forward: op.dense @ v, _applied_moments),
+}
+
+
+def _forward(values: np.ndarray, *ops: Operator) -> np.ndarray | None:
+    """fft(values) when one of ops transforms its state, else None."""
+    return np.fft.fft(values) if any(_KINDS[op.kind].transforms for op in ops) else None
+
+
+def _amplitudes(psi: WaveFunction, *ops: Operator) -> tuple[np.ndarray, np.ndarray | None]:
+    """psi's values and their _forward for ops, after the grid and state checks
+    and, when the values are transformed, one edge warning."""
+    if any(op.grid != ops[0].grid for op in ops):
+        raise GridMismatchError("operators live on different grids")
+    check_state(f"the {ops[0].kind} operator", psi, Space.POSITION, ops[0].grid)
+    forward = _forward(psi.values, *ops)
+    if forward is not None:
+        warn_hot_edges(peak_fraction(psi.values, EDGES, EDGE_AMPLITUDE_TOL))
+    return psi.values, forward
+
+
+def _spread(op: Operator, values: np.ndarray, forward) -> float:
+    return math.sqrt(max(_KINDS[op.kind].moments(op, values, forward)[1], 0.0))
 
 
 def expectation(op: Operator, psi: WaveFunction) -> complex:
-    """<psi|A psi> under the uniform quadrature measure.
-
-    The momentum operator is special-cased to the momentum-space moment
-    sum_j p_j |phi_j|^2 dp; all other kinds go through apply().
-    """
+    """<psi|A psi> under the uniform quadrature measure; for position and
+    momentum, the mean of |psi|^2 dx or |phi(p)|^2 dp, as the evolve series take it."""
     _warn_if_unnormalized(norm_squared(psi))
-    if op.kind == "momentum":
-        return complex(_momentum_moments(op, psi)[0])
-    return inner_product(psi, op.apply(psi))
+    return complex(_KINDS[op.kind].moments(op, *_amplitudes(psi, op))[0])
 
 
 def momentum_expectation_x_route(
@@ -137,38 +181,22 @@ def momentum_expectation_x_route(
 
 
 def uncertainty(op: Operator, psi: WaveFunction) -> float:
-    """Root of the variance <(A - <A>)^2>, computed as ||(A - <A>) psi||."""
+    """Root of the variance <(A - <A>)^2>: the second moment for position and
+    momentum, ||(A - <A>) psi|| for every other kind."""
     _warn_if_unnormalized(norm_squared(psi))
-    if op.kind == "momentum":
-        _, var = _momentum_moments(op, psi)
-    else:
-        applied = op.apply(psi)
-        mean = inner_product(psi, applied).real
-        residual = applied.values - mean * psi.values
-        var = np.sum(np.abs(residual) ** 2) * psi.spacing
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def _moments(coords: np.ndarray, density: np.ndarray, scale: float) -> tuple[float, float]:
-    """Mean and variance of coords under the weights density * scale, with
-    one temporary folded in place."""
-    work = coords * density
-    mean = float(work.sum() * scale)
-    np.subtract(coords, mean, out=work)
-    work *= work
-    work *= density
-    return mean, float(work.sum() * scale)
+    return _spread(op, *_amplitudes(psi, op))
 
 
 class _SnapshotObservables:
     """The six evolve series of position-space amplitudes on h's grid.
 
-    Equal to roundoff to norm_squared, expectation and uncertainty of the
-    position, momentum and Hamiltonian operators, from one density, one
-    unshifted FFT and the state's H psi, which the caller computes once for
-    this and the next step.  A call issues no warning: the norm is a series,
-    and the evolution loop takes the edge peak_fraction itself and warns
-    of both once its last step has succeeded, so a failed run warns of nothing.
+    Equal to norm_squared to roundoff and, bit for bit, to expectation and
+    uncertainty of the position, momentum and Hamiltonian operators, whose
+    formulas these are, from one density, one unshifted FFT and the state's
+    H psi, which the caller computes once for this and the next step.  A call
+    issues no warning: the norm is a series, and the evolution loop takes the
+    edge peak_fraction itself and warns of both once its last step has
+    succeeded, so a failed run warns of nothing.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
@@ -179,27 +207,24 @@ class _SnapshotObservables:
     def __call__(self, values: np.ndarray, h_values: np.ndarray) -> tuple[float, ...]:
         """The series in evolution.Trajectory's field order; h_values is
         h.apply(values)."""
-        density = np.abs(values)
-        density *= density
+        density = _density(values)
         norm = float(density.sum() * self.dx)
         x_mean, x_var = _moments(self.x, density, self.dx)
-        p_density = np.abs(np.fft.fft(values))
-        p_density *= p_density
-        p_density *= self.p_weight
-        p_mean, p_var = _moments(self.p, p_density, 1.0)
+        p_mean, p_var = _moments(self.p, _density(np.fft.fft(values), self.p_weight), 1.0)
         energy = float(np.vdot(values, h_values).real * self.dx)
         return (norm, x_mean, p_mean, math.sqrt(max(x_var, 0.0)),
                 math.sqrt(max(p_var, 0.0)), energy)
 
 
+def _commutator(op_a: Operator, op_b: Operator, values: np.ndarray, forward) -> complex:
+    a_psi, b_psi = (_KINDS[op.kind].act(op, values, forward) for op in (op_a, op_b))
+    ab = complex(np.vdot(a_psi, b_psi) * op_a.grid.dx)
+    return ab - ab.conjugate()
+
+
 def commutator_expectation(op_a: Operator, op_b: Operator, psi: WaveFunction) -> complex:
     """<psi|[A, B] psi> for Hermitian A, B: equals <A psi|B psi> - <B psi|A psi>."""
-    if op_a.grid != op_b.grid:
-        raise GridMismatchError("operators live on different grids")
-    a_psi = op_a.apply(psi)
-    b_psi = op_b.apply(psi)
-    ab = inner_product(a_psi, b_psi)
-    return ab - ab.conjugate()
+    return _commutator(op_a, op_b, *_amplitudes(psi, op_a, op_b))
 
 
 @dataclass(frozen=True)
@@ -226,8 +251,11 @@ def _bound_satisfied(lhs: float, rhs: float) -> bool:
 def uncertainty_bound_check(
     op_a: Operator, op_b: Operator, psi: WaveFunction
 ) -> UncertaintyReport:
-    """Check dA * dB >= |<[A, B]>| / 2 up to a relative slack of _BOUND_RTOL."""
-    spread_a, spread_b = uncertainty(op_a, psi), uncertainty(op_b, psi)
+    """Check dA * dB >= |<[A, B]>| / 2 up to a relative slack of _BOUND_RTOL.
+    The spreads and the commutator share one transform of psi and its warnings."""
+    _warn_if_unnormalized(norm_squared(psi))
+    values, forward = _amplitudes(psi, op_a, op_b)
+    spread_a, spread_b = _spread(op_a, values, forward), _spread(op_b, values, forward)
     lhs = spread_a * spread_b
-    rhs = 0.5 * abs(commutator_expectation(op_a, op_b, psi))
+    rhs = 0.5 * abs(_commutator(op_a, op_b, values, forward))
     return UncertaintyReport(lhs, rhs, _bound_satisfied(lhs, rhs), spread_a, spread_b)

@@ -17,21 +17,18 @@ from hypothesis import strategies as st
 
 import qm1d
 from qm1d import (
-    Barrier,
     GaussianPacketParams,
     Harmonic,
     __version__,
     make_grid,
     packet_width,
     si_constants,
-    transmission_sweep,
 )
 from qm1d.cli import (
     _CHUNK_ROWS,
     _PLOT_COLUMNS,
     _check_finite,
     _write_table,
-    emit_plot_data,
     main,
     run_scenario,
 )
@@ -91,22 +88,6 @@ def test_spectrum_emit_states(tmp_path):
     header, rows = read_rows(tmp_path / "levels_states.csv")
     assert header == ["series", "t", "x", "value"]
     assert {r[0] for r in rows} == {"state_0", "state_1", "state_2"}
-
-
-def test_emit_plot_data_empty_trajectory():
-    import numpy as np
-
-    from qm1d import Trajectory
-    from qm1d.cli import emit_plot_data
-
-    empty = Trajectory(
-        times=np.array([]), snapshots=[], norm=np.array([]),
-        x_mean=np.array([]), p_mean=np.array([]), x_spread=np.array([]),
-        p_spread=np.array([]), energy=np.array([]),
-    )
-    columns, rows = emit_plot_data(empty)
-    assert columns == ["series", "t", "x", "value"]
-    assert rows == []
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -265,18 +246,20 @@ def test_uncertainty_scenario(tmp_path):
 
 
 def test_uncertainty_scenario_transforms_each_spread_once(tmp_path, monkeypatch):
-    # one forward transform for the momentum spread, one inside p applied in
-    # the commutator: the row reuses the spreads of the bound check
-    import qm1d.observables
-
+    # one forward FFT serves the momentum spread and p applied in the
+    # commutator, and one inverse FFT brings p psi back to position space
     calls = []
-    forward = qm1d.observables.to_momentum_space
 
-    def counted(*args):
-        calls.append(args)
-        return forward(*args)
+    def counted(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(qm1d.observables, "to_momentum_space", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
     body = {
         "command": "uncertainty",
         "constants": {"profile": "natural"},
@@ -284,7 +267,7 @@ def test_uncertainty_scenario_transforms_each_spread_once(tmp_path, monkeypatch)
         **FORMAT_SCENARIOS["uncertainty"],
     }
     assert main(["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 2
+    assert calls == ["fft", "ifft"]
 
 
 def test_uncertainty_eigenstate_scenario(tmp_path):
@@ -889,17 +872,6 @@ def test_sampled_harmonic_values_give_harmonic_levels(tmp_path):
     levels = _spectrum_levels(tmp_path, "harmonic", harmonic)
     assert _spectrum_levels(tmp_path, "sampled", sampled) == levels
     assert len(levels) == 5
-
-
-def test_emit_plot_data_transmission_sweep():
-    energies = [0.5, 1.0, 3.0]
-    results = transmission_sweep(Barrier(v0=2.0, a=1.0), energies)
-    columns, rows = emit_plot_data(results)
-    assert columns == ["series", "t", "x", "value"]
-    assert rows == (
-        [["prob_T", "", e, float(r.prob_t)] for e, r in zip(energies, results)]
-        + [["prob_R", "", e, float(r.prob_r)] for e, r in zip(energies, results)]
-    )
 
 
 # A table of every cell kind the writers handle: floats at the edges of the

@@ -6,6 +6,7 @@ import pytest
 
 from qm1d import (
     NATURAL,
+    EvolutionConfig,
     GaussianPacketParams,
     InfiniteWell,
     PiecewiseConstant,
@@ -13,6 +14,7 @@ from qm1d import (
     build_hamiltonian,
     commutator_expectation,
     custom_operator,
+    evolve,
     expectation,
     gaussian_packet_x,
     hamiltonian_operator,
@@ -64,6 +66,34 @@ def test_hamiltonian_expectation_on_eigenstate():
     value = expectation(hamiltonian_operator(h), spectrum.states[0])
     assert abs(value.real - spectrum.energies[0]) < 1e-12
     assert abs(value.imag) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, k0, x0", [(1.0, 0.0, 0.0), (0.7, 1.5, 0.5)])
+def test_observables_equal_evolve_series_bit_for_bit(alpha, k0, x0):
+    # one set of formulas: the series of the state evolve records at t = 0
+    g = make_grid(-20, 20, 2048)
+    psi = gaussian_state(g, alpha=alpha, k0=k0, x0=x0)
+    free = PiecewiseConstant()
+    trajectory = evolve(psi, free, EvolutionConfig(dt=0.01, steps=0))
+    x_op, p_op = position_operator(g), momentum_operator(g)
+    h_op = hamiltonian_operator(build_hamiltonian(g, free, 1.0, NATURAL))
+    assert expectation(x_op, psi) == trajectory.x_mean[0]
+    assert expectation(p_op, psi) == trajectory.p_mean[0]
+    assert uncertainty(x_op, psi) == trajectory.x_spread[0]
+    assert uncertainty(p_op, psi) == trajectory.p_spread[0]
+    assert expectation(h_op, psi).real == trajectory.energy[0]
+
+
+def test_matrix_columns_are_the_action_of_each_kind():
+    rng = np.random.default_rng(43)
+    g = make_grid(-8, 8, 64)
+    h = build_hamiltonian(g, InfiniteWell(a=6.0), 1.0, NATURAL)
+    psi = gaussian_state(g, alpha=0.5, k0=1.0, x0=0.5)
+    for op in (position_operator(g), momentum_operator(g), hamiltonian_operator(h),
+               custom_operator(random_hermitian(64, rng), g)):
+        applied = op.apply(psi).values
+        assert np.max(np.abs(op.matrix() @ psi.values - applied)) <= 1e-12 * np.max(
+            np.abs(applied)), op.kind
 
 
 def test_momentum_routes_cross_check():

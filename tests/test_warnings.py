@@ -56,7 +56,7 @@ CASES = {
     "uncertainty_x": (lambda: uncertainty(X, HOT), [NORM]),
     "apply_p": (lambda: P.apply(HOT), [EDGE]),
     "commutator_x_p": (lambda: commutator_expectation(X, P, HOT), [EDGE]),
-    "bound_check": (lambda: uncertainty_bound_check(X, P, HOT), [NORM, NORM, EDGE, EDGE]),
+    "bound_check": (lambda: uncertainty_bound_check(X, P, HOT), [NORM, EDGE]),
     "evolve_hot": (lambda: evolve(HOT, FREE, OBSERVE_ONLY), [NORM, EDGE]),
     "evolve_steps": (lambda: evolve(COLD, FREE, SPLIT), [NORM] * 4),
     "evolve_steps_cn": (lambda: evolve(COLD, FREE, CRANK_NICOLSON), [NORM] * 4),
@@ -75,7 +75,7 @@ def test_warning_names_the_calling_line(case):
 
 
 def test_default_filter_prints_one_warning_of_a_bound_check():
-    # the two transforms warn alike from the same line, so once is enough
+    # the spreads and the commutator share one transform, which warns once
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         uncertainty_bound_check(X, P, HOT)

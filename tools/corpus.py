@@ -14,10 +14,13 @@ run and of a free split-step run through the public ``evolve`` (the CLI
 streams its series without it) and of a walled Crank-Nicolson and a
 harmonic split-step run whose step count is not a multiple of
 ``observables_every``, a barrier and a segment stack sampled on a grid with
-points on their interfaces, and the barrier's
-``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a sweep
-across one of its plateaus, a walled ``Sampled`` table read at its cell
-midpoints and one with walls of both signs sampled on its grid.  Each side
+points on their interfaces, and the barrier's ``c_plus``/``c_minus``, the
+stack's ``region_waves`` amplitudes, a sweep across one of its plateaus, a
+walled ``Sampled`` table read at its cell midpoints, one with walls of both
+signs sampled on its grid, and the observables no CLI scenario measures:
+``expectation`` and ``uncertainty`` of a ``hamiltonian_operator`` and of a
+``custom_operator``, ``momentum_expectation_x_route`` and a small
+``momentum_operator(...).matrix()``.  Each side
 runs in its own interpreter with ``PYTHONPATH`` set to its source tree, so
 the two never share imported modules.  Data files and library results are
 compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
@@ -69,17 +72,21 @@ print(json.dumps(codes))
 # name: "library/<stencil order>/<problem>/<result>" for bound states,
 # "library/segments/<potential>/<result>[/<energy>]" for segment potentials,
 # "library/sampled/<potential>/<result>" for sampled ones,
-# "library/free/<method>[/series]" for a free packet through evolve and
+# "library/free/<method>[/series]" for a free packet through evolve,
 # "library/off_cadence/<potential>/<method>[/series]" for evolve runs whose
-# steps are not a multiple of observables_every.
+# steps are not a multiple of observables_every and
+# "library/observables/<operator>/<result>" for observables of operators that
+# no CLI scenario measures.
 _LIBRARY = """
 import hashlib, json, math, warnings
 import numpy as np
 warnings.simplefilter("ignore")
 from qm1d import (NATURAL, Barrier, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp,
-                  PiecewiseConstant, Sampled, WaveFunction, build_hamiltonian, evolve,
-                  make_grid, normalize, region_waves, sample_on_grid, solve_bound_states,
-                  transfer_scattering, transmission_sweep)
+                  PiecewiseConstant, Sampled, WaveFunction, build_hamiltonian, custom_operator,
+                  evolve, expectation, hamiltonian_operator, make_grid,
+                  momentum_expectation_x_route, momentum_operator, normalize, region_waves,
+                  sample_on_grid, solve_bound_states, transfer_scattering, transmission_sweep,
+                  uncertainty)
 from qm1d.evolution import SERIES
 
 def sha(*arrays):
@@ -158,6 +165,25 @@ for E in (1.0, 2.5):
         np.array([(w.forward, w.backward) for w in waves]))
 sweep = transmission_sweep(stack, np.linspace(0.25, 3.0, 12))  # crosses the V = 1 plateau
 sums["library/segments/stack/transmission_sweep"] = sha(np.array([(s.r, s.t) for s in sweep]))
+
+# Observables that no CLI scenario measures: <A> and dA of the harmonic H and
+# of a random Hermitian matrix, the position-space route of <p> and a small
+# momentum matrix.
+small = make_grid(-4.0, 4.0, 48)
+small_packet = normalize(WaveFunction(small, np.exp(-small.points**2 + 1j * small.points)))
+rng = np.random.default_rng(18)
+dense = rng.standard_normal((small.n, small.n)) + 1j * rng.standard_normal((small.n, small.n))
+operators = {
+    "hamiltonian": (hamiltonian_operator(build_hamiltonian(osc, Harmonic(omega=1.0), 1.0,
+                                                           NATURAL)), smooth_packet),
+    "custom": (custom_operator(dense + dense.conj().T, small), small_packet),
+}
+for name, (op, psi) in operators.items():
+    sums[f"library/observables/{name}/expectation"] = sha(np.array(expectation(op, psi)))
+    sums[f"library/observables/{name}/uncertainty"] = sha(np.array(uncertainty(op, psi)))
+sums["library/observables/momentum/x_route"] = sha(
+    np.array(momentum_expectation_x_route(smooth_packet)))
+sums["library/observables/momentum/matrix"] = sha(momentum_operator(small).matrix())
 print(json.dumps(sums))
 """
 
