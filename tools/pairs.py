@@ -10,10 +10,21 @@ checkout, each with its own ``perfbench/`` and ``src/``; N is the benchmark's
 starting with the parent.  The output holds the change's title, the parent's
 commit, how the pairs were run, the machine, every pair with both result
 objects as run.py printed them, and per workload a summary: for each
-end-to-end metric the median and quartiles of each side and the number of
-pairs in which the change reads lower, and the failed ops of each side.  The
-file is rewritten after every pair, so an interrupted run keeps the pairs it
-finished.
+end-to-end metric the median and quartiles of each side, the number of
+pairs in which the change reads lower and a verdict, and the failed ops of
+each side.  The verdict reads the metric's ``better`` and ``bound`` (a
+fraction of the parent's median) from ``BENCHMARK.json``:
+
+* ``gain``: the change is better in at least 9 of 10 pairs and the medians
+  differ, in its favour, by more than the parent's interquartile range;
+* ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+* ``unresolved``: the parent's interquartile range is wider than the bound,
+  unless every run of the change is better than every run of the parent;
+* ``no change``: anything else.
+
+The file is rewritten after every pair, so an interrupted run keeps the pairs
+it finished.
 """
 
 from __future__ import annotations
@@ -68,8 +79,28 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(pairs: list[dict]) -> dict:
-    """Per workload: each metric's quartiles per side and the change's wins."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """gain, worse, unresolved or no change (see the module docstring) for the
+    paired runs of one metric; better is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (p - c) > 0: the change is better
+    base = quartiles(parent)
+    spread = base["q3"] - base["q1"]
+    allowed = bound * abs(base["median"])
+    ahead = sign * (base["median"] - quartiles(change)["median"])
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and ahead > spread:
+        return "gain"
+    if -ahead > allowed:
+        return "worse"
+    if spread > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "no change"
+
+
+def summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload: each metric's quartiles per side, the change's wins and,
+    for the metrics of ``metrics`` (BENCHMARK.json's end_to_end by name), a
+    verdict."""
     out = {}
     for workload in dict.fromkeys(pair["workload"] for pair in pairs):
         mine = [pair for pair in pairs if pair["workload"] == workload]
@@ -80,6 +111,10 @@ def summary(pairs: list[dict]) -> dict:
             entry[metric] = {side: quartiles(values[side]) for side in SIDES}
             entry[metric]["change_lower_in"] = sum(
                 c < p for p, c in zip(values["parent"], values["change"]))
+            if metric in metrics:
+                entry[metric]["verdict"] = verdict(
+                    values["parent"], values["change"], metrics[metric]["better"],
+                    metrics[metric]["bound"])
         entry["failed"] = {side: sum(pair[side]["failed"] for pair in mine) for side in SIDES}
         out[workload] = entry
     return out
@@ -95,6 +130,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
+    metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["parent"],
                             capture_output=True, text=True, check=True).stdout.strip()
@@ -116,7 +152,7 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(checkouts[side], workload, seed, seconds)
             record["pairs"].append(pair)
-            record["summary"] = summary(record["pairs"])
+            record["summary"] = summary(record["pairs"], metrics)
             args.out.write_text(json.dumps(record, indent=2) + "\n")
             p50 = {side: pair[side]["metrics"]["op_s.p50"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: op_s.p50 parent {p50['parent']:.4f} s, "
