@@ -489,11 +489,12 @@ def _texts(cells, string: Callable[[str], str]) -> list[str]:
 def _write_table(fh, fmt: str, table):
     """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
     (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
-    indent=2).  A row is ``pre``, its cells with ``mid`` between them, and
-    ``post``; rows are separated by ``sep``.  Each block folds its repeated
-    cells and this punctuation into one literal between each pair of
-    per-row cells, so a chunk is one join of literals and cell texts.  An
-    entry that the next block holds too is formatted once."""
+    indent=2).  A row is ``sep`` (dropped by the table's first row), ``pre``,
+    its cells with ``mid`` between them, and ``post``.  Each block builds one
+    row as a list of literals, which hold that punctuation and the repeated
+    cells, around one None slot per varying entry; a chunk fills the slots
+    of the row repeated and joins it.  An entry that the next block holds
+    too is formatted once, whole, and any other one a chunk at a time."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
@@ -504,40 +505,33 @@ def _write_table(fh, fmt: str, table):
         string = _csv_string if len(columns) != 1 else lambda text: _csv_string(text) or '""'
         fh.write(",".join(map(string, columns)) + "\n")
         sep, pre, mid, post = "", "", ",", "\n"
-    lead, kept = "", {}  # lead: sep once a row is out; kept: texts by entry id
+    wrote, kept = False, {}  # kept: texts by entry id
     for block, after in zip(blocks, [*blocks[1:], ()]):
-        literals, varying, text = [], [], pre
-        for j, entry in enumerate(block):
-            text += mid if j else ""
+        row, varying, text = [], [], sep + pre
+        for entry in block:
             if isinstance(entry, (list, np.ndarray)):
-                literals.append(text)
+                row += [text, None]
                 varying.append(entry)
-                text = ""
+                text = mid
             else:
-                text += _texts([entry], string)[0]
-        literals.append(text + post)
+                text += _texts([entry], string)[0] + mid
+        row.append(text[:-len(mid)] + post)
         reused = set(map(id, after))
         kept = {id(entry): kept.get(id(entry)) or _texts(entry, string)
                 for entry in varying if id(entry) in reused or id(entry) in kept}
-        # The parts of one row: its leading literal (the previous row's last
-        # one, sep and the first), then each cell slot and the literal after it.
-        template = [literals[-1] + sep + literals[0]]
-        for literal in literals[1:-1]:
-            template += [None, literal]
-        template.append(None)
-        step, rows = len(template), min(map(len, varying))
+        rows = min(map(len, varying))
         for lo in range(0, rows, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, rows)
-            parts = template * (hi - lo) + [literals[-1]]
-            parts[0] = lead + literals[0]
+            parts = row * (hi - lo)
+            if not wrote:
+                parts[0], wrote = row[0][len(sep):], True
             for i, entry in enumerate(varying):
                 texts = kept.get(id(entry))
-                parts[2 * i + 1::step] = (_texts(entry[lo:hi], string) if texts is None
-                                          else texts[lo:hi])
+                parts[2 * i + 1::len(row)] = (_texts(entry[lo:hi], string) if texts is None
+                                              else texts[lo:hi])
             fh.write("".join(parts))
-            lead = sep
     if fmt == "json":
-        fh.write("\n  ]\n}\n" if lead else "]\n}\n")
+        fh.write("\n  ]\n}\n" if wrote else "]\n}\n")
 
 
 def _staged(final: Path, staged: list[tuple[Path, Path]]):

@@ -94,8 +94,6 @@ class _CrankNicolson:
     # Largest |psi| allowed at an excluded (hard-wall or box-edge) point, as a
     # fraction of the state's own peak |psi|.
     _WALL_TOL = 1e-12
-    # The stepping loop hands every state's h.apply(values) to step_values.
-    uses_h_values = True
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.order != 2:
@@ -119,8 +117,8 @@ class _CrankNicolson:
 
     def step_values(self, values: np.ndarray, h_values: np.ndarray | None = None,
                     edge: float | None = None) -> np.ndarray:
-        """The next state's values; h_values, when given, is h.apply(values).
-        edge is not read (see _SplitStep.step_values)."""
+        """The next state's values; h_values is h.apply(values), or None for
+        the step to compute H psi itself.  edge is not read (see _SplitStep)."""
         # The wall check runs every step; excluded points holding exactly
         # zero (every stepped state) pass without the peak.
         fraction = peak_fraction(values, self.masked, self._WALL_TOL)
@@ -161,9 +159,6 @@ class _SplitStep:
     dx * n * dp / (2 pi hbar) = 1 scale of the continuum transforms cancels
     in a round trip, so a step is half * ifft(kinetic * fft(half * psi)).
     """
-
-    # A step reads no H psi: the stepping loop computes it for snapshots only.
-    uses_h_values = False
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.wall_mask.any():
@@ -221,9 +216,9 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
     as arrays and keep(values) of each recorded state.  Each recorded state is
     copied into a row of a preallocated (BATCH, n) buffer, and each full batch,
     and the partial last one, is observed in one call; <H> is taken per state
-    as it is recorded.  Each state's H psi and edge peak_fraction are
-    computed at most once: what a recorded state's snapshot takes, its step
-    reuses, and a Crank-Nicolson step gets H psi of an unrecorded state too.
+    as it is recorded.  A recorded state's H psi and edge peak_fraction are
+    computed once, for its snapshot and its step; a Crank-Nicolson step
+    computes H psi itself for an unrecorded state.
     A step failure is re-raised with "step k: " prefixed; the series'
     warnings are issued after the last step, in snapshot order, so a failed
     run has none."""
@@ -242,7 +237,7 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
                 exc.args = (f"step {k}: {exc}",)
                 raise
         recorded = k % config.observables_every == 0 or k == config.steps
-        h_values = h.apply(values) if recorded or stepper.uses_h_values else None
+        h_values = h.apply(values) if recorded else None
         edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if recorded else None
         if recorded:
             times.append(k * config.dt)

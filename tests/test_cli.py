@@ -171,6 +171,20 @@ def test_evolve_scenario(tmp_path):
     assert float(final[2]) == pytest.approx(2.0 * float(final[0]), abs=1e-6)
 
 
+def _warm_run_peak(tmp_path, body) -> int:
+    """Peak traced bytes of the second CLI run of a scenario: imports and the
+    LAPACK load of the first run are not traced."""
+    argv = ["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 # (emit_density, observables_every, bound in bytes): the series alone, and
 # the density of every tenth state (31 float64 rows of 2048, 0.5 MB).  A complex
 # snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.
@@ -185,16 +199,20 @@ def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, boun
         "observables_every": every, "emit_density": density,
         "output": {"format": "csv", "path": "run.csv"},
     }
-    argv = ["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0  # imports and the LAPACK load are not traced
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < bound
+    assert _warm_run_peak(tmp_path, body) < bound
+
+
+def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
+    # Eight states of 4001 points as JSON peak at about 1.16 MB; formatting
+    # each block's x and value entries whole, in place of one chunk at a
+    # time, peaks at about 1.6 MB.
+    body = {
+        "command": "spectrum", "constants": {"profile": "natural"},
+        "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
+        "potential": {"kind": "harmonic", "omega": 1.0}, "count": 8, "emit_states": True,
+        "output": {"format": "json", "path": "levels.json"},
+    }
+    assert _warm_run_peak(tmp_path, body) < 1_300_000
 
 
 def test_packet_scenario_width_series(tmp_path):
@@ -915,8 +933,12 @@ def _reference_text(fmt, columns, blocks):
     return expected.getvalue()
 
 
-@pytest.mark.parametrize("blocks", [MIXED_BLOCKS, [], MIXED_BLOCKS[2:3]],
-                         ids=["mixed", "no_blocks", "no_rows"])
+# The table's first row, which alone has no leading separator, after a block
+# without rows and after two such blocks that share their entries.
+@pytest.mark.parametrize("blocks", [
+    MIXED_BLOCKS, [], MIXED_BLOCKS[2:3], [MIXED_BLOCKS[2], MIXED_BLOCKS[0]],
+    [MIXED_BLOCKS[2], MIXED_BLOCKS[2], MIXED_BLOCKS[1]],
+], ids=["mixed", "no_blocks", "no_rows", "rows_after_no_rows", "rows_after_shared_no_rows"])
 def test_writers_match_csv_writer_and_json_dump(blocks):
     for fmt in ("csv", "json"):
         written = io.StringIO()

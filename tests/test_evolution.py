@@ -426,22 +426,27 @@ def test_evolve_warns_on_hot_edge_crank_nicolson_state():
         evolve(psi, PiecewiseConstant(), config)
 
 
-@pytest.mark.parametrize("every", [1, 3])
-def test_crank_nicolson_evolve_applies_h_once_per_state(monkeypatch, every):
-    # One H psi per state serves its snapshot's energy and the next step's
-    # right-hand side: N + 1 products for N steps, not 2N + 1.
-    calls = []
+# (method, observables_every, H products for 10 steps)
+@pytest.mark.parametrize("method, every, calls", [
+    ("crank_nicolson", 1, 11), ("crank_nicolson", 3, 11), ("split_step", 1, 11), ("split_step", 3, 5),
+])
+def test_evolve_applies_h_at_most_once_per_state(monkeypatch, method, every, calls):
+    # A recorded state's H psi serves its snapshot's energy and, under
+    # Crank-Nicolson, the next step's right-hand side; an unrecorded state's
+    # CN step takes its own, and split step needs none: N + 1 products for N
+    # CN steps, not 2N + 1, and one per recorded state under split step.
+    applied = []
     apply_active = DiscreteHamiltonian.apply_active
 
     def counted(self, v):
-        calls.append(1)
+        applied.append(1)
         return apply_active(self, v)
 
     monkeypatch.setattr(DiscreteHamiltonian, "apply_active", counted)
     g = make_grid(-12, 12, 256)
-    config = EvolutionConfig(dt=0.01, steps=10, observables_every=every)
+    config = EvolutionConfig(dt=0.01, steps=10, method=method, observables_every=every)
     evolve(gaussian_on(g, k0=1.0), PiecewiseConstant(), config)
-    assert len(calls) == 11
+    assert len(applied) == calls
 
 
 @pytest.mark.parametrize("every", [1, 3])

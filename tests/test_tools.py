@@ -1,0 +1,50 @@
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+_SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+# Quartile spread 1.0, wider than a bound of 0.25 of the median 1.5.
+SWINGING = [1.0, 2.0] * 5
+
+
+# (parent runs, change runs, better, verdict) with a bound of 0.25
+@pytest.mark.parametrize("parent, change, better, expected", [
+    (PARENT, [v * 0.5 for v in PARENT], "lower", "gain"),
+    (PARENT, [v * 2.0 for v in PARENT], "higher", "gain"),
+    (SWINGING, [v * 0.1 for v in SWINGING], "lower", "gain"),
+    (PARENT, [v * 1.5 for v in PARENT], "lower", "worse"),
+    (PARENT, [v * 0.5 for v in PARENT], "higher", "worse"),
+    (SWINGING, SWINGING[::-1], "lower", "unresolved"),
+    (SWINGING, [1.01] * 10, "lower", "unresolved"),
+    # every change run beats every parent run, by less than the spread
+    (SWINGING, [0.99] * 10, "lower", "no change"),
+    (PARENT, PARENT[::-1], "lower", "no change"),
+    (PARENT, [v * 1.1 for v in PARENT], "lower", "no change"),
+    (PARENT, [v * 0.99 for v in PARENT], "lower", "no change"),
+])
+def test_verdict(parent, change, better, expected):
+    assert pairs.verdict(parent, change, better, 0.25) == expected
+
+
+def test_commit_of_a_git_checkout_and_of_a_plain_copy(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    assert pairs.commit_of(copy) is None
+    assert "not a git checkout" in capsys.readouterr().err
+
+    checkout = tmp_path / "checkout"
+    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert pairs.commit_of(checkout) == head
+    assert capsys.readouterr().err == ""

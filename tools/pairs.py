@@ -8,12 +8,13 @@ For every workload of ``BENCHMARK.json``, pair i (1 to 10) runs
 checkout, each with its own ``perfbench/`` and ``src/``; N is the benchmark's
 ``run_seconds``.  The side that runs first alternates from pair to pair,
 starting with the parent.  The output holds the change's title, the parent's
-commit, how the pairs were run, the machine, every pair with both result
-objects as run.py printed them, and per workload a summary: for each
-end-to-end metric the median and quartiles of each side, the number of
-pairs in which the change reads lower and a verdict, and the failed ops of
-each side.  The verdict reads the metric's ``better`` and ``bound`` (a
-fraction of the parent's median) from ``BENCHMARK.json``:
+commit (null when the parent is not a git checkout), how the pairs were run,
+the machine, every pair with both result objects as run.py printed them, and
+per workload a summary: for each end-to-end metric the median and quartiles
+of each side, the number of pairs in which the change reads lower and a
+verdict, and the failed ops of each side.  The verdict reads the metric's
+``better`` and ``bound`` (a fraction of the parent's median) from
+``BENCHMARK.json``:
 
 * ``gain``: the change is better in at least 9 of 10 pairs and the medians
   differ, in its favour, by more than the parent's interquartile range;
@@ -70,6 +71,18 @@ def machine() -> dict:
             versions[package] = None
     return {"nproc": os.cpu_count(), "cpu_model": model or platform.processor(),
             "python": platform.python_version(), **versions}
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The HEAD commit of a git checkout, or None (said in one line on stderr)
+    for a directory that is not one, such as a ``git archive`` copy."""
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    if done.returncode:
+        print(f"{checkout} is not a git checkout: parent_commit is recorded as null",
+              file=sys.stderr)
+        return None
+    return done.stdout.strip()
 
 
 def quartiles(values: list[float]) -> dict:
@@ -132,11 +145,9 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     metrics = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkouts["parent"],
-                            capture_output=True, text=True, check=True).stdout.strip()
     record = {
         "change": args.title,
-        "parent_commit": commit,
+        "parent_commit": commit_of(checkouts["parent"]),
         "how": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0, run "
                "from a checkout of the parent commit and of the change in turn; the side "
                "that runs first alternates from pair to pair. Each entry holds both result "
