@@ -94,6 +94,8 @@ class _CrankNicolson:
     # Largest |psi| allowed at an excluded (hard-wall or box-edge) point, as a
     # fraction of the state's own peak |psi|.
     _WALL_TOL = 1e-12
+    # The energy series is <psi|H psi> of the 3-point H that this step applies.
+    spectral_energy = False
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.order != 2:
@@ -130,9 +132,15 @@ class _CrankNicolson:
         active = self.h.active
         v = values[active]
         hv = self.h.apply_active(v) if h_values is None else h_values[active]
-        rhs = v - 1j * self.lam * hv
+        # The rhs v - i lam H v is formed, and solved for, in out's active
+        # part: a view of out when active is a slice, else a copy written back.
         out = np.zeros_like(values, dtype=np.complex128)
-        out[active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
+        rhs = out[active]
+        np.multiply(1j * self.lam, hv, out=rhs)
+        np.subtract(v, rhs, out=rhs)
+        solved, _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
+        if isinstance(active, np.ndarray):
+            out[active] = solved
         return out
 
 
@@ -160,6 +168,11 @@ class _SplitStep:
     in a round trip, so a step is half * ifft(kinetic * fft(half * psi)).
     """
 
+    # The energy series is the mean of p^2/2m over |phi(p)|^2 plus that of V
+    # over |psi|^2, which this step conserves exactly for V = 0 and to
+    # O(dt^2) otherwise.
+    spectral_energy = True
+
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.wall_mask.any():
             raise UnsupportedMethodError(
@@ -180,8 +193,14 @@ class _SplitStep:
                 f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
                 f"wrap guard {EDGE_AMPLITUDE_TOL:.0e}); enlarge the domain or stop earlier"
             )
+        # One buffer, in place, in numpy's operand order: its complex products
+        # are not bitwise commutative.
         half = self.half_potential
-        return half * np.fft.ifft(self.kinetic * np.fft.fft(half * values))
+        out = np.multiply(half, values)
+        np.fft.fft(out, out=out)
+        np.multiply(self.kinetic, out, out=out)
+        np.fft.ifft(out, out=out)
+        return np.multiply(half, out, out=out)
 
 
 def split_step(
@@ -215,16 +234,20 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
     """Step psi0 and observe the recorded states: the recorded times, the SERIES
     as arrays and keep(values) of each recorded state.  Each recorded state is
     copied into a row of a preallocated (BATCH, n) buffer, and each full batch,
-    and the partial last one, is observed in one call; <H> is taken per state
-    as it is recorded.  A recorded state's H psi and edge peak_fraction are
-    computed once, for its snapshot and its step; a Crank-Nicolson step
-    computes H psi itself for an unrecorded state.
+    and the partial last one, is observed in one call.  The stepper's
+    spectral_energy picks the energy series: the split step's comes with the
+    batch, from the snapshot's own FFT, so no split-step state is given an
+    H psi; Crank-Nicolson's 3-point <H> is taken per state as it is recorded,
+    from the one H psi that also serves the state's next step.  A recorded
+    state's edge peak_fraction is computed once, for its snapshot and its
+    step; the step of an unrecorded state computes what it reads itself.
     A step failure is re-raised with "step k: " prefixed; the series'
     warnings are issued after the last step, in snapshot order, so a failed
     run has none."""
     h = build_hamiltonian(psi0.grid, potential, mass, constants)
     stepper = STEPPERS[config.method](h, config.dt, constants)
-    observe = _SnapshotObservables(h, constants)
+    spectral = stepper.spectral_energy
+    observe = _SnapshotObservables(h, constants, spectral)
     batch = np.empty((BATCH, psi0.grid.n), dtype=np.complex128)
     rows = 0
     times, energies, edges, kept, observed = [], [], [], [], []
@@ -237,11 +260,12 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
                 exc.args = (f"step {k}: {exc}",)
                 raise
         recorded = k % config.observables_every == 0 or k == config.steps
-        h_values = h.apply(values) if recorded else None
+        h_values = h.apply(values) if recorded and not spectral else None
         edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if recorded else None
         if recorded:
             times.append(k * config.dt)
-            energies.append(observe.energy(values, h_values))
+            if not spectral:
+                energies.append(observe.energy(values, h_values))
             edges.append(edge)
             kept.append(keep(values))
             batch[rows] = values
@@ -249,7 +273,9 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
             if rows == BATCH or k == config.steps:
                 observed.append(observe(batch[:rows]))
                 rows = 0
-    series = (*map(np.concatenate, zip(*observed)), np.array(energies))
+    series = tuple(map(np.concatenate, zip(*observed)))
+    if not spectral:
+        series += (np.array(energies),)
     for norm, edge in zip(series[0], edges):
         _warn_if_unnormalized(norm)
         warn_hot_edges(edge)

@@ -76,6 +76,33 @@ def assert_band_layout(h):
     np.testing.assert_allclose(h.apply_active(v), dense @ v, rtol=0.0, atol=1e-14 * bound)
 
 
+@pytest.mark.parametrize("wall", [None, 150])
+@pytest.mark.parametrize("order", [2, 4])
+def test_apply_of_a_complex_vector_is_the_real_band_product(order, wall):
+    # apply_active multiplies a complex vector by a complex copy of band:
+    # the operand numpy casts band to, so the bits are those of the real band.
+    g = make_grid(-10.0, 10.0, 401)
+    raw = 0.5 * g.points**2
+    if wall is not None:
+        raw[wall] = math.inf
+    h = build_hamiltonian(g, Sampled(values=raw, grid=g), 1.0, NATURAL, order=order)
+    assert isinstance(h.active, slice) == (wall is None)
+    rng = np.random.default_rng(order)
+    values = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    v = values[h.active_indices]
+    y = h.band[0] * v
+    for d in range(1, len(h.band)):
+        y[:-d] += h.band[d, :-d] * v[d:]
+        y[d:] += h.band[d, :-d] * v[:-d]
+    expected = np.zeros(g.n, dtype=np.complex128)
+    expected[h.active_indices] = y
+    assert np.array_equal(h.apply(values).view(float), expected.view(float))
+    # real input, such as the solve residuals, keeps the real band, which is
+    # read-only, so the complex copy cannot go stale
+    assert h.apply_active(v.real).dtype == np.float64
+    assert not h.band.flags.writeable
+
+
 def test_default_stencil_arrays_unchanged():
     g = make_grid(-3.0, 3.0, 301)
     raw = 0.5 * g.points**2

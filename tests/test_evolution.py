@@ -44,6 +44,7 @@ from qm1d.errors import (
 )
 from qm1d.core import peak_fraction
 from qm1d.evolution import STEPPERS, _CrankNicolson, _SplitStep
+from qm1d.observables import _SnapshotObservables
 from qm1d.spectral import EDGES
 
 
@@ -208,6 +209,24 @@ def test_free_packet_energy_and_norm_conserved():
     assert np.max(np.abs(trajectory.energy - e0)) / abs(e0) < 1e-8
 
 
+def test_split_step_energy_is_the_free_packet_closed_form():
+    # A free packet's energy is hbar^2 (k0^2 + 1/(4 alpha)) / 2m = 12.625, and
+    # the split step's kinetic phase leaves |phi(p)|^2, and so <p^2>/2m,
+    # unchanged.  Crank-Nicolson reports <H> of the 3-point H it steps.
+    g = make_grid(-24, 42, 2048)
+    psi0 = gaussian_on(g, alpha=1.0, k0=5.0)
+    exact = (5.0**2 + 1.0 / 4.0) / 2.0
+    runs = {method: evolve(psi0, PiecewiseConstant(), EvolutionConfig(
+        dt=0.01, steps=300, method=method)) for method in STEPPERS}
+    split = runs["split_step"].energy
+    assert split.shape == (301,)
+    assert np.max(np.abs(split - exact)) <= 1e-12 * exact
+    h_op = hamiltonian_operator(build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL))
+    cn = runs["crank_nicolson"]
+    assert [expectation(h_op, s).real for s in cn.snapshots] == cn.energy.tolist()
+    assert cn.energy[0] == pytest.approx(12.59632258, rel=1e-9)
+
+
 def test_coherent_packet_follows_classical_trajectory():
     # displaced ground-state-width packet: alpha = hbar / (2 m w)
     omega, x0 = 1.0, 1.0
@@ -333,7 +352,7 @@ def test_evolve_series_match_public_observables(case, every):
     assert len(trajectory.snapshots) == 40 // every + 1
     x_op = position_operator(g)
     p_op = momentum_operator(g)
-    h_op = hamiltonian_operator(build_hamiltonian(g, potential, 1.0, NATURAL))
+    h = build_hamiltonian(g, potential, 1.0, NATURAL)
     snaps = trajectory.snapshots
     reference = {
         "norm": [norm_squared(s) for s in snaps],
@@ -341,8 +360,14 @@ def test_evolve_series_match_public_observables(case, every):
         "p_mean": [expectation(p_op, s).real for s in snaps],
         "x_spread": [uncertainty(x_op, s) for s in snaps],
         "p_spread": [uncertainty(p_op, s) for s in snaps],
-        "energy": [expectation(h_op, s).real for s in snaps],
     }
+    if case.startswith("ss"):
+        # the split step's energy: <p^2>/2m over |phi(p)|^2 plus <V> over |psi|^2
+        reference["energy"] = [
+            (uncertainty(p_op, s) ** 2 + expectation(p_op, s).real ** 2) / 2.0
+            + np.sum(h.potential_values * np.abs(s.values) ** 2) * g.dx for s in snaps]
+    else:
+        reference["energy"] = [expectation(hamiltonian_operator(h), s).real for s in snaps]
     # each series against its own scale: the domain for x, hbar/dx for p
     x_scale = max(abs(g.x_min), abs(g.x_max))
     p_scale = NATURAL.hbar / g.dx
@@ -367,14 +392,18 @@ def test_every_series_entry_is_its_snapshot_observed_alone(method, states, every
     trajectory = evolve(gaussian_on(g, alpha=1.0, k0=2.0, x0=-3.0), potential, config)
     assert len(trajectory.snapshots) == states
     x_op, p_op = position_operator(g), momentum_operator(g)
-    h_op = hamiltonian_operator(build_hamiltonian(g, potential, 1.0, NATURAL))
+    h = build_hamiltonian(g, potential, 1.0, NATURAL)
+    alone = _SnapshotObservables(h, NATURAL, spectral=True)
     for i, snap in enumerate(trajectory.snapshots):
         assert trajectory.norm[i] == pytest.approx(norm_squared(snap), rel=0, abs=1e-12)
         assert trajectory.x_mean[i] == expectation(x_op, snap)
         assert trajectory.p_mean[i] == expectation(p_op, snap)
         assert trajectory.x_spread[i] == uncertainty(x_op, snap)
         assert trajectory.p_spread[i] == uncertainty(p_op, snap)
-        assert trajectory.energy[i] == expectation(h_op, snap).real
+        if method == "split_step":  # the spectral energy of a one-row batch
+            assert trajectory.energy[i] == alone(snap.values[np.newaxis])[-1][0]
+        else:
+            assert trajectory.energy[i] == expectation(hamiltonian_operator(h), snap).real
 
 
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
@@ -428,13 +457,13 @@ def test_evolve_warns_on_hot_edge_crank_nicolson_state():
 
 # (method, observables_every, H products for 10 steps)
 @pytest.mark.parametrize("method, every, calls", [
-    ("crank_nicolson", 1, 11), ("crank_nicolson", 3, 11), ("split_step", 1, 11), ("split_step", 3, 5),
+    ("crank_nicolson", 1, 11), ("crank_nicolson", 3, 11), ("split_step", 1, 0), ("split_step", 3, 0),
 ])
 def test_evolve_applies_h_at_most_once_per_state(monkeypatch, method, every, calls):
-    # A recorded state's H psi serves its snapshot's energy and, under
-    # Crank-Nicolson, the next step's right-hand side; an unrecorded state's
-    # CN step takes its own, and split step needs none: N + 1 products for N
-    # CN steps, not 2N + 1, and one per recorded state under split step.
+    # A recorded state's H psi serves its snapshot's energy and the next
+    # Crank-Nicolson step's right-hand side, and an unrecorded state's CN step
+    # takes its own: N + 1 products for N CN steps, not 2N + 1.  The split
+    # step's energy comes from the snapshot's FFT, so it applies H to nothing.
     applied = []
     apply_active = DiscreteHamiltonian.apply_active
 
@@ -489,6 +518,36 @@ def test_split_step_guard_fires_at_a_state_the_snapshots_skip(every):
         with pytest.raises(EdgeAmplitudeError, match=r"^step 41: state has .* at a grid edge"):
             evolve(psi0, PiecewiseConstant(), config)
     assert caught == []
+
+
+@pytest.mark.parametrize("wall", [None, 120])
+def test_crank_nicolson_step_is_the_out_of_place_solve(wall):
+    # The right-hand side v - i lam H v formed and solved in place, in a
+    # slice of the output or, across an interior wall, in a copy written
+    # back, against the same arithmetic out of place on the real band.
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    g = make_grid(-10, 10, 401)
+    raw = 0.5 * g.points**2
+    psi = gaussian_on(g, alpha=0.5, k0=1.5, x0=-1.0)
+    if wall is not None:
+        raw[wall] = math.inf
+        psi = psi.with_values(np.where(np.arange(g.n) == wall, 0.0, psi.values))
+    h = build_hamiltonian(g, Sampled(values=raw, grid=g), 1.0, NATURAL)
+    assert isinstance(h.active, slice) == (wall is None)
+    dt = 0.02
+    lam = 0.5 * dt / NATURAL.hbar
+    off = 1j * lam * h.band[1, :-1]
+    *lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
+    v = psi.values[h.active_indices]
+    hv = h.band[0] * v
+    hv[:-1] += h.band[1, :-1] * v[1:]
+    hv[1:] += h.band[1, :-1] * v[:-1]
+    expected = np.zeros(g.n, dtype=np.complex128)
+    expected[h.active_indices], _ = zgttrs(*lu, v - 1j * lam * hv)
+    stepped = crank_nicolson_step(psi, h, dt, NATURAL).values
+    assert np.array_equal(stepped.view(float), expected.view(float))
+    assert np.max(np.abs(stepped)) > 0.5
 
 
 @pytest.mark.parametrize("every", [1, 3])

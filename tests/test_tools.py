@@ -1,13 +1,19 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
-_SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
-pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(pairs)
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, corpus = _tool("pairs"), _tool("corpus")
 
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 # Quartile spread 1.0, wider than a bound of 0.25 of the median 1.5.
@@ -48,3 +54,20 @@ def test_commit_of_a_git_checkout_and_of_a_plain_copy(tmp_path, monkeypatch, cap
                           check=True).stdout.strip()
     assert pairs.commit_of(checkout) == head
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_corpus_names_the_columns_whose_cells_moved(tmp_path, suffix):
+    def write(name, rows):
+        path = tmp_path / f"{name}.{suffix}"
+        if suffix == "csv":
+            path.write_text("".join(",".join(map(str, row)) + "\n"
+                                    for row in [["t", "norm", "energy"], *rows]))
+        else:
+            path.write_text(json.dumps({"columns": ["t", "norm", "energy"], "rows": rows}))
+        return path
+
+    this = write("this", [[0.0, 1.0, 12.625], [0.5, 1.0, 12.625]])
+    against = write("against", [[0.0, 1.0, 12.5], [0.5, 1.0, 12.5]])
+    assert corpus.cell_difference(this, against) == (
+        "2 numeric cells moved, max abs 0.12, max rel 0.0099; columns: energy")

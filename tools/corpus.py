@@ -29,7 +29,8 @@ compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
 skipped.  Exit status 0 means every scenario exits alike on both sides and
 every data file and library result exists on both sides with the same digest.
 For a data file whose digest differs, the report gives its largest absolute
-and relative numeric cell difference.
+and relative numeric cell difference and names the columns whose cells
+differ.
 """
 
 from __future__ import annotations
@@ -342,24 +343,15 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
-def _cells(path: Path) -> list:
-    """A data file's cells in reading order: the leaves of a JSON document or
-    the fields of a CSV table."""
+def _rows(path: Path) -> list[list]:
+    """A data file's rows, the column names first: the lines of a CSV table or
+    the "columns" and then the "rows" of a JSON table."""
     text = path.read_text()
     try:
         document = json.loads(text)
     except json.JSONDecodeError:
-        return [cell for row in csv.reader(io.StringIO(text)) for cell in row]
-    leaves, stack = [], [document]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, dict):
-            stack += reversed(list(node.values()))
-        elif isinstance(node, list):
-            stack += reversed(node)
-        else:
-            leaves.append(node)
-    return leaves
+        return list(csv.reader(io.StringIO(text)))
+    return [document["columns"], *document["rows"]]
 
 
 def _number(cell) -> float | None:
@@ -374,15 +366,20 @@ def _number(cell) -> float | None:
 
 def cell_difference(this: Path, against: Path) -> str:
     """The largest absolute and relative difference between the numeric cells
-    of two data files of the same shape; other differing cells are counted."""
-    cells = _cells(this), _cells(against)
+    of two data files of the same shape, and the columns whose cells differ;
+    other differing cells are counted."""
+    rows = _rows(this), _rows(against)
+    header = rows[0][0]
+    cells = [[(j, cell) for row in side for j, cell in enumerate(row)] for side in rows]
     if len(cells[0]) != len(cells[1]):
         return f"{len(cells[0])} vs {len(cells[1])} cells"
     moved = other = 0
     worst_abs = worst_rel = 0.0
-    for a, b in zip(*cells):
+    columns = set()
+    for (j, a), (_, b) in zip(*cells):
         if a == b:
             continue
+        columns.add(j)
         x, y = _number(a), _number(b)
         if x is None or y is None:
             other += 1
@@ -390,8 +387,9 @@ def cell_difference(this: Path, against: Path) -> str:
         moved += 1
         worst_abs = max(worst_abs, abs(x - y))
         worst_rel = max(worst_rel, abs(x - y) / (max(abs(x), abs(y)) or 1.0))
+    names = ", ".join(header[j] for j in sorted(columns))
     text = f"{moved} numeric cells moved, max abs {worst_abs:.2g}, max rel {worst_rel:.2g}"
-    return text + (f"; {other} other cells differ" if other else "")
+    return text + (f"; {other} other cells differ" if other else "") + f"; columns: {names}"
 
 
 def main(argv=None) -> int:
