@@ -106,19 +106,11 @@ class DiscreteHamiltonian:
         out[self.active] = self.apply_active(values[self.active])
         return out
 
-    @cached_property
-    def _complex_band(self) -> np.ndarray:
-        """band as complex128: the operand numpy would cast band to for every
-        complex product, cast once."""
-        return self.band.astype(np.complex128)
-
     def apply_active(self, v: np.ndarray) -> np.ndarray:
-        """H acting on a vector already restricted to the active points; a
-        complex v is multiplied by _complex_band, with the bits of band."""
-        band = self._complex_band if np.iscomplexobj(v) else self.band
-        y = band[0] * v
-        for d in range(1, len(band)):
-            coupling = band[d, :-d]
+        """H acting on a vector already restricted to the active points."""
+        y = self.band[0] * v
+        for d in range(1, len(self.band)):
+            coupling = self.band[d, :-d]
             y[:-d] += coupling * v[d:]
             y[d:] += coupling * v[:-d]
         return y
@@ -171,7 +163,6 @@ def build_hamiltonian(
     for d, (numerator, denominator) in enumerate(couplings, 1):
         # zero unless rows i and i + d are grid points d apart (no wall between)
         band[d, :-d] = np.where(active[d:] - active[:-d] == d, numerator * c / denominator, 0.0)
-    band.setflags(write=False)  # apply_active keeps a complex copy of it
     return DiscreteHamiltonian(
         grid=grid,
         band=band,

@@ -132,15 +132,15 @@ class _CrankNicolson:
         active = self.h.active
         v = values[active]
         hv = self.h.apply_active(v) if h_values is None else h_values[active]
-        # The rhs v - i lam H v is formed, and solved for, in out's active
-        # part: a view of out when active is a slice, else a copy written back.
+        # The rhs v - i lam H v is formed in out's active part (a view of out
+        # when active is a slice, else a copy) and solved for in place; the
+        # solution is always written back, whether zgttrs returned that
+        # buffer or a new one.
         out = np.zeros_like(values, dtype=np.complex128)
         rhs = out[active]
         np.multiply(1j * self.lam, hv, out=rhs)
         np.subtract(v, rhs, out=rhs)
-        solved, _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
-        if isinstance(active, np.ndarray):
-            out[active] = solved
+        out[active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
 
 
@@ -193,13 +193,13 @@ class _SplitStep:
                 f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
                 f"wrap guard {EDGE_AMPLITUDE_TOL:.0e}); enlarge the domain or stop earlier"
             )
-        # One buffer, in place, in numpy's operand order: its complex products
-        # are not bitwise commutative.
+        # Products in place, in numpy's operand order: its complex products are
+        # not bitwise commutative.  The transforms stay out of place (numpy.fft
+        # takes out= from numpy 2.0 on).
         half = self.half_potential
-        out = np.multiply(half, values)
-        np.fft.fft(out, out=out)
-        np.multiply(self.kinetic, out, out=out)
-        np.fft.ifft(out, out=out)
+        spectrum = np.fft.fft(np.multiply(half, values))
+        np.multiply(self.kinetic, spectrum, out=spectrum)
+        out = np.fft.ifft(spectrum)
         return np.multiply(half, out, out=out)
 
 

@@ -523,8 +523,8 @@ def test_split_step_guard_fires_at_a_state_the_snapshots_skip(every):
 @pytest.mark.parametrize("wall", [None, 120])
 def test_crank_nicolson_step_is_the_out_of_place_solve(wall):
     # The right-hand side v - i lam H v formed and solved in place, in a
-    # slice of the output or, across an interior wall, in a copy written
-    # back, against the same arithmetic out of place on the real band.
+    # view of the output or, across an interior wall, in a copy, and written
+    # back, against the same arithmetic out of place.
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     g = make_grid(-10, 10, 401)
