@@ -193,14 +193,9 @@ class _SplitStep:
                 f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
                 f"wrap guard {EDGE_AMPLITUDE_TOL:.0e}); enlarge the domain or stop earlier"
             )
-        # Products in place, in numpy's operand order: its complex products are
-        # not bitwise commutative.  The transforms stay out of place (numpy.fft
-        # takes out= from numpy 2.0 on).
+        # numpy's complex products are not bitwise commutative: keep this order.
         half = self.half_potential
-        spectrum = np.fft.fft(np.multiply(half, values))
-        np.multiply(self.kinetic, spectrum, out=spectrum)
-        out = np.fft.ifft(spectrum)
-        return np.multiply(half, out, out=out)
+        return half * np.fft.ifft(self.kinetic * np.fft.fft(half * values))
 
 
 def split_step(

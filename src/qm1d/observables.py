@@ -82,26 +82,19 @@ def _warn_if_unnormalized(n2: float):
 
 
 def _density(values: np.ndarray, weight: float | None = None) -> np.ndarray:
-    """|values|^2, times weight when one is given, computed in place."""
-    density = np.abs(values)
-    density *= density
-    if weight is not None:
-        density *= weight
-    return density
+    """|values|^2, times weight when one is given."""
+    density = np.abs(values) ** 2
+    return density if weight is None else density * weight
 
 
 def _moments(coords: np.ndarray, density: np.ndarray, scale: float, variance: bool = True):
     """Mean and, when asked, variance of coords under the weights density * scale
-    along the last axis, so a 2-D density gives one pair per row; one temporary
-    is folded in place.  The variance is None when not asked for."""
-    work = coords * density
-    mean = work.sum(axis=-1) * scale
+    along the last axis, so a 2-D density gives one pair per row.  The variance
+    is None when not asked for."""
+    mean = (coords * density).sum(axis=-1) * scale
     if not variance:
         return mean, None
-    np.subtract(coords, mean[..., None], out=work)
-    work *= work
-    work *= density
-    return mean, work.sum(axis=-1) * scale
+    return mean, ((coords - mean[..., None]) ** 2 * density).sum(axis=-1) * scale
 
 
 def _floats(mean, var) -> tuple[float, float | None]:

@@ -97,9 +97,9 @@ def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
 def _prepare(potential, energies, mass, constants, sweep=False):
     """Layout, energies, (nE, regions) wavenumbers and the E == V mask.
 
-    The rows are checked as one array, then the first bad one alone for its
-    message: sign, equal asymptotes, open incident channel.  A sweep converts
-    each row with float() first and prefixes its errors with the row."""
+    The rows are converted with float() and checked as one array, then the
+    first bad one alone for its message: sign, equal asymptotes, open incident
+    channel.  A sweep prefixes its errors with the row."""
     positive("mass", mass)
     interfaces, region_v = _region_layout(potential)
     v_left, v_right = region_v[0], region_v[-1]
@@ -116,8 +116,6 @@ def _prepare(potential, energies, mass, constants, sweep=False):
             raise ParameterError(f"{prefix}E={E} does not propagate in the asymptotic regions "
                                  f"(V={v_left}); the incident channel is evanescent")
 
-    if not sweep:
-        check(0, rows[0])
     values = []
     try:
         values.extend(map(float, rows))  # keeps the rows before one that fails
@@ -180,7 +178,7 @@ def _chain(interfaces, linear, k):
     log_scale = np.zeros(n)
     # f and b are the rows (M11, M12) and (M21, M22) of the running product;
     # region 0 is referenced to its right edge, so interface 0 has no width
-    f, b = first = _advance(k, linear, 0, 0.0, *_EYE)
+    f, b = _advance(k, linear, 0, 0.0, *_EYE)
     for j in range(1, len(interfaces)):
         delta = interfaces[j] - interfaces[j - 1]
         # e-folds across region j; zero unless it is evanescent (k = i beta)
@@ -198,9 +196,15 @@ def _chain(interfaces, linear, k):
     t = np.exp(1j * k0 * (x0 - xm)) * det_total / b[1]
     if len(interfaces) != 2 or x0 != 0.0:
         return r, t, None
-    # region 1's amplitudes from the incident pair (1, r); below the barrier
-    # top the forward basis decays, so exp(+beta x)'s is the backward one
-    f1, b1 = (row[0] + _times(row[1], r) for row in first)
+    # region 1's amplitudes from the transmitted side, as in region_waves: the
+    # last interface's adjugate, over the Wronskian ratio (k1/k0, or
+    # 1/(-2i k0) for a linear region 1), applied to (t e^{i k0 a}, 0), which is
+    # (1/b[1], 0) with region 1's scale put back; the matrix has it taken
+    # out, so neither overflows where t underflows.  Below the barrier top
+    # the forward basis decays, so exp(+beta x)'s is the backward one
+    _, (m21, m22) = _advance(k, linear, 1, xm, *_EYE, log_scale)
+    over = _times(np.where(linear[:, 1], 0.5j, k[:, 1]) / k0, b[1])
+    f1, b1 = m22 / over, -m21 / over
     decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
     return r, t, (np.where(decaying, b1, f1), np.where(decaying, f1, b1))
 

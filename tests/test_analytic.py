@@ -24,6 +24,9 @@ from qm1d import (
 )
 from qm1d.errors import ParameterError
 
+# numpy 2.0 renamed trapz to trapezoid; pyproject.toml still allows numpy 1.24
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 # explicit low-degree physicists' Hermite polynomials for the recurrence check
 HERMITE_TABLE = {
     0: lambda q: 1.0,
@@ -151,14 +154,14 @@ def test_well_state_normalized_quadrature():
     x = np.linspace(0, 1, 20001)
     for n in (1, 2, 5):
         values = well_state(n, 1.0, x)
-        assert np.trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-9)
+        assert trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_well_states_orthogonal_quadrature():
     x = np.linspace(0, 1, 20001)
     for n in range(1, 5):
         for m in range(n + 1, 6):
-            overlap = np.trapezoid(well_state(n, 1.0, x) * well_state(m, 1.0, x), x)
+            overlap = trapezoid(well_state(n, 1.0, x) * well_state(m, 1.0, x), x)
             assert abs(overlap) < 1e-10
 
 
@@ -309,7 +312,7 @@ def test_oscillator_states_normalized_quadrature():
     x = np.linspace(-14, 14, 14001)
     for n in range(11):
         values = oscillator_state(n, 1.0, 1.0, NATURAL, x)
-        assert np.trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-10)
+        assert trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_oscillator_state_parity():
@@ -323,7 +326,7 @@ def test_oscillator_state_parity():
 def test_oscillator_state_scales_with_mass_omega():
     x = np.linspace(-6, 6, 6001)
     values = oscillator_state(2, 2.0, 3.0, NATURAL, x)
-    assert np.trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-10)
+    assert trapezoid(values**2, x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_oscillator_state_far_tail_is_zero_not_nan():
@@ -352,7 +355,7 @@ def test_blackbody_planck_integral_converges():
         nu = np.linspace(1e-9, ceiling_x * nu_scale, n)
         u = np.array([blackbody_density(v, t, "planck", c) for v in nu[:: n // 4001]])
         grid = nu[:: n // 4001]
-        return np.trapezoid(u, grid)
+        return trapezoid(u, grid)
 
     i40 = integral(40.0)
     i80 = integral(80.0)
@@ -413,7 +416,7 @@ def _action_integral(E, mass, omega, n_points=2_000_001):
     amplitude = math.sqrt(2.0 * E / (mass * omega**2))
     x = np.linspace(-amplitude, amplitude, n_points)
     p = np.sqrt(np.maximum(2.0 * mass * E - (mass * omega * x) ** 2, 0.0))
-    return 2.0 * np.trapezoid(p, x)
+    return 2.0 * trapezoid(p, x)
 
 
 def test_sommerfeld_wilson_levels_match_action_quadrature():

@@ -439,6 +439,48 @@ def test_closed_form_interior_coefficients_match_solve_oracle(v0, a):
     assert np.all(np.abs(np.array([row.c_minus for row in rows]) - c_minus) <= 1e-13)
 
 
+@pytest.mark.parametrize("a", [1.0, 10.0, 30.0, 120.0, 500.0])
+def test_interior_coefficients_match_the_closed_form_behind_opaque_barriers(a):
+    # Below the top the growing coefficient, exp(+beta x)'s, is about
+    # exp(-2 beta a): it must not read as roundoff of r.
+    barrier, energies = Barrier(v0=4.0, a=a), (0.05, 1.0, 2.0, 3.9, 4.0, 6.0)
+    for E, row in zip(energies, transmission_sweep(barrier, energies)):
+        single = transfer_scattering(barrier, E)
+        closed = barrier_scattering(E, 4.0, a)
+        for name in ("c_plus", "c_minus"):
+            assert getattr(row, name) == getattr(single, name)
+            want = getattr(closed, name)
+            assert abs(getattr(single, name) - want) <= 1e-12 * abs(want), (E, name)
+
+
+@pytest.mark.parametrize("a", [10.0, 30.0, 120.0])
+def test_interior_coefficients_continue_into_the_transmitted_wave(a):
+    # At x = a the barrier region's wave must meet t exp(i k a), whose size is
+    # |t|, down to 1e-128 here, not the roundoff of the incident side.
+    for E in (0.05, 1.0, 2.0, 3.9, 4.0):
+        res = transfer_scattering(Barrier(v0=4.0, a=a), E)
+        k = math.sqrt(2.0 * E)
+        if E == 4.0:  # the linear solution's constant term and slope
+            value, slope = res.c_plus + res.c_minus * a, res.c_minus
+        else:
+            beta = cmath.sqrt(2.0 * (4.0 - E))
+            grow, decay = res.c_plus * cmath.exp(beta * a), res.c_minus * cmath.exp(-beta * a)
+            value, slope = grow + decay, beta * (grow - decay)
+        transmitted = res.t * cmath.exp(1j * k * a)
+        assert abs(value - transmitted) <= 1e-12 * abs(res.t), E
+        assert abs(slope - 1j * k * transmitted) <= 1e-12 * k * abs(res.t), E
+
+
+def test_interior_coefficients_of_a_barrier_too_thick_for_t():
+    # beta * a is about 1225 e-folds: t and the growing coefficient underflow
+    res = transfer_scattering(Barrier(v0=4.0, a=500.0), 1.0)
+    closed = barrier_scattering(1.0, 4.0, 500.0)
+    assert res.c_plus == 0.0
+    assert abs(res.c_minus - closed.c_minus) <= 1e-12 * abs(closed.c_minus)
+    assert all(math.isfinite(part) for c in (res.r, res.t, res.c_plus, res.c_minus)
+               for part in (c.real, c.imag))
+
+
 def test_closed_form_region_waves_match_solve_oracle():
     rng = np.random.default_rng(11)
     cases = [(Barrier(v0=4.0, a=a), 0.5) for a in (5.0, 120.0)]
@@ -477,7 +519,19 @@ def test_single_energy_errors_keep_their_messages():
          "int too large to convert to float"),
         (lambda: region_waves(barrier, 10**400), OverflowError,
          "int too large to convert to float"),
+        (lambda: transfer_scattering(barrier, -1), ParameterError,
+         "energy must be positive, got -1.0"),
+        (lambda: region_waves(barrier, -1), ParameterError,
+         "energy must be positive, got -1.0"),
     ]
+    # An energy float() rejects raises float()'s own error, whose wording
+    # depends on the Python version.
+    for energy in ("x", None, 1 + 0j):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            float(energy)
+        for function in (transfer_scattering, region_waves):
+            cases.append((lambda f=function, e=energy: f(barrier, e), expected.type,
+                          str(expected.value)))
     for call, error, message in cases:
         with pytest.raises(error) as info:
             call()

@@ -71,3 +71,12 @@ def test_corpus_names_the_columns_whose_cells_moved(tmp_path, suffix):
     against = write("against", [[0.0, 1.0, 12.5], [0.5, 1.0, 12.5]])
     assert corpus.cell_difference(this, against) == (
         "2 numeric cells moved, max abs 0.12, max rel 0.0099; columns: energy")
+
+
+def test_corpus_names_the_library_arrays_that_moved():
+    this = {"r": "a", "t": "b", "c_plus": "c", "c_minus": "d"}
+    against = {"r": "a", "t": "b", "c_plus": "x", "c_minus": "y"}
+    assert corpus.moved_arrays(this, against) == "sha256 differs in c_minus, c_plus"
+    assert corpus.moved_arrays({"energy": "a"}, {}) == "sha256 differs in energy"
+    assert corpus.moved_arrays("a", "b") == "sha256 differs or missing on one side"
+    assert corpus.moved_arrays("a", None) == "sha256 differs or missing on one side"

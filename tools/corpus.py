@@ -26,11 +26,13 @@ observables no CLI scenario measures:
 runs in its own interpreter with ``PYTHONPATH`` set to its source tree, so
 the two never share imported modules.  Data files and library results are
 compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
-skipped.  Exit status 0 means every scenario exits alike on both sides and
-every data file and library result exists on both sides with the same digest.
+skipped.  A library result of several arrays (the six evolve series, a
+scattering result's r, t, c_plus and c_minus) hashes each array under its own
+name.  Exit status 0 means every scenario exits alike on both sides and every
+data file and library result exists on both sides with the same digests.
 For a data file whose digest differs, the report gives its largest absolute
 and relative numeric cell difference and names the columns whose cells
-differ.
+differ; for a library result, it names the arrays whose digests differ.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ print(json.dumps(codes))
 """
 
 # Prints the sha256 of each public-API result below as one JSON object, by
-# name: "library/<stencil order>/<problem>/<result>" for bound states,
+# name (a result of several named arrays maps each name to its own sha256):
+# "library/<stencil order>/<problem>/<result>" for bound states,
 # "library/segments/<potential>/<result>[/<energy>]" for segment potentials,
 # "library/sampled/<potential>/<result>" for sampled ones,
 # "library/free/<method>[/series]" for a free packet through evolve,
@@ -99,6 +102,9 @@ def sha(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+def shas(**arrays):
+    return {name: sha(a) for name, a in arrays.items()}
 
 osc = make_grid(-10.0, 10.0, 401)
 wall = 150  # x = -2.5
@@ -129,7 +135,7 @@ for order in (2, 4):
 def run_evolve(key, psi0, potential, **config):
     trajectory = evolve(psi0, potential, EvolutionConfig(**config))
     sums[key] = sha(*(s.values for s in trajectory.snapshots))
-    sums[f"{key}/series"] = sha(*(getattr(trajectory, n) for n in SERIES))
+    sums[f"{key}/series"] = shas(**{n: getattr(trajectory, n) for n in SERIES})
 
 values = np.exp(-((osc.points - 1.0) ** 2) + 1.5j * osc.points)
 smooth_packet = normalize(WaveFunction(osc, values))  # a copy of values
@@ -168,8 +174,8 @@ for name, potential in (("barrier", Barrier(v0=2.0, a=1.0)), ("stack", stack)):
     sums[f"library/segments/{name}/sample_on_grid"] = sha(*sample_on_grid(potential, interfaces))
 for E in (0.4, 1.0, 4.0, 6.0):  # tunnelling, E = V and above the barrier
     result = transfer_scattering(Barrier(v0=4.0, a=1.0), E)
-    amplitudes = (result.r, result.t, result.c_plus, result.c_minus)
-    sums[f"library/segments/barrier/transfer_scattering/{E}"] = sha(np.array(amplitudes))
+    sums[f"library/segments/barrier/transfer_scattering/{E}"] = shas(
+        **{n: np.array(getattr(result, n)) for n in ("r", "t", "c_plus", "c_minus")})
 for E in (1.0, 2.5):
     waves = region_waves(stack, E)
     sums[f"library/segments/stack/region_waves/{E}"] = sha(
@@ -392,6 +398,15 @@ def cell_difference(this: Path, against: Path) -> str:
     return text + (f"; {other} other cells differ" if other else "") + f"; columns: {names}"
 
 
+def moved_arrays(this, against) -> str:
+    """The names of the arrays whose digests differ between two library
+    results of several named arrays; a result of one array has no names."""
+    if not (isinstance(this, dict) and isinstance(against, dict)):
+        return "sha256 differs or missing on one side"
+    names = sorted(n for n in this.keys() | against.keys() if this.get(n) != against.get(n))
+    return "sha256 differs in " + ", ".join(names)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, type=Path,
@@ -419,7 +434,7 @@ def main(argv=None) -> int:
     failures += [f"scenario {sub} exited {a}" for (_, sub, _), a in zip(runs, codes["this"]) if a]
     failures += [
         f"{name}: sha256 differs ({moved[name]})" if name in moved
-        else f"{name}: sha256 differs or missing on one side"
+        else f"{name}: {moved_arrays(sums['this'].get(name), sums['against'].get(name))}"
         for name in sorted(set(sums["this"]) | set(sums["against"]))
         if sums["this"].get(name) != sums["against"].get(name)
     ]
