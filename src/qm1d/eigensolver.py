@@ -115,6 +115,17 @@ class DiscreteHamiltonian:
             y[d:] += coupling * v[:-d]
         return y
 
+    def kinetic_symbol(self) -> np.ndarray:
+        """The Fourier symbol T(p) of the kinetic stencil, in numpy's FFT order:
+        (hbar^2 / (m dx^2)) (1 - cos(p dx / hbar)) at order 2.  Each stencil's
+        diagonal is -2 times its couplings' sum, so T = -4 c sum_d coupling_d
+        sin^2(d p dx / 2 hbar), which keeps its accuracy at small p."""
+        c = self.hbar**2 / (2.0 * self.mass * self.grid.dx * self.grid.dx)
+        half_theta = np.pi * np.fft.fftfreq(self.grid.n)
+        _, _, couplings = _STENCILS[self.order]
+        return -4.0 * c * sum(numerator / denominator * np.sin(d * half_theta) ** 2
+                              for d, (numerator, denominator) in enumerate(couplings, 1))
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:

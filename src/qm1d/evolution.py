@@ -8,9 +8,11 @@ Two deliberately independent propagators:
   potential phase; spectrally accurate in space for smooth potentials but
   requires a periodic-safe state (negligible edge amplitude, no walls).
 
-Each covers the other's blind spot and they cross-validate.  Accuracy note:
-unconditional stability does not imply accuracy; keep dt well below
-hbar / E_max of the occupied spectrum (a factor of ten is a good default).
+Each covers the other's blind spot and they cross-validate.  Each reports as
+its energy the mean of the Fourier symbol T(p) of the kinetic operator it
+applies, plus <V>.  Accuracy note: unconditional stability does not imply
+accuracy; keep dt well below hbar / E_max of the occupied spectrum (a factor
+of ten is a good default).
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class EvolutionConfig:
 
     def __post_init__(self):
         positive("dt", self.dt)
+        for name in ("steps", "observables_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.steps < 0:
             # steps = 0 is the degenerate single-snapshot trajectory
             raise ParameterError(f"steps must be non-negative, got {self.steps}")
@@ -94,8 +100,6 @@ class _CrankNicolson:
     # Largest |psi| allowed at an excluded (hard-wall or box-edge) point, as a
     # fraction of the state's own peak |psi|.
     _WALL_TOL = 1e-12
-    # The energy series is <psi|H psi> of the 3-point H that this step applies.
-    spectral_energy = False
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.order != 2:
@@ -113,14 +117,14 @@ class _CrankNicolson:
         self.zgttrs = zgttrs
         self.lam = lam
         self.masked = np.flatnonzero(h.mask)
+        # Its mean is <T> of the band for every state zero at the excluded points.
+        self.kinetic_symbol = h.kinetic_symbol()
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
         off = 1j * lam * h.band[1, :-1]
         *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
 
-    def step_values(self, values: np.ndarray, h_values: np.ndarray | None = None,
-                    edge: float | None = None) -> np.ndarray:
-        """The next state's values; h_values is h.apply(values), or None for
-        the step to compute H psi itself.  edge is not read (see _SplitStep)."""
+    def step_values(self, values: np.ndarray) -> np.ndarray:
+        """The next state's values."""
         # The wall check runs every step; excluded points holding exactly
         # zero (every stepped state) pass without the peak.
         fraction = peak_fraction(values, self.masked, self._WALL_TOL)
@@ -131,14 +135,13 @@ class _CrankNicolson:
             )
         active = self.h.active
         v = values[active]
-        hv = self.h.apply_active(v) if h_values is None else h_values[active]
         # The rhs v - i lam H v is formed in out's active part (a view of out
         # when active is a slice, else a copy) and solved for in place; the
         # solution is always written back, whether zgttrs returned that
         # buffer or a new one.
         out = np.zeros_like(values, dtype=np.complex128)
         rhs = out[active]
-        np.multiply(1j * self.lam, hv, out=rhs)
+        np.multiply(1j * self.lam, self.h.apply_active(v), out=rhs)
         np.subtract(v, rhs, out=rhs)
         out[active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
@@ -165,13 +168,8 @@ class _SplitStep:
 
     The kinetic factor is stored in numpy's unshifted FFT order, and the
     dx * n * dp / (2 pi hbar) = 1 scale of the continuum transforms cancels
-    in a round trip, so a step is half * ifft(kinetic * fft(half * psi)).
+    in a round trip, so a step is half * ifft(kinetic_phase * fft(half * psi)).
     """
-
-    # The energy series is the mean of p^2/2m over |phi(p)|^2 plus that of V
-    # over |psi|^2, which this step conserves exactly for V = 0 and to
-    # O(dt^2) otherwise.
-    spectral_energy = True
 
     def __init__(self, h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants):
         if h.wall_mask.any():
@@ -181,13 +179,14 @@ class _SplitStep:
         _check_step(h, dt, constants)
         self.half_potential = np.exp(-0.5j * h.potential_values * dt / constants.hbar)
         p, _ = fft_momenta(h.grid, constants)
-        self.kinetic = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
+        self.kinetic_phase = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
+        # The Fourier-grid T (Kosloff & Kosloff, J. Comput. Phys. 52, 35 (1983)):
+        # its mean plus <V> is conserved exactly for V = 0, else to O(dt^2).
+        self.kinetic_symbol = p**2 / (2.0 * h.mass)
 
-    def step_values(self, values: np.ndarray, h_values: np.ndarray | None = None,
-                    edge: float | None = None) -> np.ndarray:
-        """The next state's values; edge, when given, is values' peak_fraction
-        at EDGES, which the guard then reuses.  h_values is not read."""
-        fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if edge is None else edge
+    def step_values(self, values: np.ndarray) -> np.ndarray:
+        """The next state's values."""
+        fraction = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL)
         if fraction:
             raise EdgeAmplitudeError(
                 f"state has {fraction:.2e} of its peak amplitude at a grid edge (periodic-"
@@ -195,7 +194,7 @@ class _SplitStep:
             )
         # numpy's complex products are not bitwise commutative: keep this order.
         half = self.half_potential
-        return half * np.fft.ifft(self.kinetic * np.fft.fft(half * values))
+        return half * np.fft.ifft(self.kinetic_phase * np.fft.fft(half * values))
 
 
 def split_step(
@@ -227,41 +226,29 @@ BATCH = 4
 def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, mass: float,
             constants: PhysicalConstants, keep: Callable[[np.ndarray], object]):
     """Step psi0 and observe the recorded states: the recorded times, the SERIES
-    as arrays and keep(values) of each recorded state.  Each recorded state is
-    copied into a row of a preallocated (BATCH, n) buffer, and each full batch,
-    and the partial last one, is observed in one call.  The stepper's
-    spectral_energy picks the energy series: the split step's comes with the
-    batch, from the snapshot's own FFT, so no split-step state is given an
-    H psi; Crank-Nicolson's 3-point <H> is taken per state as it is recorded,
-    from the one H psi that also serves the state's next step.  A recorded
-    state's edge peak_fraction is computed once, for its snapshot and its
-    step; the step of an unrecorded state computes what it reads itself.
-    A step failure is re-raised with "step k: " prefixed; the series'
-    warnings are issued after the last step, in snapshot order, so a failed
-    run has none."""
+    as arrays and keep(values) of each recorded state.  Recorded states are
+    copied into the rows of a (BATCH, n) buffer, observed one full batch, and
+    the partial last one, per call.  A step failure is re-raised with "step k: "
+    prefixed.  Warnings come after the last step, so a failed run has none: the
+    norm's, then the final state's edge.  No earlier state of a run that
+    succeeds has a hot edge: the split guard refuses the same peak_fraction,
+    Crank-Nicolson refuses edge amplitude in psi0 and zeroes both grid ends."""
     h = build_hamiltonian(psi0.grid, potential, mass, constants)
     stepper = STEPPERS[config.method](h, config.dt, constants)
-    spectral = stepper.spectral_energy
-    observe = _SnapshotObservables(h, constants, spectral)
+    observe = _SnapshotObservables(h, constants, stepper.kinetic_symbol)
     batch = np.empty((BATCH, psi0.grid.n), dtype=np.complex128)
     rows = 0
-    times, energies, edges, kept, observed = [], [], [], [], []
+    times, kept, observed = [], [], []
     values = psi0.values
     for k in range(config.steps + 1):
         if k:
             try:
-                values = stepper.step_values(values, h_values, edge)
+                values = stepper.step_values(values)
             except Exception as exc:
                 exc.args = (f"step {k}: {exc}",)
                 raise
-        recorded = k % config.observables_every == 0 or k == config.steps
-        h_values = h.apply(values) if recorded and not spectral else None
-        edge = peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL) if recorded else None
-        if recorded:
+        if k % config.observables_every == 0 or k == config.steps:
             times.append(k * config.dt)
-            if not spectral:
-                energies.append(observe.energy(values, h_values))
-            edges.append(edge)
             kept.append(keep(values))
             batch[rows] = values
             rows += 1
@@ -269,11 +256,9 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
                 observed.append(observe(batch[:rows]))
                 rows = 0
     series = tuple(map(np.concatenate, zip(*observed)))
-    if not spectral:
-        series += (np.array(energies),)
-    for norm, edge in zip(series[0], edges):
+    for norm in series[0]:
         _warn_if_unnormalized(norm)
-        warn_hot_edges(edge)
+    warn_hot_edges(peak_fraction(values, EDGES, EDGE_AMPLITUDE_TOL))
     return np.asarray(times), series, kept
 
 

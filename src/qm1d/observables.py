@@ -22,7 +22,7 @@ from .constants import NATURAL, PhysicalConstants
 from .core import Grid, Space, WaveFunction, check_state, inner_product, norm_squared, peak_fraction
 from .eigensolver import DiscreteHamiltonian
 from .errors import GridMismatchError, NormalizationWarning, ParameterError, warn
-from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_kinetic, fft_momenta, warn_hot_edges
+from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, warn_hot_edges
 
 # Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
@@ -199,50 +199,38 @@ class _SnapshotObservables:
     Equal to norm_squared to roundoff and, bit for bit, to expectation and
     uncertainty of the position and momentum operators, whose formulas these
     are.  The evolution loop copies recorded states into the rows of a small
-    batch and calls this once per batch: the norm and the position and
-    momentum moments of every row come from one |psi|^2, one unshifted FFT
-    along the rows and row-wise sums, and each row has the bits of its state
-    observed alone.  The energy is the propagator's own.  With spectral, the
-    split step's, the batch call also returns each row's mean of
-    spectral.fft_kinetic over the forward density plus the mean of V over
-    the position density; otherwise the loop takes the 3-point
-    <psi|H psi> per state by energy, from the H psi that it computes once
-    for the snapshot and the next Crank-Nicolson step.  Nothing here warns:
-    the norm is a series, and the loop takes the edge peak_fraction itself
-    and warns of both once its last step has succeeded, so a failed run
-    warns of nothing.
+    batch and calls this once per batch: every series of every row comes from
+    one |psi|^2, one unshifted FFT along the rows and row-wise sums, and each
+    row has the bits of its state observed alone.  The energy is the mean of
+    kinetic, the Fourier symbol T(p) in FFT order of the propagator's kinetic
+    operator, over the forward density, plus the mean of V over |psi|^2.
+    Nothing here warns: the norm is a series, and the loop warns once its
+    last step has succeeded, so a failed run warns of nothing.
     """
 
-    def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants, spectral: bool):
+    def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants,
+                 kinetic: np.ndarray):
         self.x = h.grid.points
         self.dx = h.grid.dx
         self.p, self.p_weight = fft_momenta(h.grid, constants)
-        self.kinetic = fft_kinetic(h.grid, h.mass, constants) if spectral else None
+        self.kinetic = kinetic
         self.potential = h.potential_values
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
-        """norm, x_mean, p_mean, x_spread and p_spread, then, with spectral,
-        energy, in evolution.Trajectory's field order, as arrays over the rows
-        of batch (one state per row)."""
+        """norm, x_mean, p_mean, x_spread, p_spread and energy, in
+        evolution.Trajectory's field order, as arrays over the rows of batch
+        (one state per row)."""
         # The transform goes first, so its (rows, n) complex temporary is freed
         # before the position density is formed.
         forward_density = _density(np.fft.fft(batch, axis=-1), self.p_weight)
         p_mean, p_var = _moments(self.p, forward_density, 1.0)
-        if self.kinetic is not None:
-            kinetic, _ = _moments(self.kinetic, forward_density, 1.0, variance=False)
+        kinetic, _ = _moments(self.kinetic, forward_density, 1.0, variance=False)
         density = _density(batch)
         norm = density.sum(axis=-1) * self.dx
         x_mean, x_var = _moments(self.x, density, self.dx)
-        series = (norm, x_mean, p_mean, np.sqrt(np.maximum(x_var, 0.0)),
-                  np.sqrt(np.maximum(p_var, 0.0)))
-        if self.kinetic is None:
-            return series
         potential, _ = _moments(self.potential, density, self.dx, variance=False)
-        return (*series, kinetic + potential)
-
-    def energy(self, values: np.ndarray, h_values: np.ndarray) -> float:
-        """<H> of one state, with h_values = h.apply(values)."""
-        return float(np.vdot(values, h_values).real * self.dx)
+        return (norm, x_mean, p_mean, np.sqrt(np.maximum(x_var, 0.0)),
+                np.sqrt(np.maximum(p_var, 0.0)), kinetic + potential)
 
 
 def _commutator(op_a: Operator, op_b: Operator, values: np.ndarray, forward) -> complex:

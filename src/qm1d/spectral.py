@@ -52,14 +52,6 @@ def fft_momenta(grid: Grid, constants: PhysicalConstants) -> tuple[np.ndarray, f
     return np.fft.ifftshift(mgrid.p), weight
 
 
-def fft_kinetic(grid: Grid, mass: float, constants: PhysicalConstants) -> np.ndarray:
-    """The Fourier-grid kinetic energy T(p) = p^2 / 2m at the momenta of
-    fft_momenta (Kosloff & Kosloff, J. Comput. Phys. 52, 35 (1983)): its mean
-    over |fft(psi)|^2 w is <T> of the spectral kinetic operator."""
-    p, _ = fft_momenta(grid, constants)
-    return p**2 / (2.0 * mass)
-
-
 def warn_hot_edges(fraction: float):
     """EdgeAmplitudeWarning for a nonzero peak_fraction of a state at EDGES
     against EDGE_AMPLITUDE_TOL."""

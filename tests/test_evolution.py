@@ -212,7 +212,8 @@ def test_free_packet_energy_and_norm_conserved():
 def test_split_step_energy_is_the_free_packet_closed_form():
     # A free packet's energy is hbar^2 (k0^2 + 1/(4 alpha)) / 2m = 12.625, and
     # the split step's kinetic phase leaves |phi(p)|^2, and so <p^2>/2m,
-    # unchanged.  Crank-Nicolson reports <H> of the 3-point H it steps.
+    # unchanged.  Crank-Nicolson reports the mean of the 3-point symbol, which
+    # is <H> of the 3-point H it steps.
     g = make_grid(-24, 42, 2048)
     psi0 = gaussian_on(g, alpha=1.0, k0=5.0)
     exact = (5.0**2 + 1.0 / 4.0) / 2.0
@@ -223,8 +224,25 @@ def test_split_step_energy_is_the_free_packet_closed_form():
     assert np.max(np.abs(split - exact)) <= 1e-12 * exact
     h_op = hamiltonian_operator(build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL))
     cn = runs["crank_nicolson"]
-    assert [expectation(h_op, s).real for s in cn.snapshots] == cn.energy.tolist()
+    for s, energy in zip(cn.snapshots, cn.energy):
+        assert energy == pytest.approx(expectation(h_op, s).real, rel=1e-12, abs=0)
     assert cn.energy[0] == pytest.approx(12.59632258, rel=1e-9)
+
+
+def test_crank_nicolson_energy_is_the_band_mean_across_a_wall():
+    # At an interior wall the 3-point circulant couples the wall point, where
+    # every stepped state is exactly zero, so its mean is still <H> of the band.
+    g = make_grid(-10, 10, 401)
+    raw = 0.5 * g.points**2
+    raw[150] = math.inf
+    walled = Sampled(values=raw, grid=g)
+    psi0 = gaussian_on(g, alpha=0.5, k0=1.5, x0=-1.0)
+    psi0 = normalize(psi0.with_values(np.where(np.arange(g.n) == 150, 0.0, psi0.values)))
+    trajectory = evolve(psi0, walled, EvolutionConfig(dt=0.02, steps=40, observables_every=5))
+    h_op = hamiltonian_operator(build_hamiltonian(g, walled, 1.0, NATURAL))
+    assert len(trajectory.snapshots) == 9
+    for s, energy in zip(trajectory.snapshots, trajectory.energy):
+        assert energy == pytest.approx(expectation(h_op, s).real, rel=1e-12, abs=0)
 
 
 def test_coherent_packet_follows_classical_trajectory():
@@ -297,6 +315,20 @@ def test_config_validation():
         EvolutionConfig(dt=0.1, steps=10, observables_every=0)
 
 
+@pytest.mark.parametrize("field", ["steps", "observables_every"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3", None])
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+        EvolutionConfig(dt=0.1, **{"steps": 6, field: value})
+
+
+def test_config_counts_accept_numpy_integers():
+    g = make_grid(-12, 12, 128)
+    config = EvolutionConfig(dt=0.01, steps=np.int64(6), observables_every=np.int32(3))
+    trajectory = evolve(gaussian_on(g), PiecewiseConstant(), config)
+    assert trajectory.times.tolist() == [0.0, 0.03, 0.06]
+
+
 class _TwoArgError(RuntimeError):
     """A step failure whose constructor does not take a lone message."""
 
@@ -312,7 +344,7 @@ class _TwoArgError(RuntimeError):
 def test_evolve_step_error_keeps_type_and_prefixes_step(monkeypatch, method, stepper):
     taken = []
 
-    def failing_step(self, values, h_values, edge):
+    def failing_step(self, values):
         taken.append(1)
         if len(taken) == 3:
             raise _TwoArgError(7, "injected")
@@ -393,17 +425,15 @@ def test_every_series_entry_is_its_snapshot_observed_alone(method, states, every
     assert len(trajectory.snapshots) == states
     x_op, p_op = position_operator(g), momentum_operator(g)
     h = build_hamiltonian(g, potential, 1.0, NATURAL)
-    alone = _SnapshotObservables(h, NATURAL, spectral=True)
+    symbol = STEPPERS[method](h, config.dt, NATURAL).kinetic_symbol
+    alone = _SnapshotObservables(h, NATURAL, symbol)
     for i, snap in enumerate(trajectory.snapshots):
         assert trajectory.norm[i] == pytest.approx(norm_squared(snap), rel=0, abs=1e-12)
         assert trajectory.x_mean[i] == expectation(x_op, snap)
         assert trajectory.p_mean[i] == expectation(p_op, snap)
         assert trajectory.x_spread[i] == uncertainty(x_op, snap)
         assert trajectory.p_spread[i] == uncertainty(p_op, snap)
-        if method == "split_step":  # the spectral energy of a one-row batch
-            assert trajectory.energy[i] == alone(snap.values[np.newaxis])[-1][0]
-        else:
-            assert trajectory.energy[i] == expectation(hamiltonian_operator(h), snap).real
+        assert trajectory.energy[i] == alone(snap.values[np.newaxis])[-1][0]
 
 
 @pytest.mark.parametrize("case", sorted(_CROSS_CASES))
@@ -457,13 +487,11 @@ def test_evolve_warns_on_hot_edge_crank_nicolson_state():
 
 # (method, observables_every, H products for 10 steps)
 @pytest.mark.parametrize("method, every, calls", [
-    ("crank_nicolson", 1, 11), ("crank_nicolson", 3, 11), ("split_step", 1, 0), ("split_step", 3, 0),
+    ("crank_nicolson", 1, 10), ("crank_nicolson", 3, 10), ("split_step", 1, 0), ("split_step", 3, 0),
 ])
 def test_evolve_applies_h_at_most_once_per_state(monkeypatch, method, every, calls):
-    # A recorded state's H psi serves its snapshot's energy and the next
-    # Crank-Nicolson step's right-hand side, and an unrecorded state's CN step
-    # takes its own: N + 1 products for N CN steps, not 2N + 1.  The split
-    # step's energy comes from the snapshot's FFT, so it applies H to nothing.
+    # Each Crank-Nicolson step applies H once, for its right-hand side; every
+    # energy comes from the snapshot's FFT, so no snapshot applies H.
     applied = []
     apply_active = DiscreteHamiltonian.apply_active
 
@@ -480,8 +508,9 @@ def test_evolve_applies_h_at_most_once_per_state(monkeypatch, method, every, cal
 
 @pytest.mark.parametrize("every", [1, 3])
 def test_split_step_evolve_takes_edge_fraction_once_per_state(monkeypatch, every):
-    # The guard of a step reuses the fraction its state's snapshot took; an
-    # unrecorded state's step takes it itself.
+    # Each split step's guard takes its state's fraction, and the final state's
+    # edge warning takes one more: 11 for 10 steps.  Crank-Nicolson takes only
+    # the final state's.
     calls = []
 
     def counted(values, points, tol):
@@ -493,9 +522,27 @@ def test_split_step_evolve_takes_edge_fraction_once_per_state(monkeypatch, every
         if getattr(module, "peak_fraction", None) is peak_fraction and module is not qm1d:
             monkeypatch.setattr(module, "peak_fraction", counted)
     g = make_grid(-12, 12, 256)
-    config = EvolutionConfig(dt=0.01, steps=10, method="split_step", observables_every=every)
-    evolve(gaussian_on(g, k0=1.0), PiecewiseConstant(), config)
-    assert len(calls) == 11
+    for method, fractions in (("split_step", 11), ("crank_nicolson", 1)):
+        calls.clear()
+        config = EvolutionConfig(dt=0.01, steps=10, method=method, observables_every=every)
+        evolve(gaussian_on(g, k0=1.0), PiecewiseConstant(), config)
+        assert len(calls) == fractions, method
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_only_the_final_state_can_warn_of_its_edge(every):
+    # This packet trips the split guard at step 37, so state 36 is the last
+    # that steps: stopped there, the run succeeds and warns once, of state 36,
+    # whether or not the states before it are recorded.
+    g = make_grid(-12, 12, 256)
+    psi0 = normalize(WaveFunction(g, np.exp(-(g.points - 4.0) ** 2 + 6j * g.points)))
+    with pytest.raises(EdgeAmplitudeError, match=r"^step 37: "):
+        evolve(psi0, PiecewiseConstant(), EvolutionConfig(dt=0.01, steps=60, method="split_step"))
+    config = EvolutionConfig(dt=0.01, steps=36, method="split_step", observables_every=every)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve(psi0, PiecewiseConstant(), config)
+    assert [w.category for w in caught] == [EdgeAmplitudeWarning]
 
 
 @pytest.mark.parametrize("every", [1, 3])
@@ -553,10 +600,10 @@ def test_crank_nicolson_step_is_the_out_of_place_solve(wall):
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("place", ["edge", "wall"])
 def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
-    # psi0 is recorded, and its H psi serves step 1, but the excluded-point
-    # check still runs on it before the step.  The wide packet has 0.37 of its
-    # peak at the box edges (and would warn of them), the narrow one 4e-18
-    # there and its peak on the wall; a failed run issues no warning.
+    # psi0 is recorded, and the excluded-point check still runs on it before
+    # step 1.  The wide packet has 0.37 of its peak at the box edges (and
+    # would warn of them), the narrow one 4e-18 there and its peak on the
+    # wall; a failed run issues no warning.
     g = make_grid(-4, 4, 128)
     if place == "edge":
         psi0, potential = gaussian_on(g, alpha=4.0), PiecewiseConstant()

@@ -29,7 +29,7 @@ from qm1d import (
     uncertainty_bound_check,
 )
 from qm1d.errors import GridMismatchError, NormalizationWarning, ParameterError
-from qm1d.observables import _bound_satisfied
+from qm1d.observables import _SnapshotObservables, _bound_satisfied
 
 
 def gaussian_state(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -76,12 +76,17 @@ def test_observables_equal_evolve_series_bit_for_bit(alpha, k0, x0):
     free = PiecewiseConstant()
     trajectory = evolve(psi, free, EvolutionConfig(dt=0.01, steps=0))
     x_op, p_op = position_operator(g), momentum_operator(g)
-    h_op = hamiltonian_operator(build_hamiltonian(g, free, 1.0, NATURAL))
+    h = build_hamiltonian(g, free, 1.0, NATURAL)
     assert expectation(x_op, psi) == trajectory.x_mean[0]
     assert expectation(p_op, psi) == trajectory.p_mean[0]
     assert uncertainty(x_op, psi) == trajectory.x_spread[0]
     assert uncertainty(p_op, psi) == trajectory.p_spread[0]
-    assert expectation(h_op, psi).real == trajectory.energy[0]
+    # Crank-Nicolson's energy: the 3-point symbol's mean over the one-row
+    # batch, which is <H> of the band for a state zero at the box ends
+    alone = _SnapshotObservables(h, NATURAL, h.kinetic_symbol())
+    assert trajectory.energy[0] == alone(psi.values[np.newaxis])[-1][0]
+    assert trajectory.energy[0] == pytest.approx(
+        expectation(hamiltonian_operator(h), psi).real, rel=1e-12, abs=0)
 
 
 def test_matrix_columns_are_the_action_of_each_kind():

@@ -3,6 +3,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 def _tool(name):
@@ -80,3 +81,18 @@ def test_corpus_names_the_library_arrays_that_moved():
     assert corpus.moved_arrays({"energy": "a"}, {}) == "sha256 differs in energy"
     assert corpus.moved_arrays("a", "b") == "sha256 differs or missing on one side"
     assert corpus.moved_arrays("a", None) == "sha256 differs or missing on one side"
+
+
+def test_corpus_gives_the_largest_difference_of_each_moved_library_array():
+    this = [np.array([1.0, 2.0, 4.0]), np.array([True, False])]
+    against = [np.array([1.0, 2.0, 4.5]), np.array([True, False])]
+    assert corpus.array_difference(this, against) == "max abs 0.5, max rel 0.11"
+    assert corpus.array_difference([np.array([0.0, np.nan])], [np.array([0.0, 1.0])]) == (
+        "max abs 0, max rel 0; 1 other entries differ")
+    assert corpus.array_difference([np.zeros(2)], [np.zeros(3)]) == "shapes differ"
+    saved = ({"r": [np.array([1j])], "energy": [np.array([12.5])]},
+             {"r": [np.array([1j])], "energy": [np.array([12.625])]})
+    assert corpus.moved_arrays({"r": "a", "energy": "b"}, {"r": "a", "energy": "c"}, saved) == (
+        "sha256 differs in energy (max abs 0.12, max rel 0.0099)")
+    assert corpus.moved_arrays("a", "b", ([np.ones(2)], [np.ones(2) * 2])) == (
+        "sha256 differs or missing on one side (max abs 1, max rel 0.5)")

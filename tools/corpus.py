@@ -32,7 +32,9 @@ name.  Exit status 0 means every scenario exits alike on both sides and every
 data file and library result exists on both sides with the same digests.
 For a data file whose digest differs, the report gives its largest absolute
 and relative numeric cell difference and names the columns whose cells
-differ; for a library result, it names the arrays whose digests differ.
+differ; for a library result, it names the arrays whose digests differ and
+gives the largest absolute and relative difference of each, from the arrays
+that each side's library child saves next to its digests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -74,7 +77,8 @@ print(json.dumps(codes))
 """
 
 # Prints the sha256 of each public-API result below as one JSON object, by
-# name (a result of several named arrays maps each name to its own sha256):
+# name (a result of several named arrays maps each name to its own sha256),
+# and pickles the arrays of every result, by the same names, to argv[1]:
 # "library/<stencil order>/<problem>/<result>" for bound states,
 # "library/segments/<potential>/<result>[/<energy>]" for segment potentials,
 # "library/sampled/<potential>/<result>" for sampled ones,
@@ -86,7 +90,7 @@ print(json.dumps(codes))
 # "library/observables/<operator>/<result>" for observables of operators that
 # no CLI scenario measures.
 _LIBRARY = """
-import hashlib, json, math, warnings
+import hashlib, json, math, pickle, sys, warnings
 import numpy as np
 warnings.simplefilter("ignore")
 from qm1d import (NATURAL, Barrier, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp,
@@ -103,8 +107,15 @@ def sha(*arrays):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
-def shas(**arrays):
-    return {name: sha(a) for name, a in arrays.items()}
+# sums[key]: the sha256 of arrays, or of each named array under its name;
+# saved[key] keeps the arrays, as a list or as one-array lists by name.
+def record(key, *arrays, **named):
+    if named:
+        sums[key] = {name: sha(a) for name, a in named.items()}
+        saved[key] = {name: [np.asarray(a)] for name, a in named.items()}
+    else:
+        sums[key] = sha(*arrays)
+        saved[key] = [np.asarray(a) for a in arrays]
 
 osc = make_grid(-10.0, 10.0, 401)
 wall = 150  # x = -2.5
@@ -117,25 +128,25 @@ problems = {
     "ramp": (make_grid(-0.5, 20.0, 1026), LinearRamp(lam=1.0)),
     "walled": (osc, walled),
 }
-sums = {}
+sums, saved = {}, {}
 for order in (2, 4):
     for name, (grid, potential) in problems.items():
         h = build_hamiltonian(grid, potential, 1.0, NATURAL, order=order)
         spectrum = solve_bound_states(h, 4)
         key = f"library/{order}/{name}"
-        sums[f"{key}/energies"] = sha(spectrum.energies)
-        sums[f"{key}/states"] = sha(*(state.values for state in spectrum.states))
-        sums[f"{key}/residuals"] = sha(spectrum.residuals)
+        record(f"{key}/energies", spectrum.energies)
+        record(f"{key}/states", *(state.values for state in spectrum.states))
+        record(f"{key}/residuals", spectrum.residuals)
     rng = np.random.default_rng(order)
     v = rng.standard_normal(osc.n) + 1j * rng.standard_normal(osc.n)
     h = build_hamiltonian(osc, walled, 1.0, NATURAL, order=order)
-    sums[f"library/{order}/walled/apply"] = sha(h.apply(v))
+    record(f"library/{order}/walled/apply", h.apply(v))
 
 # The snapshots and the series of the public evolve.
 def run_evolve(key, psi0, potential, **config):
     trajectory = evolve(psi0, potential, EvolutionConfig(**config))
-    sums[key] = sha(*(s.values for s in trajectory.snapshots))
-    sums[f"{key}/series"] = shas(**{n: getattr(trajectory, n) for n in SERIES})
+    record(key, *(s.values for s in trajectory.snapshots))
+    record(f"{key}/series", **{n: getattr(trajectory, n) for n in SERIES})
 
 values = np.exp(-((osc.points - 1.0) ** 2) + 1.5j * osc.points)
 smooth_packet = normalize(WaveFunction(osc, values))  # a copy of values
@@ -162,26 +173,26 @@ for method in ("crank_nicolson", "split_step"):
 
 # Sampled potentials read between their nodes, and walls of both signs on the grid.
 midpoints = 0.5 * (osc.points[:-1] + osc.points[1:])
-sums["library/sampled/walled/value_array"] = sha(walled.value_array(midpoints))
+record("library/sampled/walled/value_array", walled.value_array(midpoints))
 two_walls = Sampled(values=np.where(osc.points < -5.0, -math.inf, walled_values), grid=osc)
-sums["library/sampled/two_walls/sample_on_grid"] = sha(*sample_on_grid(two_walls, osc))
+record("library/sampled/two_walls/sample_on_grid", *sample_on_grid(two_walls, osc))
 
 # Piecewise-constant potentials: sampling on a grid with points on every
 # interface, and scattering amplitudes no CLI table holds.
 stack = PiecewiseConstant(((0.0, 0.5, 2.0), (0.5, 1.0, -1.0), (1.0, 1.5, 1.0)))
 interfaces = make_grid(-1.0, 2.0, 301)  # holds 0.0, 0.5, 1.0 and 1.5 exactly
 for name, potential in (("barrier", Barrier(v0=2.0, a=1.0)), ("stack", stack)):
-    sums[f"library/segments/{name}/sample_on_grid"] = sha(*sample_on_grid(potential, interfaces))
+    record(f"library/segments/{name}/sample_on_grid", *sample_on_grid(potential, interfaces))
 for E in (0.4, 1.0, 4.0, 6.0):  # tunnelling, E = V and above the barrier
     result = transfer_scattering(Barrier(v0=4.0, a=1.0), E)
-    sums[f"library/segments/barrier/transfer_scattering/{E}"] = shas(
-        **{n: np.array(getattr(result, n)) for n in ("r", "t", "c_plus", "c_minus")})
+    record(f"library/segments/barrier/transfer_scattering/{E}",
+           **{n: np.array(getattr(result, n)) for n in ("r", "t", "c_plus", "c_minus")})
 for E in (1.0, 2.5):
     waves = region_waves(stack, E)
-    sums[f"library/segments/stack/region_waves/{E}"] = sha(
-        np.array([(w.forward, w.backward) for w in waves]))
+    record(f"library/segments/stack/region_waves/{E}",
+           np.array([(w.forward, w.backward) for w in waves]))
 sweep = transmission_sweep(stack, np.linspace(0.25, 3.0, 12))  # crosses the V = 1 plateau
-sums["library/segments/stack/transmission_sweep"] = sha(np.array([(s.r, s.t) for s in sweep]))
+record("library/segments/stack/transmission_sweep", np.array([(s.r, s.t) for s in sweep]))
 
 # Observables that no CLI scenario measures: <A> and dA of the harmonic H and
 # of a random Hermitian matrix, the position-space route of <p> and a small
@@ -196,11 +207,13 @@ operators = {
     "custom": (custom_operator(dense + dense.conj().T, small), small_packet),
 }
 for name, (op, psi) in operators.items():
-    sums[f"library/observables/{name}/expectation"] = sha(np.array(expectation(op, psi)))
-    sums[f"library/observables/{name}/uncertainty"] = sha(np.array(uncertainty(op, psi)))
-sums["library/observables/momentum/x_route"] = sha(
-    np.array(momentum_expectation_x_route(smooth_packet)))
-sums["library/observables/momentum/matrix"] = sha(momentum_operator(small).matrix())
+    record(f"library/observables/{name}/expectation", np.array(expectation(op, psi)))
+    record(f"library/observables/{name}/uncertainty", np.array(uncertainty(op, psi)))
+record("library/observables/momentum/x_route",
+       np.array(momentum_expectation_x_route(smooth_packet)))
+record("library/observables/momentum/matrix", momentum_operator(small).matrix())
+with open(sys.argv[1], "wb") as out:
+    pickle.dump(saved, out)
 print(json.dumps(sums))
 """
 
@@ -398,13 +411,39 @@ def cell_difference(this: Path, against: Path) -> str:
     return text + (f"; {other} other cells differ" if other else "") + f"; columns: {names}"
 
 
-def moved_arrays(this, against) -> str:
+def array_difference(this: list, against: list) -> str:
+    """The largest absolute and relative difference between the entries of two
+    lists of arrays of the same shapes; entries that differ but are not both
+    finite are counted."""
+    if [np.shape(a) for a in this] != [np.shape(a) for a in against]:
+        return "shapes differ"
+    x, y = (np.concatenate([np.ravel(a).astype(np.complex128) for a in side] or [np.zeros(0)])
+            for side in (this, against))
+    both = np.isfinite(x) & np.isfinite(y)
+    other = int(np.sum(~both & (x != y) & ~(np.isnan(x) & np.isnan(y))))
+    gap = np.abs(x[both] - y[both])
+    scale = np.maximum(np.abs(x[both]), np.abs(y[both]))
+    rel = gap / np.where(scale == 0.0, 1.0, scale)
+    text = f"max abs {np.max(gap, initial=0.0):.2g}, max rel {np.max(rel, initial=0.0):.2g}"
+    return text + (f"; {other} other entries differ" if other else "")
+
+
+def moved_arrays(this, against, saved=None) -> str:
     """The names of the arrays whose digests differ between two library
-    results of several named arrays; a result of one array has no names."""
+    results of several named arrays; a result of one array has no names.
+    With saved, the (this, against) arrays of the result as the library child
+    keeps them, each moved array of a result on both sides gets its
+    array_difference."""
+    def moved(name=None):
+        if saved is None or None in saved:
+            return ""
+        sides = saved if name is None else [side.get(name) for side in saved]
+        return "" if None in sides else f" ({array_difference(*sides)})"
+
     if not (isinstance(this, dict) and isinstance(against, dict)):
-        return "sha256 differs or missing on one side"
+        return "sha256 differs or missing on one side" + moved()
     names = sorted(n for n in this.keys() | against.keys() if this.get(n) != against.get(n))
-    return "sha256 differs in " + ", ".join(names)
+    return "sha256 differs in " + ", ".join(name + moved(name) for name in names)
 
 
 def main(argv=None) -> int:
@@ -417,11 +456,12 @@ def main(argv=None) -> int:
         scenarios = tmp / "scenarios"
         scenarios.mkdir()
         runs = write_corpus(scenarios)
-        codes = {}
-        sums = {}
+        codes, sums, saved = {}, {}, {}
         for side, src in (("this", REPO / "src"), ("against", args.against)):
             codes[side] = run_side(src.resolve(), runs, scenarios, tmp / side)
-            sums[side] = digests(tmp / side) | _child(src.resolve(), _LIBRARY)
+            arrays = tmp / f"{side}.library.pickle"
+            sums[side] = digests(tmp / side) | _child(src.resolve(), _LIBRARY, str(arrays))
+            saved[side] = pickle.loads(arrays.read_bytes())
         moved = {
             name: cell_difference(tmp / "this" / name, tmp / "against" / name)
             for name in sums["this"].keys() & sums["against"].keys()
@@ -434,7 +474,8 @@ def main(argv=None) -> int:
     failures += [f"scenario {sub} exited {a}" for (_, sub, _), a in zip(runs, codes["this"]) if a]
     failures += [
         f"{name}: sha256 differs ({moved[name]})" if name in moved
-        else f"{name}: {moved_arrays(sums['this'].get(name), sums['against'].get(name))}"
+        else f"{name}: " + moved_arrays(sums["this"].get(name), sums["against"].get(name),
+                                        [saved[side].get(name) for side in ("this", "against")])
         for name in sorted(set(sums["this"]) | set(sums["against"]))
         if sums["this"].get(name) != sums["against"].get(name)
     ]
