@@ -1,6 +1,7 @@
 """Exception and warning classes shared by all qm1d modules, positive() and warn()."""
 
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -55,9 +56,13 @@ class NearDegeneracyWarning(UserWarning):
 
 
 def positive(what: str, *values: float):
-    """Raise ParameterError unless every value lies in 0 < v < inf: "{what} must
-    be positive, got {v}" for zero, negative and nan, "must be finite" for +inf."""
+    """Raise ParameterError unless every value is a real number (int, float or
+    a numpy one; not bool) in 0 < v < inf: "{what} must be a real number, got
+    {v!r}" for any other type, "must be positive, got {v}" for zero, negative
+    and nan, "must be finite" for +inf."""
     for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ParameterError(f"{what} must be a real number, got {v!r}")
         if v == math.inf:
             raise ParameterError(f"{what} must be finite, got {v}")
         if not v > 0.0:

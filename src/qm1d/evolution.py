@@ -90,7 +90,8 @@ def _check_step(h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants)
 
 class _CrankNicolson:
     """Stepper for one Hamiltonian at a fixed dt: (1 + i lam H) is LU-factored
-    once (LAPACK zgttrf) and each step is one zgttrs solve.
+    once (LAPACK zgttrf) and the two diagonals of (1 - i lam H) are kept, so
+    each step is one band product and one zgttrs solve.
 
     The implicit side is a tridiagonal solve, so only the 3-point (order 2)
     Hamiltonian is accepted: with a 5-point H the two sides of the Cayley
@@ -113,12 +114,14 @@ class _CrankNicolson:
         from scipy.linalg.lapack import zgttrf, zgttrs
 
         lam = 0.5 * dt / constants.hbar
-        self.h = h
+        self.active = h.active
         self.zgttrs = zgttrs
-        self.lam = lam
         self.masked = np.flatnonzero(h.mask)
         # Its mean is <T> of the band for every state zero at the excluded points.
         self.kinetic_symbol = h.kinetic_symbol()
+        # The explicit half (1 - i lam H): its diagonal and its one coupling.
+        self.diagonal = 1.0 - 1j * lam * h.band[0]
+        self.coupling = -1j * lam * h.band[1, :-1]
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
         off = 1j * lam * h.band[1, :-1]
         *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
@@ -133,17 +136,14 @@ class _CrankNicolson:
                 f"state has {fraction:.2e} of its peak amplitude at an excluded "
                 "(hard-wall or boundary) point; it does not represent an admissible state"
             )
-        active = self.h.active
-        v = values[active]
-        # The rhs v - i lam H v is formed in out's active part (a view of out
-        # when active is a slice, else a copy) and solved for in place; the
-        # solution is always written back, whether zgttrs returned that
-        # buffer or a new one.
+        v = values[self.active]
+        rhs = self.diagonal * v
+        rhs[:-1] += self.coupling * v[1:]
+        rhs[1:] += self.coupling * v[:-1]
+        # The solution is always written back, whether zgttrs returned rhs or
+        # a new buffer.
         out = np.zeros_like(values, dtype=np.complex128)
-        rhs = out[active]
-        np.multiply(1j * self.lam, self.h.apply_active(v), out=rhs)
-        np.subtract(v, rhs, out=rhs)
-        out[active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
+        out[self.active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
 
 

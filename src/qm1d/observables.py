@@ -87,14 +87,24 @@ def _density(values: np.ndarray, weight: float | None = None) -> np.ndarray:
     return density if weight is None else density * weight
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) along the last axis, one value per row: numpy's matmul takes
+    each (1, n) @ (n, 1) product as one BLAS dot, so a 1-D density and every
+    row of a batch go through the same call."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _moments(coords: np.ndarray, density: np.ndarray, scale: float, variance: bool = True):
     """Mean and, when asked, variance of coords under the weights density * scale
     along the last axis, so a 2-D density gives one pair per row.  The variance
-    is None when not asked for."""
-    mean = (coords * density).sum(axis=-1) * scale
+    is None when not asked for, else the centred second moment (two passes).
+    Each weighted sum is a BLAS dot, so its last bits follow the BLAS build
+    and, above about 10^4 points, its thread count, as the LAPACK eigensolve's
+    already do."""
+    mean = _dot(coords, density) * scale
     if not variance:
         return mean, None
-    return mean, ((coords - mean[..., None]) ** 2 * density).sum(axis=-1) * scale
+    return mean, _dot((coords - mean[..., None]) ** 2, density) * scale
 
 
 def _floats(mean, var) -> tuple[float, float | None]:
@@ -200,8 +210,9 @@ class _SnapshotObservables:
     uncertainty of the position and momentum operators, whose formulas these
     are.  The evolution loop copies recorded states into the rows of a small
     batch and calls this once per batch: every series of every row comes from
-    one |psi|^2, one unshifted FFT along the rows and row-wise sums, and each
-    row has the bits of its state observed alone.  The energy is the mean of
+    one |psi|^2, one unshifted FFT along the rows and row-wise sums (a BLAS dot
+    per row for each weighted one), and each row has the bits of its state
+    observed alone.  The energy is the mean of
     kinetic, the Fourier symbol T(p) in FFT order of the propagator's kinetic
     operator, over the forward density, plus the mean of V over |psi|^2.
     Nothing here warns: the norm is a series, and the loop warns once its

@@ -202,6 +202,32 @@ def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, boun
     assert _warm_run_peak(tmp_path, body) < bound
 
 
+@pytest.mark.parametrize("method", sorted(STEPPERS))
+def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
+    # Every weighted sum of the series is a BLAS dot.  OpenBLAS splits a dot
+    # across threads only above about 10^4 points, so at n = 2048 one thread
+    # and two write the same bytes.
+    body = {
+        "command": "evolve", "constants": {"profile": "natural"},
+        "grid": {"x_min": -24.0, "x_max": 42.0, "n": 2048},
+        "potential": {"kind": "piecewise_constant", "segments": []},
+        "initial": {"alpha": 0.5, "k0": 6.0}, "method": method, "dt": 0.01, "steps": 300,
+        "output": {"format": "csv", "path": "run.csv"},
+    }
+    scenario = write_scenario(tmp_path, body)
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads_{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "qm1d.cli", "run", scenario, "--out", str(out)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        written.append([Path(line).read_bytes() for line in result.stdout.splitlines()])
+    assert len(written[0]) == 1 and written[0] == written[1]
+
+
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
     # Eight states of 4001 points as JSON peak at about 1.16 MB; formatting
     # each block's x and value entries whole, in place of one chunk at a

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -369,3 +370,28 @@ def test_input_checks(case):
     call, error, fragment = INPUT_CHECKS[case]
     with pytest.raises(error, match=fragment):
         call()
+
+
+# Each positive physical parameter the guard checks, by where it enters.
+_REAL_ENTRIES = {
+    "config_dt": ("dt", lambda v: EvolutionConfig(dt=v, steps=3)),
+    "hamiltonian_mass": ("mass", _MASS_ENTRIES["build_hamiltonian"]),
+    "scattering_mass": ("mass", _MASS_ENTRIES["transfer_scattering"]),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None, 1 + 0j, np.complex128(1.0)],
+                         ids=["bool", "str", "none", "complex", "numpy_complex"])
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRIES))
+def test_positive_parameters_must_be_real_numbers(entry, value):
+    # A bool is not taken as 1, and no other type reaches the comparisons.
+    what, call = _REAL_ENTRIES[entry]
+    with pytest.raises(ParameterError, match=f"^{what} must be a real number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.5), np.float64(0.5)],
+                         ids=["int", "numpy_int", "float32", "float64"])
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRIES))
+def test_positive_parameters_accept_ints_and_numpy_reals(entry, value):
+    _REAL_ENTRIES[entry][1](value)

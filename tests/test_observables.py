@@ -8,6 +8,7 @@ from qm1d import (
     NATURAL,
     EvolutionConfig,
     GaussianPacketParams,
+    Harmonic,
     InfiniteWell,
     PiecewiseConstant,
     WaveFunction,
@@ -30,6 +31,7 @@ from qm1d import (
 )
 from qm1d.errors import GridMismatchError, NormalizationWarning, ParameterError
 from qm1d.observables import _SnapshotObservables, _bound_satisfied
+from qm1d.spectral import fft_momenta
 
 
 def gaussian_state(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -87,6 +89,55 @@ def test_observables_equal_evolve_series_bit_for_bit(alpha, k0, x0):
     assert trajectory.energy[0] == alone(psi.values[np.newaxis])[-1][0]
     assert trajectory.energy[0] == pytest.approx(
         expectation(hamiltonian_operator(h), psi).real, rel=1e-12, abs=0)
+
+
+# (alpha, k0, x0): packets off the origin in x and in p, where a one-pass
+# variance <x^2> - <x>^2 loses digits to cancellation.
+_OFF_ORIGIN_PACKETS = [(0.25, 8.0, 10.0), (0.5, -4.0, -8.0), (0.1, 3.0, 6.0), (1.0, 6.0, -3.0)]
+
+
+def _long_double_moments(coords, values, weight):
+    """Norm, mean and spread of coords under |values|^2 * weight, summed in
+    long double from the float64 amplitudes."""
+    re, im = values.real.astype(np.longdouble), values.imag.astype(np.longdouble)
+    density = (re * re + im * im) * np.longdouble(weight)
+    c = np.asarray(coords, dtype=np.longdouble)
+    mean = (c * density).sum()
+    return density.sum(), mean, np.sqrt(((c - mean) ** 2 * density).sum())
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 on this platform")
+def test_moments_match_a_long_double_reference():
+    # The batch kernel's series and expectation/uncertainty of X and P, each
+    # within 1e-15 relative of the same moments summed in long double.
+    g = make_grid(-20, 20, 2048)
+    h = build_hamiltonian(g, Harmonic(omega=0.5), 1.0, NATURAL)
+    states = [gaussian_state(g, alpha, k0, x0) for alpha, k0, x0 in _OFF_ORIGIN_PACKETS]
+    kinetic = h.kinetic_symbol()
+    series = _SnapshotObservables(h, NATURAL, kinetic)(np.array([s.values for s in states]))
+    p, p_weight = fft_momenta(g, NATURAL)
+    x_op, p_op = position_operator(g), momentum_operator(g)
+    for row, psi in enumerate(states):
+        forward = np.fft.fft(psi.values)
+        norm, x_mean, x_spread = _long_double_moments(g.points, psi.values, g.dx)
+        _, p_mean, p_spread = _long_double_moments(p, forward, p_weight)
+        energy = (_long_double_moments(kinetic, forward, p_weight)[1]
+                  + _long_double_moments(h.potential_values, psi.values, g.dx)[1])
+        references = {
+            "norm": (series[0][row], norm),
+            "x_mean": (series[1][row], x_mean),
+            "p_mean": (series[2][row], p_mean),
+            "x_spread": (series[3][row], x_spread),
+            "p_spread": (series[4][row], p_spread),
+            "energy": (series[5][row], energy),
+            "expectation x": (expectation(x_op, psi).real, x_mean),
+            "expectation p": (expectation(p_op, psi).real, p_mean),
+            "uncertainty x": (uncertainty(x_op, psi), x_spread),
+            "uncertainty p": (uncertainty(p_op, psi), p_spread),
+        }
+        for name, (value, reference) in references.items():
+            assert abs(value - reference) <= 1e-15 * abs(reference), (row, name)
 
 
 def test_matrix_columns_are_the_action_of_each_kind():
