@@ -125,7 +125,10 @@ def peak_fraction(values: np.ndarray, points, tol: float) -> float:
     if isinstance(points, tuple):
         watched = max([abs(values[i]) for i in points], default=0.0)
     else:
-        watched = np.max(np.abs(values[points]), initial=0.0)
+        watched = values[points]
+        if not watched.any():  # exact zeros, as at every stepped state's walls
+            return 0.0
+        watched = np.max(np.abs(watched))
     if watched == 0.0:
         return 0.0
     mean = np.vdot(values, values).real / values.size

@@ -142,7 +142,7 @@ class _CrankNicolson:
         rhs[1:] += self.coupling * v[:-1]
         # The solution is always written back, whether zgttrs returned rhs or
         # a new buffer.
-        out = np.zeros_like(values, dtype=np.complex128)
+        out = np.zeros(values.shape, np.complex128)
         out[self.active], _ = self.zgttrs(*self.lu, rhs, overwrite_b=True)
         return out
 
@@ -218,7 +218,7 @@ STEPPERS = {METHOD_CRANK_NICOLSON: _CrankNicolson, METHOD_SPLIT_STEP: _SplitStep
 # Recorded states observed per call of _SnapshotObservables: one FFT and one
 # set of row-wise sums per batch.  The (BATCH, n) buffer and the kernel's
 # temporaries grow with it; at n = 2048 and BATCH = 4 a CLI evolve run peaks at
-# about 1.3 MB of Python allocations, under the bounds of
+# about 1.4 MB of Python allocations, under the bounds of
 # tests/test_cli.py::test_evolve_holds_one_state_at_a_time.
 BATCH = 4
 

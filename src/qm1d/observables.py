@@ -81,10 +81,10 @@ def _warn_if_unnormalized(n2: float):
              NormalizationWarning)
 
 
-def _density(values: np.ndarray, weight: float | None = None) -> np.ndarray:
-    """|values|^2, times weight when one is given."""
-    density = np.abs(values) ** 2
-    return density if weight is None else density * weight
+def _density(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2, which skips the hypot of np.abs; the snapshot
+    kernel forms the same sum in place."""
+    return values.real**2 + values.imag**2
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,9 +94,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _moments(coords: np.ndarray, density: np.ndarray, scale: float, variance: bool = True):
+def _moments(coords: np.ndarray, density: np.ndarray, scale, variance: bool = True):
     """Mean and, when asked, variance of coords under the weights density * scale
-    along the last axis, so a 2-D density gives one pair per row.  The variance
+    along the last axis, so a 2-D density gives one pair per row and stacked
+    coords, densities and scales give one per stack and row.  The variance
     is None when not asked for, else the centred second moment (two passes).
     Each weighted sum is a BLAS dot, so its last bits follow the BLAS build
     and, above about 10^4 points, its thread count, as the LAPACK eigensolve's
@@ -104,7 +105,12 @@ def _moments(coords: np.ndarray, density: np.ndarray, scale: float, variance: bo
     mean = _dot(coords, density) * scale
     if not variance:
         return mean, None
-    return mean, _dot((coords - mean[..., None]) ** 2, density) * scale
+    # Filled, then centred and squared in place: coords - mean would take a
+    # second broadcast buffer of the batch's size.
+    centred = np.empty(density.shape)
+    centred[...] = coords
+    centred -= mean[..., None]
+    return mean, _dot(np.square(centred, out=centred), density) * scale
 
 
 def _floats(mean, var) -> tuple[float, float | None]:
@@ -120,7 +126,7 @@ def _fourier_moments(op: Operator, values: np.ndarray, forward,
                      variance: bool = True) -> tuple[float, float | None]:
     """The moments of |phi(p)|^2 dp, with forward = fft(values)."""
     p, weight = fft_momenta(op.grid, op.constants)
-    return _floats(*_moments(p, _density(forward, weight), 1.0, variance))
+    return _floats(*_moments(p, _density(forward), weight, variance))
 
 
 def _fourier_act(op: Operator, values: np.ndarray, forward) -> np.ndarray:
@@ -209,39 +215,44 @@ class _SnapshotObservables:
     Equal to norm_squared to roundoff and, bit for bit, to expectation and
     uncertainty of the position and momentum operators, whose formulas these
     are.  The evolution loop copies recorded states into the rows of a small
-    batch and calls this once per batch: every series of every row comes from
-    one |psi|^2, one unshifted FFT along the rows and row-wise sums (a BLAS dot
-    per row for each weighted one), and each row has the bits of its state
-    observed alone.  The energy is the mean of
-    kinetic, the Fourier symbol T(p) in FFT order of the propagator's kinetic
-    operator, over the forward density, plus the mean of V over |psi|^2.
-    Nothing here warns: the norm is a series, and the loop warns once its
-    last step has succeeded, so a failed run warns of nothing.
+    batch and calls this once per batch: one unshifted FFT along the rows,
+    |psi|^2 and |fft(psi)|^2 written in place into one (2, rows, n) array,
+    and row-wise sums (a BLAS dot per row for each weighted one) give every
+    series of every row, with the bits of its state observed alone.  One
+    _moments call takes x over |psi|^2 dx and p over |fft(psi)|^2 w; one
+    more takes the energy, the means of V and of kinetic, the Fourier symbol
+    T(p) in FFT order of the propagator's kinetic operator.  Nothing here
+    warns: the norm is a series, and the loop warns once its last step has
+    succeeded, so a failed run warns of nothing.
     """
 
     def __init__(self, h: DiscreteHamiltonian, constants: PhysicalConstants,
                  kinetic: np.ndarray):
-        self.x = h.grid.points
         self.dx = h.grid.dx
-        self.p, self.p_weight = fft_momenta(h.grid, constants)
-        self.kinetic = kinetic
-        self.potential = h.potential_values
+        p, p_weight = fft_momenta(h.grid, constants)
+        # Row 0 of each stack is position space, row 1 momentum space.
+        self.scale = np.array([[self.dx], [p_weight]])
+        self.coords = np.stack([h.grid.points, p])[:, None, :]
+        self.energy_coords = np.stack([h.potential_values, kinetic])[:, None, :]
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, ...]:
         """norm, x_mean, p_mean, x_spread, p_spread and energy, in
         evolution.Trajectory's field order, as arrays over the rows of batch
         (one state per row)."""
-        # The transform goes first, so its (rows, n) complex temporary is freed
-        # before the position density is formed.
-        forward_density = _density(np.fft.fft(batch, axis=-1), self.p_weight)
-        p_mean, p_var = _moments(self.p, forward_density, 1.0)
-        kinetic, _ = _moments(self.kinetic, forward_density, 1.0, variance=False)
-        density = _density(batch)
-        norm = density.sum(axis=-1) * self.dx
-        x_mean, x_var = _moments(self.x, density, self.dx)
-        potential, _ = _moments(self.potential, density, self.dx, variance=False)
-        return (norm, x_mean, p_mean, np.sqrt(np.maximum(x_var, 0.0)),
-                np.sqrt(np.maximum(p_var, 0.0)), kinetic + potential)
+        # The transform goes first, and is freed before |psi|^2 needs its
+        # temporary; |fft(psi)|^2 uses the position slot for its im^2.
+        forward = np.fft.fft(batch, axis=-1)
+        density = np.empty((2,) + batch.shape)
+        np.square(forward.real, out=density[1])
+        density[1] += np.square(forward.imag, out=density[0])
+        del forward
+        np.square(batch.real, out=density[0])
+        density[0] += np.square(batch.imag)
+        norm = density[0].sum(axis=-1) * self.dx
+        (x_mean, p_mean), var = _moments(self.coords, density, self.scale)
+        x_spread, p_spread = np.sqrt(np.maximum(var, 0.0))
+        energy = _moments(self.energy_coords, density, self.scale, variance=False)[0].sum(axis=0)
+        return norm, x_mean, p_mean, x_spread, p_spread, energy
 
 
 def _commutator(op_a: Operator, op_b: Operator, values: np.ndarray, forward) -> complex:

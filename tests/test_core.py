@@ -312,6 +312,28 @@ def test_peak_fraction_is_scale_free(scale):
     assert peak_fraction(clipped, (0, -1), 0.0) == 0.0
 
 
+
+def test_peak_fraction_of_an_index_array():
+    # Exact zeros, of either sign, return before any reduction; a watched
+    # value at half and at twice tol times the peak reads 0.0 and its
+    # fraction; a nan, watched or at the peak, reads 0.0 as it always has.
+    x = np.linspace(-6.0, 6.0, 256)
+    values = np.exp(-0.5 * x**2).astype(complex)
+    points = np.array([0, 100, 255])
+    tol = 1e-6
+    values[points] = [0.0, -0.0, complex(-0.0, -0.0)]
+    assert peak_fraction(values, points, tol) == 0.0
+    peak = np.max(np.abs(values))
+    for factor, expected in ((0.5, 0.0), (2.0, 2.0 * tol)):
+        hot = values.copy()
+        hot[100] = factor * tol * peak
+        assert peak_fraction(hot, points, tol) == pytest.approx(expected, rel=1e-12)
+    for where, wall in ((100, 0.0), (128, 0.0), (128, 1e-3)):
+        bad = values.copy()
+        bad[100] = wall
+        bad[where] = np.nan
+        assert peak_fraction(bad, points, tol) == 0.0
+
 _PSI = WaveFunction(_GRID, np.exp(-_GRID.points**2))
 # (call, exception, message fragment): input checks no other test reaches.
 INPUT_CHECKS = {

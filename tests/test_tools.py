@@ -57,21 +57,36 @@ def test_commit_of_a_git_checkout_and_of_a_plain_copy(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == ""
 
 
+def _table(path, columns, rows):
+    """A CLI data table of columns and rows, as CSV or JSON by path's suffix."""
+    if path.suffix == ".csv":
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in [columns, *rows]))
+    else:
+        path.write_text(json.dumps({"columns": columns, "rows": rows}))
+    return path
+
+
 @pytest.mark.parametrize("suffix", ["csv", "json"])
 def test_corpus_names_the_columns_whose_cells_moved(tmp_path, suffix):
-    def write(name, rows):
-        path = tmp_path / f"{name}.{suffix}"
-        if suffix == "csv":
-            path.write_text("".join(",".join(map(str, row)) + "\n"
-                                    for row in [["t", "norm", "energy"], *rows]))
-        else:
-            path.write_text(json.dumps({"columns": ["t", "norm", "energy"], "rows": rows}))
-        return path
-
-    this = write("this", [[0.0, 1.0, 12.625], [0.5, 1.0, 12.625]])
-    against = write("against", [[0.0, 1.0, 12.5], [0.5, 1.0, 12.5]])
+    columns = ["t", "norm", "energy"]
+    this = _table(tmp_path / f"this.{suffix}", columns, [[0.0, 1.0, 12.625], [0.5, 1.0, 12.625]])
+    against = _table(tmp_path / f"against.{suffix}", columns, [[0.0, 1.0, 12.5], [0.5, 1.0, 12.5]])
     assert corpus.cell_difference(this, against) == (
-        "2 numeric cells moved, max abs 0.12, max rel 0.0099; columns: energy")
+        "2 numeric cells moved, max abs 0.12, max rel 0.0099, max rel to column max 0.0099; "
+        "columns: energy")
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_corpus_measures_a_near_zero_move_against_its_column(tmp_path, suffix):
+    # A mean near zero moves by 0.3 of itself but by 2.2e-16 of its column's
+    # largest |value|, which the third figure shows.
+    this = _table(tmp_path / f"this.{suffix}", ["t", "x_mean"], [[0.0, 0.5], [1.0, 3.7e-16]])
+    against = _table(tmp_path / f"against.{suffix}", ["t", "x_mean"], [[0.0, 0.5], [1.0, 2.6e-16]])
+    assert corpus.cell_difference(this, against) == (
+        "1 numeric cells moved, max abs 1.1e-16, max rel 0.3, max rel to column max 2.2e-16; "
+        "columns: x_mean")
+    assert corpus.array_difference([np.array([0.5, 3.7e-16])], [np.array([0.5, 2.6e-16])]) == (
+        "max abs 1.1e-16, max rel 0.3, max rel to array max 2.2e-16")
 
 
 def test_corpus_names_the_library_arrays_that_moved():
@@ -86,13 +101,14 @@ def test_corpus_names_the_library_arrays_that_moved():
 def test_corpus_gives_the_largest_difference_of_each_moved_library_array():
     this = [np.array([1.0, 2.0, 4.0]), np.array([True, False])]
     against = [np.array([1.0, 2.0, 4.5]), np.array([True, False])]
-    assert corpus.array_difference(this, against) == "max abs 0.5, max rel 0.11"
+    assert corpus.array_difference(this, against) == (
+        "max abs 0.5, max rel 0.11, max rel to array max 0.11")
     assert corpus.array_difference([np.array([0.0, np.nan])], [np.array([0.0, 1.0])]) == (
-        "max abs 0, max rel 0; 1 other entries differ")
+        "max abs 0, max rel 0, max rel to array max 0; 1 other entries differ")
     assert corpus.array_difference([np.zeros(2)], [np.zeros(3)]) == "shapes differ"
     saved = ({"r": [np.array([1j])], "energy": [np.array([12.5])]},
              {"r": [np.array([1j])], "energy": [np.array([12.625])]})
     assert corpus.moved_arrays({"r": "a", "energy": "b"}, {"r": "a", "energy": "c"}, saved) == (
-        "sha256 differs in energy (max abs 0.12, max rel 0.0099)")
+        "sha256 differs in energy (max abs 0.12, max rel 0.0099, max rel to array max 0.0099)")
     assert corpus.moved_arrays("a", "b", ([np.ones(2)], [np.ones(2) * 2])) == (
-        "sha256 differs or missing on one side (max abs 1, max rel 0.5)")
+        "sha256 differs or missing on one side (max abs 1, max rel 0.5, max rel to array max 0.5)")

@@ -31,10 +31,14 @@ scattering result's r, t, c_plus and c_minus) hashes each array under its own
 name.  Exit status 0 means every scenario exits alike on both sides and every
 data file and library result exists on both sides with the same digests.
 For a data file whose digest differs, the report gives its largest absolute
-and relative numeric cell difference and names the columns whose cells
-differ; for a library result, it names the arrays whose digests differ and
-gives the largest absolute and relative difference of each, from the arrays
-that each side's library child saves next to its digests.
+and relative numeric cell difference, its largest difference relative to the
+column's largest |value|, and names the columns whose cells differ; for a
+library result, it names the arrays whose digests differ and gives the same
+three figures for each, relative to each array's largest |entry|, from the
+arrays that each side's library child saves next to its digests.  A cell
+near zero can move by a large fraction of itself in its last bits; the
+figure against the column or array shows whether any move exceeds roundoff
+of the values around it.
 """
 
 from __future__ import annotations
@@ -385,15 +389,21 @@ def _number(cell) -> float | None:
 
 def cell_difference(this: Path, against: Path) -> str:
     """The largest absolute and relative difference between the numeric cells
-    of two data files of the same shape, and the columns whose cells differ;
-    other differing cells are counted."""
+    of two data files of the same shape, the largest difference relative to
+    its column's largest |value| on either side, and the columns whose cells
+    differ; other differing cells are counted."""
     rows = _rows(this), _rows(against)
     header = rows[0][0]
     cells = [[(j, cell) for row in side for j, cell in enumerate(row)] for side in rows]
     if len(cells[0]) != len(cells[1]):
         return f"{len(cells[0])} vs {len(cells[1])} cells"
+    peaks = {}
+    for j, cell in cells[0] + cells[1]:
+        value = _number(cell)
+        if value is not None:
+            peaks[j] = max(peaks.get(j, 0.0), abs(value))
     moved = other = 0
-    worst_abs = worst_rel = 0.0
+    worst = [0.0, 0.0, 0.0]
     columns = set()
     for (j, a), (_, b) in zip(*cells):
         if a == b:
@@ -404,28 +414,40 @@ def cell_difference(this: Path, against: Path) -> str:
             other += 1
             continue
         moved += 1
-        worst_abs = max(worst_abs, abs(x - y))
-        worst_rel = max(worst_rel, abs(x - y) / (max(abs(x), abs(y)) or 1.0))
+        gap = abs(x - y)
+        worst = [max(w, d) for w, d in zip(worst, (
+            gap, gap / (max(abs(x), abs(y)) or 1.0), gap / (peaks[j] or 1.0)))]
     names = ", ".join(header[j] for j in sorted(columns))
-    text = f"{moved} numeric cells moved, max abs {worst_abs:.2g}, max rel {worst_rel:.2g}"
+    text = f"{moved} numeric cells moved, " + _worst(worst, "column")
     return text + (f"; {other} other cells differ" if other else "") + f"; columns: {names}"
+
+
+def _worst(worst, whole: str) -> str:
+    """The largest absolute, relative and whole-relative differences, as text."""
+    return "max abs {:.2g}, max rel {:.2g}, max rel to {} max {:.2g}".format(
+        worst[0], worst[1], whole, worst[2])
 
 
 def array_difference(this: list, against: list) -> str:
     """The largest absolute and relative difference between the entries of two
-    lists of arrays of the same shapes; entries that differ but are not both
-    finite are counted."""
+    lists of arrays of the same shapes, and the largest difference relative to
+    its array's largest finite |entry| on either side; entries that differ but
+    are not both finite are counted."""
     if [np.shape(a) for a in this] != [np.shape(a) for a in against]:
         return "shapes differ"
-    x, y = (np.concatenate([np.ravel(a).astype(np.complex128) for a in side] or [np.zeros(0)])
-            for side in (this, against))
-    both = np.isfinite(x) & np.isfinite(y)
-    other = int(np.sum(~both & (x != y) & ~(np.isnan(x) & np.isnan(y))))
-    gap = np.abs(x[both] - y[both])
-    scale = np.maximum(np.abs(x[both]), np.abs(y[both]))
-    rel = gap / np.where(scale == 0.0, 1.0, scale)
-    text = f"max abs {np.max(gap, initial=0.0):.2g}, max rel {np.max(rel, initial=0.0):.2g}"
-    return text + (f"; {other} other entries differ" if other else "")
+    other = 0
+    worst = [0.0, 0.0, 0.0]
+    for a, b in zip(this, against):
+        x, y = (np.ravel(v).astype(np.complex128) for v in (a, b))
+        both = np.isfinite(x) & np.isfinite(y)
+        other += int(np.sum(~both & (x != y) & ~(np.isnan(x) & np.isnan(y))))
+        gap = np.abs(x[both] - y[both])
+        scale = np.maximum(np.abs(x[both]), np.abs(y[both]))
+        peak = np.max(scale, initial=0.0) or 1.0
+        rel = gap / np.where(scale == 0.0, 1.0, scale)
+        worst = [max(w, float(np.max(d, initial=0.0)))
+                 for w, d in zip(worst, (gap, rel, gap / peak))]
+    return _worst(worst, "array") + (f"; {other} other entries differ" if other else "")
 
 
 def moved_arrays(this, against, saved=None) -> str:
