@@ -162,7 +162,7 @@ def _range_or_list(value, where: str) -> list[float]:
     spec = _keys(value, where, {"start": _number, "stop": _number, "count": _positive_int})
     if spec["count"] == 1:
         return [spec["start"]]
-    return [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    return np.linspace(spec["start"], spec["stop"], spec["count"]).tolist()
 
 
 def _relative_path(value, where: str) -> str:

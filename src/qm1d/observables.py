@@ -64,19 +64,22 @@ def hamiltonian_operator(h: DiscreteHamiltonian) -> Operator:
 
 
 def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
-    """Wrap an explicit matrix; rejects non-Hermitian input."""
+    """Wrap an explicit matrix; rejects non-finite and non-Hermitian input."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (grid.n, grid.n):
         raise GridMismatchError(f"matrix shape {m.shape} does not match grid size {grid.n}")
+    if not np.isfinite(m).all():
+        raise ParameterError("matrix holds a non-finite entry (nan or inf)")
     defect = np.max(np.abs(m - m.conj().T))
-    if defect > HERMITICITY_TOL * np.max(np.abs(m)):
+    if not (defect <= HERMITICITY_TOL * np.max(np.abs(m))):
         raise ParameterError(f"matrix is not Hermitian: max |A - A^dagger| = {defect:.2e}")
     return Operator(kind="custom", grid=grid, dense=m)
 
 
 def _warn_if_unnormalized(n2: float):
-    """NormalizationWarning when the norm-squared n2 is off 1 by more than _NORM_WARN."""
-    if abs(n2 - 1.0) > _NORM_WARN:
+    """NormalizationWarning when the norm-squared n2 is off 1 by more than
+    _NORM_WARN, or is nan."""
+    if not (abs(n2 - 1.0) <= _NORM_WARN):
         warn(f"state norm-squared is {n2:.6g}; expectation values assume a normalized state",
              NormalizationWarning)
 

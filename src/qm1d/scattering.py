@@ -1,25 +1,26 @@
 """Reflection and transmission for piecewise-constant potentials.
 
 Each region carries a two-component amplitude for its forward and backward
-basis solutions; 2x2 interface matrices chain them left to right by
-matching the wavefunction and its derivative (Ando & Itoh, J. Appl. Phys.
-61, 1497 (1987)), written out in closed form on (nE,) arrays.  Region 0 is
-referenced to its right edge and every later region to its left edge, so
-interface j's matrix W_{j+1}(0)^-1 W_j(delta_j) holds only region j's width.
-Between exponential regions it is [[u (1+q), d (1-q)], [u (1-q), d (1+q)]] / 2,
-with q = k_j/k_{j+1} and u = 1/d = exp(i k_j delta_j); a region at E = V
-takes its linear solution instead.  ``_scatter`` is the kernel for an array
-of energies.  Evanescent regions have their growth factored into a separate
-log-domain scale, so thick barriers neither overflow nor lose the
-transmitted amplitude to cancellation: with the total chain M, R = -M21/M22
-and T = det(M)/M22, where det(M) telescopes to k_left/k_right.
+basis solutions; 2x2 interface matrices map them left to right by matching
+the wavefunction and its derivative (Ando & Itoh, J. Appl. Phys. 61, 1497
+(1987)), written out in closed form on (nE,) arrays.  Region 0 is referenced
+to its right edge and every later region to its left edge, so interface j's
+matrix W_{j+1}(0)^-1 W_j(delta_j) holds only region j's width.  Between
+exponential regions it is [[u (1+q), d (1-q)], [u (1-q), d (1+q)]] / 2, with
+q = k_j/k_{j+1} and u = 1/d = exp(i k_j delta_j); a region at E = V takes its
+linear solution instead.  With the total chain M, R = -M21/M22 and
+T = det(M)/M22, where det(M) telescopes to k_left/k_right, read only its
+second row, so ``_chain`` carries (0, 1) times the matrices, last to first,
+as two (nE,) arrays.  Evanescent regions have their growth factored into a
+separate log-domain scale, so thick barriers neither overflow nor lose the
+transmitted amplitude to cancellation.
 
 numpy's complex multiply loop may fuse multiply-adds, an ulp apart from one CPU
 to another, so every complex-by-complex product that reaches a result goes
-through `_times`: u f, d b, q (u f - d b) and i k (u f - d b) in `_advance`,
-r's phase and c_plus/c_minus.  Products by +-1j or a real round each part once,
-and numpy's complex divisions (q, b/(i k), M21/M22, T) give the same bits at
-any batch size; they stay numpy.
+through `_times`: q dl, u (s + q dl), d (s - q dl), i k v2 and the E = V rows'
+products by u and d in `_advance`, r's phase and c_plus/c_minus.  Products by
++-1j or a real round each part once, and numpy's complex divisions (q,
+dl/(i k), M21/M22, T) give the same bits at any batch size; they stay numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _SCALE_EXTRACT_THRESHOLD = 300.0
 # the kernel's r to this absolute error.  Valid stacks give below 1e-13; an
 # amplitude that underflowed or overflowed on the way gives O(1).
 _ASSEMBLY_TOL = 1e-10
-_EYE = np.eye(2, dtype=np.complex128)[:, :, None]  # identity rows, as (2, 1) for _advance
+_EYE = np.eye(2, dtype=np.complex128)[:, :, None]  # (v1, v2) of both rows: _advance gives columns
 
 
 @dataclass(frozen=True)
@@ -147,26 +148,39 @@ def _times(a, b):
     return out
 
 
-def _advance(k, linear, j, delta, f, b, shift=0.0):
-    """W_{j+1}(0)^-1 W_j(delta) applied in closed form to region-j amplitudes
-    (f, b), arrays (..., nE): region j's wave has value u f + d b and
-    derivative i k_j (u f - d b) at the interface (f + delta b and b at E = V),
-    which region j+1 splits as (value +- derivative / (i k_{j+1})) / 2.  `shift`
-    is a real log-scale taken out of region j's exponent; callers keep it."""
-    k_left, lin_left, lin_right = k[:, j], linear[:, j], linear[:, j + 1]
-    up = np.exp(1j * k_left * delta - shift)
-    down = np.exp(-1j * k_left * delta - shift)
-    k_right = np.where(lin_right, 1.0, k[:, j + 1])  # not 0 on E = V rows
-    p, m = _times(up, f), _times(down, b)
-    value, odd = p + m, p - m
-    w = _times(k_left / k_right, odd)  # derivative / (i k_right)
-    if not (lin_left.any() or lin_right.any()):
-        return 0.5 * (value + w), 0.5 * (value - w)
-    value = np.where(lin_left, f + delta * b, value)
-    slope = np.where(lin_left, b, _times(1j * k_left, odd))
-    w = np.where(lin_left, b / (1j * k_right), w)
-    return (np.where(lin_right, value, 0.5 * (value + w)),
-            np.where(lin_right, slope, 0.5 * (value - w)))
+def _advance(k, linear, j, delta, v1, v2, extract=False):
+    """(v1, v2) W_{j+1}(0)^-1 W_j(delta) on arrays (..., nE), and the log-scale
+    taken out.  Region j's wave has value u f + d b and derivative
+    i k_j (u f - d b) at the interface (f + delta b and b at E = V), which
+    region j+1 splits as (value +- derivative / (i k_{j+1})) / 2, so with
+    s = v1 + v2, dl = v1 - v2 the row is (u (s + q dl), d (s - q dl)) / 2,
+    (s, delta s + dl / (i k_{j+1})) / 2 from E = V, (u (v1 + i k_j v2),
+    d (v1 - i k_j v2)) into E = V and (v1, delta v1 + v2) between two.
+    `extract` takes region j's e-folds past the threshold out of u and d as
+    the shift.  Real k_j take d = conj(u) (libm's exp to the bit, but for the
+    sign of a zero); only evanescent rows (k_j = i beta) take a second exp."""
+    k_left, beta = k[:, j], k[:, j].imag  # beta is 0 on propagating and E = V rows
+    arg, shift = 1j * k_left * delta, 0.0
+    if extract and beta.max(initial=0.0) * delta > _SCALE_EXTRACT_THRESHOLD:
+        shift = np.where(beta * delta > _SCALE_EXTRACT_THRESHOLD, beta * delta, 0.0)
+        arg = arg - shift
+    up = np.exp(arg)
+    down = up.conj()
+    if beta.any():
+        np.exp(-1j * k_left * delta - shift, out=down, where=beta != 0.0)
+    lin_left, lin_right = linear[:, j], linear[:, j + 1]
+    plateau = lin_left.any() or lin_right.any()
+    k_right = np.where(lin_right, 1.0, k[:, j + 1]) if plateau else k[:, j + 1]  # not 0 at E = V
+    s, dl = v1 + v2, v1 - v2
+    w = _times(k_left / k_right, dl)
+    row = 0.5 * _times(up, s + w), 0.5 * _times(down, s - w)
+    if not plateau:
+        return *row, shift
+    ikv, cases = _times(1j * k_left, v2), [lin_left & lin_right, lin_left, lin_right]
+    return (np.select(cases, [v1, 0.5 * s, _times(up, v1 + ikv)], row[0]),
+            np.select(cases, [delta * v1 + v2, 0.5 * (delta * s + dl / (1j * k_right)),
+                              _times(down, v1 - ikv)], row[1]),
+            shift)
 
 
 def _chain(interfaces, linear, k, amplitudes):
@@ -175,35 +189,31 @@ def _chain(interfaces, linear, k, amplitudes):
     n = k.shape[0]
     if not interfaces:  # uniform potential: the incident wave passes unchanged
         return np.zeros(n, np.complex128), np.ones(n, np.complex128), None
-    log_scale = np.zeros(n)
-    # f and b are the rows (M11, M12) and (M21, M22) of the running product;
+    # (0, 1) times the matrices from the last interface back is (M21, M22);
     # region 0 is referenced to its right edge, so interface 0 has no width
-    f, b = _advance(k, linear, 0, 0.0, *_EYE)
-    for j in range(1, len(interfaces)):
-        delta = interfaces[j] - interfaces[j - 1]
-        # e-folds across region j; zero unless it is evanescent (k = i beta)
-        beta_w = np.where(k[:, j].real == 0.0, k[:, j].imag * delta, 0.0)
-        shift = np.where(beta_w > _SCALE_EXTRACT_THRESHOLD, beta_w, 0.0)
+    widths = [0.0] + [right - left for left, right in zip(interfaces, interfaces[1:])]
+    v1, v2, log_scale = np.zeros(n, np.complex128), np.ones(n, np.complex128), 0.0
+    for j in reversed(range(len(interfaces))):
+        v1, v2, shift = _advance(k, linear, j, widths[j], v1, v2, extract=True)
         log_scale += shift
-        f, b = _advance(k, linear, j, delta, f, b, shift)
+        if j == len(interfaces) - 1:
+            m21, m22 = v1, v2  # the last interface's own second row
     k0, x0, xm = k[:, 0], interfaces[0], interfaces[-1]
-    r = _times(-(b[0] / b[1]), np.exp(2j * k0 * x0))
+    r = _times(-(v1 / v2), np.exp(2j * k0 * x0))
     # T from the determinant identity avoids the catastrophic cancellation of
     # M11 - M12 M21 / M22 for thick barriers; equal asymptotes make det(M) = 1
     # but for the scale.  The complex exp calls libm's exp, like math.exp
     # (numpy's real exp loop is vectorised per CPU, an ulp apart).
     det_total = np.exp(-log_scale + 0j).real
-    t = np.exp(1j * k0 * (x0 - xm)) * det_total / b[1]
+    t = np.exp(1j * k0 * (x0 - xm)) * det_total / v2
     if not amplitudes or len(interfaces) != 2 or x0 != 0.0:
         return r, t, None
     # region 1's amplitudes from the transmitted side, as in region_waves: the
-    # last interface's adjugate, over the Wronskian ratio (k1/k0, or
-    # 1/(-2i k0) for a linear region 1), applied to (t e^{i k0 a}, 0), which is
-    # (1/b[1], 0) with region 1's scale put back; the matrix has it taken
-    # out, so neither overflows where t underflows.  Below the barrier top
-    # the forward basis decays, so exp(+beta x)'s is the backward one
-    _, (m21, m22) = _advance(k, linear, 1, xm, *_EYE, log_scale)
-    over = _times(np.where(linear[:, 1], 0.5j, k[:, 1]) / k0, b[1])
+    # last interface's adjugate over the Wronskian ratio (k1/k0, or 1/(-2i k0)
+    # for a linear region 1) applied to (t e^{i k0 a}, 0), i.e. (1/M22, 0) with
+    # region 1's scale put back, which the row has out, so neither overflows
+    # where t underflows.  Below the barrier top exp(+beta x) is the backward one
+    over = _times(np.where(linear[:, 1], 0.5j, k[:, 1]) / k0, v2)
     f1, b1 = m22 / over, -m21 / over
     decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
     return r, t, (np.where(decaying, b1, f1), np.where(decaying, f1, b1))
@@ -275,8 +285,8 @@ def region_waves(
     pairs = [(t * cmath.exp(1j * ks[-1] * refs[-1]), 0j)]
     with np.errstate(all="ignore"):  # under- and overflow fail the checks below
         for j in reversed(range(len(interfaces))):
-            rows = _advance(k, linear, j, interfaces[j] - refs[j], *_EYE)
-            (m11, m12), (m21, m22) = (row[:, 0].tolist() for row in rows)
+            columns = _advance(k, linear, j, interfaces[j] - refs[j], *_EYE)[:2]
+            (m11, m21), (m12, m22) = (column[:, 0].tolist() for column in columns)
             det, (f, b) = wronskian[j] / wronskian[j + 1], pairs[-1]
             pairs.append(((m22 * f - m12 * b) / det, (m11 * b - m21 * f) / det))
     pairs.reverse()

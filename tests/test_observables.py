@@ -168,6 +168,21 @@ def test_expectation_warns_on_unnormalized_state():
         expectation(position_operator(g), doubled)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_state_warns_unnormalized(bad):
+    # abs(nan - 1) > tol is False, so the test is written to fail closed
+    g = make_grid(-16, 16, 256)
+    psi = gaussian_state(g)
+    values = psi.values.copy()
+    values[128] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expectation(position_operator(g), psi.with_values(values))
+        uncertainty(position_operator(g), psi.with_values(values))
+    assert [w.category for w in caught if w.category is NormalizationWarning] == [
+        NormalizationWarning] * 2
+
+
 def test_uncertainty_warns_once_on_unnormalized_state():
     g = make_grid(-16, 16, 256)
     psi = gaussian_state(g)
@@ -361,6 +376,21 @@ def test_custom_operator_rejects_non_hermitian():
         custom_operator(m, g)
     with pytest.raises(GridMismatchError):
         custom_operator(np.eye(8), g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_custom_operator_rejects_non_finite(bad):
+    # a Hermitian matrix but for one entry and its mirror: a nan defect would
+    # pass a `defect > tol` test, so non-finite entries are refused first
+    g = make_grid(-1, 1, 16)
+    m = random_hermitian(16, np.random.default_rng(4))
+    m[3, 5] = m[5, 3] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        custom_operator(m, g)
+    m = random_hermitian(16, np.random.default_rng(4))
+    m[2, 2] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        custom_operator(m, g)
 
 
 @pytest.mark.parametrize("scale", [1e-19, 1e19])

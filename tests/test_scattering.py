@@ -194,6 +194,11 @@ def test_sweep_matches_single_calls():
     for E, row in zip(thick, rows):
         closed = barrier_scattering(float(E), 4.0, 120.0)
         assert row.prob_t == pytest.approx(closed.prob_t, rel=1e-12, abs=0.0)
+    # every 15th row, 3 of them below E = 0.875 where the scale is taken out
+    for E, row in list(zip(thick.tolist(), rows))[::15]:
+        single = transfer_scattering(Barrier(v0=4.0, a=120.0), E)
+        for name in ("r", "t", "c_plus", "c_minus"):
+            assert getattr(row, name) == getattr(single, name), (E, name)
 
 
 def test_sweep_below_barrier_monotone_in_energy():
@@ -417,6 +422,22 @@ def test_closed_form_kernel_matches_solve_oracle_past_the_scale_threshold():
     _assert_sweep_matches_oracle(Barrier(v0=4.0, a=120.0), energies)
     stack = PiecewiseConstant(((0.0, 60.0, 4.0), (60.0, 61.0, 4.0), (62.0, 180.0, 5.0)))
     _assert_sweep_matches_oracle(stack, [0.3, 1.0, 3.9, 4.0, 4.5, 5.0, 7.0])
+
+
+@pytest.mark.parametrize("segments", [
+    ((0.0, 130.0, 4.0), (130.0, 131.0, 1.0)),  # past the threshold, then E = V
+    ((0.0, 1.0, 1.0), (1.0, 131.0, 4.0)),  # E = V, then past the threshold
+    ((0.0, 0.7, 1.0), (0.7, 2.5, 1.0), (2.5, 132.5, 4.0), (132.5, 133.0, 1.0)),
+    ((0.0, 0.7, 2.0), (0.7, 2.5, 2.0), (2.5, 3.0, 0.5)),  # two plateaus at E = 2
+])
+def test_closed_form_kernel_matches_solve_oracle_next_to_plateaus(segments):
+    # every branch of the row form with a region on either side at E = V; at
+    # E = 1 the V = 4 regions hold sqrt(6) * 130 = 318 e-folds, so their scale
+    # is taken out next to the plateau
+    assert math.sqrt(6.0) * 130.0 > scattering._SCALE_EXTRACT_THRESHOLD
+    plateaus = sorted({v for _, _, v in segments})
+    _assert_sweep_matches_oracle(PiecewiseConstant(segments=segments),
+                                 [0.3, *plateaus, 1.7, 3.9, 4.5, 6.0])
 
 
 def test_closed_form_kernel_matches_solve_oracle_in_si_units():

@@ -17,8 +17,10 @@ harmonic split-step run whose step count is not a multiple of
 states (a partial last batch of the evolve snapshot kernel), a barrier and a
 segment stack sampled on a grid with points on their interfaces, and the
 barrier's ``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a
-sweep across one of its plateaus, a walled ``Sampled`` table read at its cell
-midpoints, one with walls of both signs sampled on its grid, and the
+sweep across one of its plateaus, a thick barrier's r, t, ``c_plus`` and
+``c_minus`` on both sides of the log-scale threshold, a walled ``Sampled``
+table read at its cell midpoints, one with walls of both signs sampled on its
+grid, and the
 observables no CLI scenario measures:
 ``expectation`` and ``uncertainty`` of a ``hamiltonian_operator`` and of a
 ``custom_operator``, ``momentum_expectation_x_route`` and a small
@@ -197,6 +199,10 @@ for E in (1.0, 2.5):
            np.array([(w.forward, w.backward) for w in waves]))
 sweep = transmission_sweep(stack, np.linspace(0.25, 3.0, 12))  # crosses the V = 1 plateau
 record("library/segments/stack/transmission_sweep", np.array([(s.r, s.t) for s in sweep]))
+# a thick barrier's amplitudes: below E = 0.875 its e-folds pass the log-scale threshold
+sweep = transmission_sweep(Barrier(v0=4.0, a=120.0), [0.05, 0.3, 0.6, 0.85, 1.5, 3.0, 4.0, 6.0])
+record("library/segments/thick/transmission_sweep",
+       **{n: np.array([getattr(s, n) for s in sweep]) for n in ("r", "t", "c_plus", "c_minus")})
 
 # Observables that no CLI scenario measures: <A> and dA of the harmonic H and
 # of a random Hermitian matrix, the position-space route of <p> and a small
