@@ -641,6 +641,19 @@ def run_scenario(
 # Entry point
 
 
+class UsageError(Exception):
+    """The command line does not parse (exit 2, like a schema violation)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error raises UsageError, so main reports
+    it as one JSON object on stderr instead of exiting with argparse's text.
+    -h/--help still prints the help and exits 0.  Subparsers share this class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message} ({self.format_usage().strip()})")
+
+
 def _fail(exit_code: int, exc: Exception) -> int:
     error = {"exit_code": exit_code, "type": type(exc).__name__, "message": str(exc)}
     print(json.dumps({"error": error}), file=sys.stderr)
@@ -648,7 +661,7 @@ def _fail(exit_code: int, exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qm1d", description="1D quantum mechanics scenario runner"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -664,7 +677,10 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("version", help="print the version")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        return _fail(2, exc)
 
     if args.subcommand == "version":
         print(__version__)

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._lapack import flapack
 from .constants import PhysicalConstants
 from .core import Grid, WaveFunction, normalize, peak_fraction
 from .errors import (ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError,
@@ -221,24 +222,57 @@ def _check_box_truncation(h: DiscreteHamiltonian, states: list[WaveFunction]):
             )
 
 
+def _check_info(routine: str, info: int, order: int):
+    """A nonzero LAPACK info (an illegal argument or no convergence) is a SolverError."""
+    if info:
+        raise SolverError(f"order-{order} eigensolve failed: {routine} returned info={info}")
+
+
+def _tridiagonal_eigenpairs(h: DiscreteHamiltonian, count: int):
+    """Lowest eigenpairs of a tridiagonal H: bisection (dstebz), then inverse
+    iteration (dstein), called as scipy's eigh_tridiagonal(select="i") calls
+    them (scipy 1.10-1.17), so the results carry the same bits."""
+    if h.size == 1:
+        # dstein's wrapper rejects n = 1; eigh_tridiagonal returns this too
+        return h.diagonal.copy(), np.ones((1, 1))
+    lapack = flapack()
+    d, e = h.diagonal, h.off_diagonal
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, "B")
+    _check_info("dstebz", info, 2)
+    w = w[:m]
+    vectors, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info("dstein", info, 2)
+    # dstebz orders by split-off block ("B"), as dstein needs; sort by energy
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
+
+
 def _banded_eigenpairs(h: DiscreteHamiltonian, count: int):
-    """Lowest eigenpairs of a banded H: banded bisection, then inverse
-    iteration with a banded LU solve.
+    """Lowest eigenpairs of a banded H: banded bisection (dsbevx), then
+    inverse iteration with a banded LU (dgbtrf once per eigenvalue, dgbtrs
+    per sweep).
 
-    Computing the vectors inside eig_banded reduces the whole matrix to
+    Computing the vectors inside dsbevx reduces the whole matrix to
     tridiagonal form with an n x n transform, which costs seconds at a few
-    thousand points; the solves here cost milliseconds.
+    thousand points; the solves here cost milliseconds.  The calls are those
+    of scipy's eig_banded(select="i", eigvals_only=True) and solve_banded,
+    whose dgbsv is dgbtrf followed by dgbtrs, so the bits are the same.
     """
-    from scipy.linalg import eig_banded, solve_banded
-
+    lapack = flapack()
     band = h.band
     width = len(band) - 1
-    energies = eig_banded(
-        band, lower=True, eigvals_only=True, select="i", select_range=(0, count - 1)
+    energies, _, m, _, info = lapack.dsbevx(
+        band, 0.0, 1.0, 1, count, compute_v=0, mmax=1, range=2, lower=1,
+        abstol=2 * lapack.dlamch("s"), overwrite_ab=0,
     )
-    # Full band storage for solve_banded: row width - d holds band[d] shifted
-    # right by d (its trailing zeros roll to the front), then the lower rows.
-    full = np.vstack([np.roll(band[d], d) for d in range(width, 0, -1)] + [band])
+    _check_info("dsbevx", info, h.order)
+    energies = energies[:m]
+    # General band storage for dgbtrf: width rows of room for the LU's
+    # fill-in, then row width - d holds band[d] shifted right by d (its
+    # trailing zeros roll to the front), then the diagonal and lower rows.
+    ab = np.zeros((3 * width + 1, h.size))
+    ab[width:2 * width] = [np.roll(band[d], d) for d in range(width, 0, -1)]
+    ab[2 * width:] = band
     # Shift just off each eigenvalue so the banded LU never meets an exact
     # zero pivot (a 1 x 1 matrix would); the offset is 64 ulps of the
     # row-sum bound on |H|, about the accuracy of the eigenvalue itself.
@@ -248,10 +282,13 @@ def _banded_eigenpairs(h: DiscreteHamiltonian, count: int):
     start = np.random.default_rng(0).standard_normal(h.size)
     vectors = np.empty((h.size, count))
     for j, energy in enumerate(energies):
-        full[width] = band[0] - (energy - offset)
+        ab[2 * width] = band[0] - (energy - offset)
+        lu, pivots, info = lapack.dgbtrf(ab, width, width)
+        _check_info("dgbtrf", info, h.order)
         v = start
         for _ in range(_INVERSE_SWEEPS):
-            v = solve_banded((width, width), full, v)
+            v, info = lapack.dgbtrs(lu, width, width, v, pivots)
+            _check_info("dgbtrs", info, h.order)
             # keep (near-)degenerate partners apart, as LAPACK's stein does
             v = v - vectors[:, :j] @ (vectors[:, :j].T @ v)
             v = v / np.linalg.norm(v)
@@ -272,19 +309,11 @@ def solve_bound_states(h: DiscreteHamiltonian, count: int) -> Spectrum:
         raise ParameterError(
             f"requested {count} states but the operator has only {h.size} points"
         )
-    # scipy.linalg is imported here, not at module top: importing it costs
-    # more than most commands that never solve for bound states take to run.
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        if h.order == 2:
-            energies, vectors = eigh_tridiagonal(
-                h.diagonal, h.off_diagonal, select="i", select_range=(0, count - 1)
-            )
-        else:
-            energies, vectors = _banded_eigenpairs(h, count)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"order-{h.order} eigensolve failed: {exc}") from exc
+    if not np.isfinite(h.band).all():
+        # LAPACK's results on inf or nan are undefined (scipy's wrappers refuse them)
+        raise SolverError(f"order-{h.order} eigensolve failed: H has a non-finite entry")
+    pairs = _tridiagonal_eigenpairs if h.order == 2 else _banded_eigenpairs
+    energies, vectors = pairs(h, count)
 
     gaps = np.diff(energies)
     gap_warn = _GAP_WARN_RTOL * 2.0 * np.max(np.abs(h.off_diagonal), initial=0.0)

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._lapack import flapack
 from .constants import NATURAL, PhysicalConstants
 from .core import Space, WaveFunction, check_state, peak_fraction
 from .eigensolver import DiscreteHamiltonian, build_hamiltonian
@@ -88,6 +89,12 @@ def _check_step(h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants)
         raise ConfigurationError(f"H was built with hbar = {h.hbar!r}, not {constants.hbar!r}")
 
 
+def _check_finite(user: str, values: np.ndarray):
+    """A nan or inf in the initial state would only turn every series to nan."""
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{user} needs a finite state; it holds nan or inf")
+
+
 class _CrankNicolson:
     """Stepper for one Hamiltonian at a fixed dt: (1 + i lam H) is LU-factored
     once (LAPACK zgttrf) and the two diagonals of (1 - i lam H) are kept, so
@@ -109,13 +116,13 @@ class _CrankNicolson:
                 f"of order {h.order} (build it with order=2)"
             )
         _check_step(h, dt, constants)
-        # Imported per stepper, not at module top (see solve_bound_states);
-        # the step itself reuses the solver kept here.
-        from scipy.linalg.lapack import zgttrf, zgttrs
+        # scipy's LAPACK extension alone (qm1d._lapack), loaded on the first
+        # stepper, not at module top; the step itself reuses the solver kept here.
+        lapack = flapack()
 
         lam = 0.5 * dt / constants.hbar
         self.active = h.active
-        self.zgttrs = zgttrs
+        self.zgttrs = lapack.zgttrs
         self.masked = np.flatnonzero(h.mask)
         # Its mean is <T> of the band for every state zero at the excluded points.
         self.kinetic_symbol = h.kinetic_symbol()
@@ -124,7 +131,7 @@ class _CrankNicolson:
         self.coupling = -1j * lam * h.band[1, :-1]
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
         off = 1j * lam * h.band[1, :-1]
-        *self.lu, _ = zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
+        *self.lu, _ = lapack.zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
         """The next state's values."""
@@ -159,6 +166,7 @@ def crank_nicolson_step(
     ConfigurationError.
     """
     check_state("crank_nicolson_step", psi, Space.POSITION, h.grid)
+    _check_finite("crank_nicolson_step", psi.values)
     stepper = _CrankNicolson(h, dt, constants)
     return psi.with_values(stepper.step_values(psi.values))
 
@@ -206,6 +214,7 @@ def split_step(
 ) -> WaveFunction:
     """One second-order split step: V/2, kinetic in p-space, V/2."""
     check_state("split_step", psi, Space.POSITION)
+    _check_finite("split_step", psi.values)
     h = build_hamiltonian(psi.grid, potential, mass, constants)
     stepper = _SplitStep(h, dt, constants)
     return psi.with_values(stepper.step_values(psi.values))
@@ -232,7 +241,9 @@ def _stream(psi0: WaveFunction, potential: Potential, config: EvolutionConfig, m
     prefixed.  Warnings come after the last step, so a failed run has none: the
     norm's, then the final state's edge.  No earlier state of a run that
     succeeds has a hot edge: the split guard refuses the same peak_fraction,
-    Crank-Nicolson refuses edge amplitude in psi0 and zeroes both grid ends."""
+    Crank-Nicolson refuses edge amplitude in psi0 and zeroes both grid ends.
+    A psi0 holding nan or inf raises ParameterError before any step."""
+    _check_finite("evolve", psi0.values)
     h = build_hamiltonian(psi0.grid, potential, mass, constants)
     stepper = STEPPERS[config.method](h, config.dt, constants)
     observe = _SnapshotObservables(h, constants, stepper.kinetic_symbol)

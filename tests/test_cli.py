@@ -439,8 +439,8 @@ def test_installed_entry_point(tmp_path):
 
 # Runs each [label, argv or None] of the JSON list in argv[1] in one fresh
 # interpreter: None is the import named by the label, argv goes to main.
-# Prints, per step, its label, exit code, whether scipy.linalg was loaded and
-# whether any scipy module was.
+# Prints, per step, its label, exit code, whether scipy.linalg was loaded,
+# whether any scipy module was and whether scipy's LAPACK extension was.
 _COLD_CHILD = """
 import contextlib, io, json, sys
 log = []
@@ -453,7 +453,8 @@ for label, argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
     scipy = any(name.split(".")[0] == "scipy" for name in sys.modules)
-    log.append([label, code, "scipy.linalg" in sys.modules, scipy])
+    log.append([label, code, "scipy.linalg" in sys.modules, scipy,
+                "scipy.linalg._flapack" in sys.modules])
 print(json.dumps(log))
 """
 
@@ -512,13 +513,14 @@ def test_cold_start_imports_scipy_linalg_only_where_called(tmp_path):
     ]
     light = [[name, run[name]] for name in
              ("scatter", "packet", "blackbody", "uncertainty", "split_step")]
-    # Each process runs the commands that must not load scipy.linalg, then
-    # one that must, so the check cannot pass vacuously.
+    # No command loads the scipy.linalg package.  Each process runs the
+    # commands that need no LAPACK, then one that loads scipy's LAPACK
+    # extension alone, so the check cannot pass vacuously.
     log = _cold_steps(tmp_path, scipy_free + light + [["spectrum", run["spectrum"]]])
     log += _cold_steps(tmp_path, [["crank_nicolson", run["crank_nicolson"]]])
-    expected = [[label, 0, False, False] for label, _ in scipy_free]
-    expected += [[label, 0, False, True] for label, _ in light]
-    expected += [["spectrum", 0, True, True], ["crank_nicolson", 0, True, True]]
+    expected = [[label, 0, False, False, False] for label, _ in scipy_free]
+    expected += [[label, 0, False, True, False] for label, _ in light]
+    expected += [["spectrum", 0, False, True, True], ["crank_nicolson", 0, False, True, True]]
     assert log == expected
 
 
@@ -1086,3 +1088,41 @@ def test_check_finite_names_first_bad_row(bad, where):
     with pytest.raises(SolverError) as err:
         _check_finite("t.csv", (MIXED_COLUMNS, blocks))
     assert str(err.value) == f"t.csv: row {first + 1} holds the non-finite value {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["run"], "the following arguments are required: scenario"),
+        (["run", "x.json", "--format", "xml"], "invalid choice: 'xml'"),
+        ([], "the following arguments are required: subcommand"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+    ids=["run_without_scenario", "unknown_format", "bare", "unknown_command"],
+)
+def test_usage_error_exits_2_with_one_json_error(capsys, argv, says):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["exit_code"] == 2
+    assert err["type"] == "UsageError"
+    assert says in err["message"] and "usage: qm1d" in err["message"]
+
+
+def test_usage_error_from_the_command_line_is_one_json_line():
+    result = subprocess.run([sys.executable, "-m", "qm1d.cli", "frobnicate"],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])
+def test_help_still_prints_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qm1d")
+    assert captured.err == ""

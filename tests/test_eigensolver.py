@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from qm1d import (
     well_energy,
     well_state,
 )
-from qm1d.errors import ConfigurationError, NearDegeneracyWarning, ParameterError
+from qm1d import eigensolver
+from qm1d.errors import ConfigurationError, NearDegeneracyWarning, ParameterError, SolverError
 
 
 def orient_first_extremum_positive(values):
@@ -360,3 +365,91 @@ def test_walls_that_leave_only_the_box_edges_are_refused():
     walls = Sampled(values=[0.0] + [math.inf] * 6 + [0.0], grid=g)
     with pytest.raises(ConfigurationError, match="no active grid points remain after masking"):
         build_hamiltonian(g, walls, 1.0, NATURAL)
+
+
+def test_non_finite_hamiltonian_is_a_solver_error():
+    # hbar^2 / (2 m dx^2) overflows: LAPACK is never handed an inf.
+    g = make_grid(-1e-10, 1e-10, 50)
+    for order in (2, 4):
+        h = build_hamiltonian(g, Harmonic(omega=1.0), 1e-300, NATURAL, order=order)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_bound_states(h, 2)
+
+
+def _walled_harmonic(g):
+    raw = 0.5 * g.points**2
+    raw[g.n // 2 + 7] = math.inf
+    return Sampled(values=raw, grid=g)
+
+
+@pytest.mark.parametrize("potential", [lambda g: Harmonic(omega=1.0), _walled_harmonic],
+                         ids=["harmonic", "walled"])
+def test_three_point_spectrum_is_eigh_tridiagonal_bit_for_bit(monkeypatch, potential):
+    # dstebz + dstein as called by the solver against scipy's own wrapper;
+    # the wall splits H into two blocks, which dstebz orders block by block.
+    from scipy.linalg import eigh_tridiagonal
+
+    g = make_grid(-10.0, 10.0, 401)
+    h = build_hamiltonian(g, potential(g), 1.0, NATURAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearDegeneracyWarning)
+        spectrum = solve_bound_states(h, 8)
+        monkeypatch.setattr(eigensolver, "_tridiagonal_eigenpairs", lambda h, count: (
+            eigh_tridiagonal(h.diagonal, h.off_diagonal, select="i", select_range=(0, count - 1))))
+        reference = solve_bound_states(h, 8)
+    assert spectrum.energies.tobytes() == reference.energies.tobytes()
+    assert spectrum.residuals.tobytes() == reference.residuals.tobytes()
+    for state, expected in zip(spectrum.states, reference.states):
+        assert state.values.tobytes() == expected.values.tobytes()
+
+
+def test_one_point_tridiagonal_pair_is_eigh_tridiagonal():
+    from scipy.linalg import eigh_tridiagonal
+
+    g = make_grid(0.0, 1.0, 8)
+    h = build_hamiltonian(g, Sampled(values=[0.0] + [math.inf] * 5 + [0.0, 0.0], grid=g),
+                          1.0, NATURAL)
+    assert h.size == 1
+    energies, vectors = eigensolver._tridiagonal_eigenpairs(h, 1)
+    expected = eigh_tridiagonal(h.diagonal, h.off_diagonal, select="i", select_range=(0, 0))
+    assert energies.tobytes() == expected[0].tobytes()
+    assert vectors.tobytes() == expected[1].tobytes()
+
+
+def _child_stdout(tmp_path, code):
+    import qm1d
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, cwd=tmp_path).stdout
+
+
+# qm1d solves and builds a Crank-Nicolson stepper, then the child imports
+# scipy.linalg: it must reuse the loaded extension and still solve.  Prints
+# whether the package was loaded before, whether lapack.zgttrs is the
+# stepper's routine and the eigh_tridiagonal energies.
+_REIMPORT_CHILD = """
+import sys
+import numpy as np
+from qm1d import NATURAL, Harmonic, build_hamiltonian, make_grid, solve_bound_states
+from qm1d.evolution import _CrankNicolson
+h = build_hamiltonian(make_grid(-10.0, 10.0, 101), Harmonic(omega=1.0), 1.0, NATURAL)
+solve_bound_states(h, 2)
+stepper = _CrankNicolson(h, 0.01, NATURAL)
+before = "scipy.linalg" in sys.modules
+import scipy.linalg
+w = scipy.linalg.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), select="i",
+                                  select_range=(0, 0), eigvals_only=True)
+print(before, scipy.linalg.lapack.zgttrs is stepper.zgttrs, w.round(12).tolist())
+"""
+
+
+def test_scipy_linalg_imported_later_reuses_the_loaded_extension(tmp_path):
+    out = _child_stdout(tmp_path, _REIMPORT_CHILD)
+    assert out.split(maxsplit=2) == ["False", "True", f"[{round(2.0 - 2.0**0.5, 12)}]\n"]
+
+
+def test_loader_takes_the_extension_scipy_linalg_already_loaded(tmp_path):
+    out = _child_stdout(tmp_path, "import scipy.linalg.lapack\nfrom qm1d._lapack import flapack\n"
+                                  "print(flapack() is scipy.linalg.lapack._flapack)")
+    assert out == "True\n"

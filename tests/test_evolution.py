@@ -619,3 +619,25 @@ def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
         with pytest.raises(ParameterError, match=r"^step 1: state has .* at an excluded"):
             evolve(psi0, potential, config)
     assert caught == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", list(STEPPERS))
+def test_non_finite_initial_state_is_refused(method, bad):
+    # Before, a nan evolved into all-nan series with only NormalizationWarnings.
+    g = make_grid(-12, 12, 256)
+    values = gaussian_on(g).values.copy()
+    values[128] = bad
+    psi = WaveFunction(g, values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="^evolve needs a finite state"):
+            evolve(psi, Harmonic(omega=0.5), EvolutionConfig(dt=0.01, steps=3, method=method))
+        if method == "crank_nicolson":
+            with pytest.raises(ParameterError, match="^crank_nicolson_step needs a finite state"):
+                crank_nicolson_step(psi, build_hamiltonian(g, Harmonic(omega=0.5), 1.0, NATURAL),
+                                    0.01)
+        else:
+            with pytest.raises(ParameterError, match="^split_step needs a finite state"):
+                split_step(psi, Harmonic(omega=0.5), 0.01)
+    assert caught == []

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,3 +114,12 @@ def test_corpus_gives_the_largest_difference_of_each_moved_library_array():
         "sha256 differs in energy (max abs 0.12, max rel 0.0099, max rel to array max 0.0099)")
     assert corpus.moved_arrays("a", "b", ([np.ones(2)], [np.ones(2) * 2])) == (
         "sha256 differs or missing on one side (max abs 1, max rel 0.5, max rel to array max 0.5)")
+
+
+def test_coldstart_probe_reports_exit_code_scipy_linalg_and_peak_rss(monkeypatch):
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
+    coldstart = _tool("coldstart")
+    env = {**os.environ, "PYTHONPATH": str(corpus.REPO / "src")}
+    code, loaded, rss_mb = coldstart.probe(env, ["version"])
+    assert (code, loaded) == (0, False)
+    assert 1.0 < rss_mb < 1000.0

@@ -5,10 +5,12 @@
 Each command is a fresh ``python -m qm1d.cli`` process: ``version``,
 ``validate`` and ``run`` of every hand-written scenario of
 ``tools/corpus.py``.  The two trees alternate spawn by spawn, each with
-``PYTHONPATH`` set to its own source tree, and one unmeasured spawn per tree
-and command comes first, so bytecode compilation is not timed; that spawn
-also reports whether the command loaded ``scipy.linalg``.  The output is a
-markdown table of each side's median and quartiles.  Timing has no pass/fail
+``PYTHONPATH`` set to its own source tree, and two unmeasured spawns per
+tree and command come first: the first compiles bytecode, so compilation is
+neither timed nor counted in memory, and the second reports whether the
+command loaded ``scipy.linalg`` and its peak RSS (``ru_maxrss``, KiB on
+Linux).  The output is a markdown table of each side's median and quartiles,
+with the peak RSS of each side.  Timing has no pass/fail
 gate; the exit status is 1 only if a command fails on either side.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -26,14 +29,14 @@ from pathlib import Path
 
 import corpus
 
-# Runs qm1d.cli.main on argv[1:] and prints its exit code and whether
-# scipy.linalg was imported.
+# Runs qm1d.cli.main on argv[1:] and prints its exit code, whether
+# scipy.linalg was imported and the process's peak RSS.
 _PROBE = """
-import contextlib, io, sys
+import contextlib, io, resource, sys
 from qm1d.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "scipy.linalg" in sys.modules)
+print(code, "scipy.linalg" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -49,15 +52,15 @@ def commands(scenarios: Path, out: Path) -> dict[str, list[str]]:
     return argvs
 
 
-def probe(env: dict, argv: list[str]) -> tuple[int, bool]:
-    """(exit code, scipy.linalg loaded) of one command; compiles bytecode."""
+def probe(env: dict, argv: list[str]) -> tuple[int, bool, float]:
+    """(exit code, scipy.linalg loaded, peak RSS in MB) of one command."""
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True
     )
     if result.returncode:
-        return result.returncode, False
-    code, loaded = result.stdout.split()[-2:]
-    return int(code), loaded == "True"
+        return result.returncode, False, math.nan
+    code, loaded, max_rss_kib = result.stdout.split()[-3:]
+    return int(code), loaded == "True", int(max_rss_kib) / 1024
 
 
 def spawn(env: dict, argv: list[str]) -> tuple[float, int]:
@@ -89,9 +92,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="qm1d-coldstart-") as tmp:
         tmp = Path(tmp)
         for label, cli_argv in commands(tmp, tmp / "out").items():
-            loaded, times = {}, {side: [] for side in sides}
+            loaded, rss, times = {}, {}, {side: [] for side in sides}
             for side, env in envs.items():
-                code, loaded[side] = probe(env, cli_argv)
+                probe(env, cli_argv)  # compiles bytecode
+                code, loaded[side], rss[side] = probe(env, cli_argv)
                 if code:
                     failures.append(f"{label} exited {code} on {side}")
             for i in range(args.repeat):
@@ -101,14 +105,16 @@ def main(argv=None) -> int:
                     times[side].append(elapsed)
                     if code:
                         failures.append(f"{label} exited {code} on {side}")
-            rows.append((label, times, loaded))
+            rows.append((label, times, loaded, rss))
     print(f"### Cold `python -m qm1d.cli` spawns: median (quartiles) of {args.repeat}\n")
-    print("| command | this tree | against | this / against | scipy.linalg loaded (this, against) |")
-    print("|---|---:|---:|---:|---|")
-    for label, times, loaded in rows:
+    print("| command | this tree | against | this / against "
+          "| peak RSS MB (this, against) | scipy.linalg loaded (this, against) |")
+    print("|---|---:|---:|---:|---:|---|")
+    for label, times, loaded, rss in rows:
         ratio = statistics.median(times["this"]) / statistics.median(times["against"])
         print(f"| {label} | {summary(times['this'])} | {summary(times['against'])} "
-              f"| {ratio:.2f} | {loaded['this']}, {loaded['against']} |")
+              f"| {ratio:.2f} | {rss['this']:.1f}, {rss['against']:.1f} "
+              f"| {loaded['this']}, {loaded['against']} |")
     for line in sorted(set(failures)):
         print(f"\n- FAILED {line}")
     return 1 if failures else 0
