@@ -24,6 +24,7 @@ from .errors import (
     ConfigurationError,
     DegenerateStateError,
     GridMismatchError,
+    ParameterError,
     SpaceTagError,
     positive,
 )
@@ -66,7 +67,7 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on a grid, in either x-space or p-space.
+    """Finite complex amplitudes on a grid, in either x-space or p-space.
 
     For momentum-space states ``dp`` carries the mesh spacing of the
     conjugate grid; the sample coordinates are then ``dp * j`` for the
@@ -84,6 +85,9 @@ class WaveFunction:
             raise GridMismatchError(
                 f"amplitude count {v.shape} does not match grid size {self.grid.n}"
             )
+        if not np.isfinite(v).all():  # the one finiteness check of a state
+            i = np.flatnonzero(~np.isfinite(v))[0]
+            raise ParameterError(f"WaveFunction amplitudes must be finite; index {i} holds {v[i]}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.space is Space.MOMENTUM and self.dp is None:

@@ -12,6 +12,7 @@ position-space derivative route of <p> stays as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -27,6 +28,7 @@ from .spectral import EDGE_AMPLITUDE_TOL, EDGES, fft_momenta, warn_hot_edges
 # Largest max |A - A^dagger| accepted, as a fraction of max |A|.
 HERMITICITY_TOL = 1e-12
 _NORM_WARN = 1e-8
+_DOT_BLOCK = 8192  # points per BLAS dot in _dot; OpenBLAS threads a dot above 10^4
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +80,8 @@ def custom_operator(matrix: np.ndarray, grid: Grid) -> Operator:
 
 def _warn_if_unnormalized(n2: float):
     """NormalizationWarning when the norm-squared n2 is off 1 by more than
-    _NORM_WARN, or is nan."""
+    _NORM_WARN.  A state's amplitudes are finite, so n2 is never nan, but it
+    overflows to inf for amplitudes near 1e154; that fails the test and warns."""
     if not (abs(n2 - 1.0) <= _NORM_WARN):
         warn(f"state norm-squared is {n2:.6g}; expectation values assume a normalized state",
              NormalizationWarning)
@@ -93,8 +96,12 @@ def _density(values: np.ndarray) -> np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum(a * b) along the last axis, one value per row: numpy's matmul takes
     each (1, n) @ (n, 1) product as one BLAS dot, so a 1-D density and every
-    row of a batch go through the same call."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    row of a batch go through the same call.  A row is taken in blocks of
+    _DOT_BLOCK points, whose sums are added left to right, so its bits do not
+    depend on the BLAS thread count; up to _DOT_BLOCK points it is one call."""
+    parts = [np.matmul(a[..., None, s:s + _DOT_BLOCK], b[..., s:s + _DOT_BLOCK, None])[..., 0, 0]
+             for s in range(0, b.shape[-1], _DOT_BLOCK)]
+    return functools.reduce(np.add, parts)
 
 
 def _moments(coords: np.ndarray, density: np.ndarray, scale, variance: bool = True):
@@ -102,9 +109,8 @@ def _moments(coords: np.ndarray, density: np.ndarray, scale, variance: bool = Tr
     along the last axis, so a 2-D density gives one pair per row and stacked
     coords, densities and scales give one per stack and row.  The variance
     is None when not asked for, else the centred second moment (two passes).
-    Each weighted sum is a BLAS dot, so its last bits follow the BLAS build
-    and, above about 10^4 points, its thread count, as the LAPACK eigensolve's
-    already do."""
+    Each weighted sum is _dot's fixed sequence of BLAS dots, so its last bits
+    follow the BLAS build but not its thread count."""
     mean = _dot(coords, density) * scale
     if not variance:
         return mean, None

@@ -183,9 +183,9 @@ def _advance(k, linear, j, delta, v1, v2, extract=False):
             shift)
 
 
-def _chain(interfaces, linear, k, amplitudes):
+def _chain(interfaces, linear, k):
     """r, t and (c_plus, c_minus) per energy for unit incidence from the left
-    (the pair only when asked for and for one region on [0, a), else None)."""
+    (the pair for one region on [0, a), else None)."""
     n = k.shape[0]
     if not interfaces:  # uniform potential: the incident wave passes unchanged
         return np.zeros(n, np.complex128), np.ones(n, np.complex128), None
@@ -206,7 +206,7 @@ def _chain(interfaces, linear, k, amplitudes):
     # (numpy's real exp loop is vectorised per CPU, an ulp apart).
     det_total = np.exp(-log_scale + 0j).real
     t = np.exp(1j * k0 * (x0 - xm)) * det_total / v2
-    if not amplitudes or len(interfaces) != 2 or x0 != 0.0:
+    if len(interfaces) != 2 or x0 != 0.0:
         return r, t, None
     # region 1's amplitudes from the transmitted side, as in region_waves: the
     # last interface's adjugate over the Wronskian ratio (k1/k0, or 1/(-2i k0)
@@ -219,11 +219,11 @@ def _chain(interfaces, linear, k, amplitudes):
     return r, t, (np.where(decaying, b1, f1), np.where(decaying, f1, b1))
 
 
-def _scatter(potential, energies, mass, constants, sweep, amplitudes=True):
+def _scatter(potential, energies, mass, constants, sweep):
     """The kernel, in input order: E; r, t, |r|^2 and |t|^2 as lists, by scalar abs
     (numpy's abs loop may round apart from libm's hypot); (c_plus, c_minus) or None."""
     interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
-    r, t, pair = _chain(interfaces, linear, k, amplitudes)
+    r, t, pair = _chain(interfaces, linear, k)
     r, t = r.tolist(), t.tolist()
     return E, r, t, [abs(c) ** 2 for c in r], [abs(c) ** 2 for c in t], pair
 
@@ -240,8 +240,7 @@ def scattering_table(
 ) -> tuple[np.ndarray, ...]:
     """Energy, |r|^2, |t|^2 and the phases of r and t as float arrays, one entry
     per energy in input order: transmission_sweep's numbers without its objects."""
-    E, r, t, prob_r, prob_t, _ = _scatter(potential, energies, mass, constants, sweep=True,
-                                          amplitudes=False)
+    E, r, t, prob_r, prob_t, _ = _scatter(potential, energies, mass, constants, sweep=True)
     return (E, *(np.array(cells, dtype=np.float64) for cells in (
         prob_r, prob_t, [cmath.phase(c) for c in r], [cmath.phase(c) for c in t])))
 
@@ -274,7 +273,7 @@ def region_waves(
     edge, underflows past about 360 e-folds), or when the incident region
     misses unit incidence and the kernel's r by over _ASSEMBLY_TOL."""
     interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
-    r, t = (complex(c[0]) for c in _chain(interfaces, linear, k, False)[:2])
+    r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])
     if abs(t) < sys.float_info.min:
         raise ParameterError(
             f"E={E}: the transmitted amplitude |t| = {abs(t):.3g} underflows; "

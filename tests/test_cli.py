@@ -204,28 +204,37 @@ def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, boun
 
 @pytest.mark.parametrize("method", sorted(STEPPERS))
 def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
-    # Every weighted sum of the series is a BLAS dot.  OpenBLAS splits a dot
-    # across threads only above about 10^4 points, so at n = 2048 one thread
-    # and two write the same bytes.
-    body = {
-        "command": "evolve", "constants": {"profile": "natural"},
+    # Every weighted sum of the series is a BLAS dot per block of 8192 points.
+    # OpenBLAS splits a dot across threads above about 10^4 points, so one
+    # thread and two write the same bytes at n = 2048, and at n = 16385 only
+    # because no block is that long.
+    small = {
         "grid": {"x_min": -24.0, "x_max": 42.0, "n": 2048},
         "potential": {"kind": "piecewise_constant", "segments": []},
-        "initial": {"alpha": 0.5, "k0": 6.0}, "method": method, "dt": 0.01, "steps": 300,
-        "output": {"format": "csv", "path": "run.csv"},
+        "initial": {"alpha": 0.5, "k0": 6.0}, "steps": 300,
     }
-    scenario = write_scenario(tmp_path, body)
-    written = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": threads}
-        out = tmp_path / f"threads_{threads}"
-        result = subprocess.run(
-            [sys.executable, "-m", "qm1d.cli", "run", scenario, "--out", str(out)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        written.append([Path(line).read_bytes() for line in result.stdout.splitlines()])
-    assert len(written[0]) == 1 and written[0] == written[1]
+    large = {
+        "grid": {"x_min": -40.0, "x_max": 60.0, "n": 16385},
+        "potential": {"kind": "harmonic", "omega": 0.05},
+        "initial": {"alpha": 0.5, "k0": 3.0}, "steps": 40,
+    }
+    for name, grid_body in (("small", small), ("large", large)):
+        body = {
+            "command": "evolve", "constants": {"profile": "natural"}, "method": method,
+            "dt": 0.01, "output": {"format": "csv", "path": "run.csv"}, **grid_body,
+        }
+        scenario = write_scenario(tmp_path, body, f"{name}.json")
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"{name}_threads_{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "qm1d.cli", "run", scenario, "--out", str(out)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            written.append([Path(line).read_bytes() for line in result.stdout.splitlines()])
+        assert len(written[0]) == 1 and written[0] == written[1], name
 
 
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):

@@ -230,6 +230,23 @@ def test_wavefunction_values_are_immutable():
     assert psi.values[0] == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+@pytest.mark.parametrize("space", list(Space))
+def test_wavefunction_amplitudes_are_finite(space, bad):
+    # The one finiteness check of a state: no entry point sees nan or inf.
+    g = make_grid(-8.0, 8.0, 64)
+    values = np.exp(-0.5 * g.points**2).astype(complex)
+    dp = 0.1 if space is Space.MOMENTUM else None
+    psi = WaveFunction(g, values, space, dp)
+    assert np.array_equal(psi.values, values)
+    values[40] = bad
+    message = re.escape(f"WaveFunction amplitudes must be finite; index 40 holds {values[40]}")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        WaveFunction(g, values, space, dp)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        psi.with_values(values)
+
+
 def test_constants_validation():
     with pytest.raises(ParameterError):
         PhysicalConstants(hbar=0.0)
@@ -278,6 +295,8 @@ STATE_CHECKS = {
                             Space.POSITION, GridMismatchError, SpaceTagError),
     "inner_product": (lambda psi: inner_product(_REFERENCE, psi),
                       Space.POSITION, GridMismatchError, SpaceTagError),
+    "evolve": (lambda psi: evolve(psi, PiecewiseConstant(), EvolutionConfig(1e-3, 1)),
+               Space.POSITION, None, SpaceTagError),
 }
 
 

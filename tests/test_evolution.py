@@ -624,20 +624,17 @@ def test_crank_nicolson_refuses_amplitude_at_an_excluded_point(every, place):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("method", list(STEPPERS))
 def test_non_finite_initial_state_is_refused(method, bad):
-    # Before, a nan evolved into all-nan series with only NormalizationWarnings.
+    # The WaveFunction constructor refuses it, so no nan or inf reaches evolve
+    # or a step.  Before, a nan evolved into all-nan series with only
+    # NormalizationWarnings.
     g = make_grid(-12, 12, 256)
-    values = gaussian_on(g).values.copy()
+    psi = gaussian_on(g)
+    values = psi.values.copy()
     values[128] = bad
-    psi = WaveFunction(g, values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ParameterError, match="^evolve needs a finite state"):
-            evolve(psi, Harmonic(omega=0.5), EvolutionConfig(dt=0.01, steps=3, method=method))
-        if method == "crank_nicolson":
-            with pytest.raises(ParameterError, match="^crank_nicolson_step needs a finite state"):
-                crank_nicolson_step(psi, build_hamiltonian(g, Harmonic(omega=0.5), 1.0, NATURAL),
-                                    0.01)
-        else:
-            with pytest.raises(ParameterError, match="^split_step needs a finite state"):
-                split_step(psi, Harmonic(omega=0.5), 0.01)
+        with pytest.raises(ParameterError, match="^WaveFunction amplitudes must be finite; "
+                                                 "index 128 holds"):
+            evolve(psi.with_values(values), Harmonic(omega=0.5),
+                   EvolutionConfig(dt=0.01, steps=3, method=method))
     assert caught == []

@@ -169,18 +169,30 @@ def test_expectation_warns_on_unnormalized_state():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_state_warns_unnormalized(bad):
-    # abs(nan - 1) > tol is False, so the test is written to fail closed
+def test_non_finite_state_never_reaches_the_observables(bad):
+    # The WaveFunction constructor refuses it.  Before, expectation and
+    # uncertainty returned nan with only a NormalizationWarning each.
     g = make_grid(-16, 16, 256)
     psi = gaussian_state(g)
     values = psi.values.copy()
     values[128] = bad
+    with pytest.raises(ParameterError, match="^WaveFunction amplitudes must be finite"):
+        expectation(position_operator(g), psi.with_values(values))
+
+
+def test_overflowing_norm_warns_unnormalized():
+    # Finite amplitudes of 1e200 square past the float range: the norm reads
+    # inf, which the fail-closed test warns of, once per call.
+    g = make_grid(-16, 16, 256)
+    psi = gaussian_state(g).with_values(1e200 * gaussian_state(g).values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        expectation(position_operator(g), psi.with_values(values))
-        uncertainty(position_operator(g), psi.with_values(values))
+        expectation(position_operator(g), psi)
+        uncertainty(position_operator(g), psi)
     assert [w.category for w in caught if w.category is NormalizationWarning] == [
         NormalizationWarning] * 2
+    assert all("norm-squared is inf" in str(w.message) for w in caught
+               if w.category is NormalizationWarning)
 
 
 def test_uncertainty_warns_once_on_unnormalized_state():

@@ -23,8 +23,9 @@ table read at its cell midpoints, one with walls of both signs sampled on its
 grid, and the
 observables no CLI scenario measures:
 ``expectation`` and ``uncertainty`` of a ``hamiltonian_operator`` and of a
-``custom_operator``, ``momentum_expectation_x_route`` and a small
-``momentum_operator(...).matrix()``.  Each side
+``custom_operator``, ``momentum_expectation_x_route``, a small
+``momentum_operator(...).matrix()`` and the position and momentum moments of
+a 16,385-point packet, whose sums take three blocks of 8,192 points.  Each side
 runs in its own interpreter with ``PYTHONPATH`` set to its source tree, so
 the two never share imported modules.  Data files and library results are
 compared by sha256; ``*.meta.json`` sidecars carry timestamps and are
@@ -94,7 +95,8 @@ print(json.dumps(codes))
 # "library/batches/<states>/<method>[/series]" for evolve runs that record a
 # number of states that is not a multiple of the snapshot batch and
 # "library/observables/<operator>/<result>" for observables of operators that
-# no CLI scenario measures.
+# no CLI scenario measures, and "library/observables/blocks/moments" for moments
+# summed in more than one block.
 _LIBRARY = """
 import hashlib, json, math, pickle, sys, warnings
 import numpy as np
@@ -102,7 +104,8 @@ warnings.simplefilter("ignore")
 from qm1d import (NATURAL, Barrier, EvolutionConfig, Harmonic, InfiniteWell, LinearRamp,
                   PiecewiseConstant, Sampled, WaveFunction, build_hamiltonian, custom_operator,
                   evolve, expectation, hamiltonian_operator, make_grid,
-                  momentum_expectation_x_route, momentum_operator, normalize, region_waves,
+                  momentum_expectation_x_route, momentum_operator, normalize,
+                  position_operator, region_waves,
                   sample_on_grid, solve_bound_states, transfer_scattering, transmission_sweep,
                   uncertainty)
 from qm1d.evolution import SERIES
@@ -222,6 +225,13 @@ for name, (op, psi) in operators.items():
 record("library/observables/momentum/x_route",
        np.array(momentum_expectation_x_route(smooth_packet)))
 record("library/observables/momentum/matrix", momentum_operator(small).matrix())
+wide = make_grid(-40.0, 60.0, 16385)
+wide_packet = normalize(WaveFunction(wide, np.exp(-0.25 * (wide.points - 5.0) ** 2
+                                                   + 3j * wide.points)))
+record("library/observables/blocks/moments", **{
+    f"{name}/{result.__name__}": np.array(result(op, wide_packet))
+    for name, op in (("x", position_operator(wide)), ("p", momentum_operator(wide)))
+    for result in (expectation, uncertainty)})
 with open(sys.argv[1], "wb") as out:
     pickle.dump(saved, out)
 print(json.dumps(sums))
