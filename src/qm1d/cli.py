@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -660,7 +661,10 @@ def _fail(exit_code: int, exc: Exception) -> int:
     return exit_code
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and kept for the process,
+    so each further ``main`` call only parses."""
     parser = _Parser(
         prog="qm1d", description="1D quantum mechanics scenario runner"
     )
@@ -676,9 +680,12 @@ def main(argv: list[str] | None = None) -> int:
     val_p.add_argument("scenario", help="path to a JSON scenario")
 
     sub.add_parser("version", help="print the version")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         return _fail(2, exc)
 

@@ -148,8 +148,19 @@ def norm_squared(psi: WaveFunction) -> float:
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
-    """Rescale so the probability integral equals 1."""
-    n2 = norm_squared(psi)
+    """Rescale so the probability integral equals 1.
+
+    When the squared norm is inf, 0 or subnormal, it is taken again from the
+    amplitudes divided by their peak |psi|, so any state that is not all
+    zeros normalizes, without a numpy warning.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        n2 = norm_squared(psi)
+        if not _TINY <= n2 < math.inf:
+            peak = np.max(np.abs(psi.values))
+            if peak > 0.0:
+                psi = psi.with_values(psi.values / peak)
+                n2 = norm_squared(psi)
     if n2 <= 0.0:
         raise DegenerateStateError("cannot normalize a zero-norm state")
     return psi.with_values(psi.values / np.sqrt(n2))

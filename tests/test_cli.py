@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qm1d
+import qm1d.cli as cli
 from qm1d import (
     GaussianPacketParams,
     Harmonic,
@@ -1135,3 +1136,69 @@ def test_help_still_prints_and_exits_0(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: qm1d")
     assert captured.err == ""
+
+
+def _outcome(argv, capsys):
+    """(exit code, or ("SystemExit", code), stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = ("SystemExit", exit_info.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_called_repeatedly_behaves_as_each_call_alone(tmp_path, capsys):
+    body = _schema_case("scatter", energies={"start": 0.5, "stop": 3.0, "count": 1})
+    scenario = write_scenario(tmp_path, body)
+    steps = [["frobnicate"], ["-h"], ["run", scenario, "--out", str(tmp_path)], ["version"]]
+    together = [_outcome(argv, capsys) for argv in steps]
+    alone = []
+    for argv in steps:
+        cli._parser.cache_clear()
+        alone.append(_outcome(argv, capsys))
+    assert together == alone
+    (usage_code, usage_out, usage_err), (help_code, help_out, _), (run_code, _, _), version = together
+    assert (usage_code, usage_out) == (2, "")
+    assert json.loads(usage_err)["error"]["type"] == "UsageError"
+    assert help_code == ("SystemExit", 0) and help_out.startswith("usage: qm1d")
+    assert run_code == 0
+    assert version == (0, f"{__version__}\n", "")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    for argv in (["version"], ["frobnicate"], ["version"], ["run"]):
+        main(argv)
+    # the parser and its three subparsers, which share its class
+    assert built == ["qm1d", "qm1d run", "qm1d validate", "qm1d version"]
+
+
+# Counts the argparse parsers that `import qm1d.cli` constructs, and prints
+# that count and the size of the CLI's parser cache.
+_IMPORT_CHILD = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import qm1d.cli
+print(len(built), qm1d.cli._parser.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], capture_output=True,
+                            text=True, env=env, check=True, cwd=tmp_path)
+    assert result.stdout.split() == ["0", "0"]

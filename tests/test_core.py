@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_normalize_zero_state_raises():
     g = make_grid(0, 1, 64)
     with pytest.raises(DegenerateStateError):
         normalize(WaveFunction(g, np.zeros(64)))
+
+
+# norm^2 overflows to inf, overflows only in the sum, underflows to 0, or is subnormal
+@pytest.mark.parametrize("amplitude", [1e200, 1e154, 1e-200, 1e-160])
+def test_normalize_survives_a_norm_beyond_the_float_range(amplitude):
+    g = make_grid(-8, 8, 64)
+    psi = WaveFunction(g, amplitude * np.exp(-g.points**2 / 2) * (1 + 0.5j))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        unit = normalize(psi)
+    assert caught == []
+    assert abs(norm_squared(unit) - 1.0) <= 1e-14
+
+
+def test_normalize_of_a_normal_norm_keeps_its_bits():
+    g = make_grid(-8, 8, 64)
+    psi = WaveFunction(g, 1e150 * np.exp(-g.points**2 / 2))
+    assert np.array_equal(normalize(psi).values, psi.values / np.sqrt(norm_squared(psi)))
 
 
 def test_inner_product_of_normalized_state():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -119,7 +120,21 @@ def test_corpus_gives_the_largest_difference_of_each_moved_library_array():
 def test_coldstart_probe_reports_exit_code_scipy_linalg_and_peak_rss(monkeypatch):
     monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
     coldstart = _tool("coldstart")
-    env = {**os.environ, "PYTHONPATH": str(corpus.REPO / "src")}
-    code, loaded, rss_mb = coldstart.probe(env, ["version"])
+    code, loaded, rss_mb = coldstart.probe(coldstart.child_env(corpus.REPO / "src"), ["version"])
     assert (code, loaded) == (0, False)
     assert 1.0 < rss_mb < 1000.0
+
+
+def test_coldstart_children_write_bytecode(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
+    coldstart = _tool("coldstart")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    shutil.copytree(corpus.REPO / "src" / "qm1d", tmp_path / "qm1d",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = coldstart.child_env(tmp_path)
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"] == str(tmp_path.resolve())
+    assert env["PATH"] == os.environ["PATH"]
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert coldstart.probe(env, ["version"])[0] == 0
+    assert list((tmp_path / "qm1d" / "__pycache__").glob("cli.*.pyc"))

@@ -5,9 +5,10 @@
 Each command is a fresh ``python -m qm1d.cli`` process: ``version``,
 ``validate`` and ``run`` of every hand-written scenario of
 ``tools/corpus.py``.  The two trees alternate spawn by spawn, each with
-``PYTHONPATH`` set to its own source tree, and two unmeasured spawns per
-tree and command come first: the first compiles bytecode, so compilation is
-neither timed nor counted in memory, and the second reports whether the
+``PYTHONPATH`` set to its own source tree and ``PYTHONDONTWRITEBYTECODE``
+removed, and two unmeasured spawns per tree and command come first: the
+first compiles and writes bytecode, so compilation is neither timed nor
+counted in memory, and the second reports whether the
 command loaded ``scipy.linalg`` and its peak RSS (``ru_maxrss``, KiB on
 Linux).  The output is a markdown table of each side's median and quartiles,
 with the peak RSS of each side.  Timing has no pass/fail
@@ -52,6 +53,15 @@ def commands(scenarios: Path, out: Path) -> dict[str, list[str]]:
     return argvs
 
 
+def child_env(src: Path) -> dict:
+    """This process's environment with ``PYTHONPATH`` set to ``src`` and
+    without ``PYTHONDONTWRITEBYTECODE``, so the spawns read cached bytecode."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src.resolve())
+    return env
+
+
 def probe(env: dict, argv: list[str]) -> tuple[int, bool, float]:
     """(exit code, scipy.linalg loaded, peak RSS in MB) of one command."""
     result = subprocess.run(
@@ -87,14 +97,14 @@ def main(argv=None) -> int:
     if args.repeat < 2:
         parser.error("--repeat needs at least 2 spawns for quartiles")
     sides = {"this": corpus.REPO / "src", "against": args.against}
-    envs = {side: {**os.environ, "PYTHONPATH": str(src.resolve())} for side, src in sides.items()}
+    envs = {side: child_env(src) for side, src in sides.items()}
     rows, failures = [], []
     with tempfile.TemporaryDirectory(prefix="qm1d-coldstart-") as tmp:
         tmp = Path(tmp)
         for label, cli_argv in commands(tmp, tmp / "out").items():
             loaded, rss, times = {}, {}, {side: [] for side in sides}
             for side, env in envs.items():
-                probe(env, cli_argv)  # compiles bytecode
+                probe(env, cli_argv)  # compiles and writes bytecode
                 code, loaded[side], rss[side] = probe(env, cli_argv)
                 if code:
                     failures.append(f"{label} exited {code} on {side}")
