@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from . import _shortest as shortest
 from .analytic import (
     GaussianPacketParams,
     blackbody_density,
@@ -265,7 +266,9 @@ def _parse_gaussian(obj, where: str) -> dict:
 # rows, each a tuple of one entry per column.  An entry is an ndarray or a
 # list (one cell per row) or any other value (one cell repeated on every row
 # of the block), and every block holds at least one ndarray or list.  The
-# writers format and write the rows in order, _CHUNK_ROWS at a time.
+# writers format and write the rows in order, _CHUNK_ROWS at a time; the
+# float ndarray cells of a chunk take one call of the vectorized
+# shortest round-trip kernel (qm1d._shortest), the bytes of repr.
 
 _PLOT_COLUMNS = ("series", "t", "x", "value")
 
@@ -447,9 +450,11 @@ COMMANDS = {
 # Serialization
 
 
-# Rows per write.  A chunk of text stays far below glibc's default 128 KiB
-# mmap threshold; writing whole 2,000-row blocks raised peak RSS by 0.5 MB.
-_CHUNK_ROWS = 256
+# Rows per write and per call of the float kernel, whose fixed cost is that
+# of about 250 cells of repr.  A chunk of text stays below glibc's default
+# 128 KiB mmap threshold (90 KiB for a JSON states chunk); writing whole
+# 2,000-row blocks raised peak RSS by 0.5 MB.
+_CHUNK_ROWS = 1024
 
 
 def _check_finite(name: str, table):
@@ -477,14 +482,35 @@ def _csv_string(text: str) -> str:
 
 def _texts(cells, string: Callable[[str], str]) -> list[str]:
     """The texts of a list or an ndarray of cells: the repr of a number (for
-    a native float, its shortest round-trip text), true/false, or ``string``
-    of a string."""
+    a float, its shortest round-trip text), true/false, or ``string`` of a
+    string.  A float ndarray goes to the kernel a chunk at a time, which
+    bounds its temporaries."""
     if isinstance(cells, np.ndarray):
-        if cells.dtype.kind in "fiu":
+        if cells.dtype.kind == "f":
+            return [text for lo in range(0, len(cells), _CHUNK_ROWS)
+                    for text in shortest.texts(cells[lo:lo + _CHUNK_ROWS])]
+        if cells.dtype.kind in "iu":
             return list(map(repr, cells.tolist()))
         cells = cells.tolist()
     return [string(cell) if isinstance(cell, str) else json.dumps(cell)
             if isinstance(cell, bool) else repr(cell) for cell in cells]
+
+
+def _chunk(row, varying, floats, kept, lo, hi, string) -> list[str]:
+    """``row`` repeated for rows ``lo`` to ``hi`` of the ``varying`` entries,
+    its slots filled.  The float ndarrays numbered in ``floats`` share one
+    call of the kernel."""
+    texts = {}
+    if floats:
+        flat = shortest.texts(np.concatenate([varying[i][lo:hi] for i in floats]))
+        texts = {i: flat[j * (hi - lo):(j + 1) * (hi - lo)] for j, i in enumerate(floats)}
+    parts = row * (hi - lo)
+    for i, entry in enumerate(varying):
+        cells = texts.get(i)
+        if cells is None:
+            cells = kept[id(entry)][lo:hi] if id(entry) in kept else _texts(entry[lo:hi], string)
+        parts[2 * i + 1::len(row)] = cells
+    return parts
 
 
 def _write_table(fh, fmt: str, table):
@@ -495,7 +521,7 @@ def _write_table(fh, fmt: str, table):
     row as a list of literals, which hold that punctuation and the repeated
     cells, around one None slot per varying entry; a chunk fills the slots
     of the row repeated and joins it.  An entry that the next block holds
-    too is formatted once, whole, and any other one a chunk at a time."""
+    too is formatted once and kept, and any other one a chunk at a time."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
@@ -520,17 +546,15 @@ def _write_table(fh, fmt: str, table):
         reused = set(map(id, after))
         kept = {id(entry): kept.get(id(entry)) or _texts(entry, string)
                 for entry in varying if id(entry) in reused or id(entry) in kept}
+        floats = [i for i, entry in enumerate(varying) if id(entry) not in kept
+                  and isinstance(entry, np.ndarray) and entry.dtype.kind == "f"]
         rows = min(map(len, varying))
         for lo in range(0, rows, _CHUNK_ROWS):
+            # No chunk's text or cells are alive while the next one is formatted.
             hi = min(lo + _CHUNK_ROWS, rows)
-            parts = row * (hi - lo)
-            if not wrote:
-                parts[0], wrote = row[0][len(sep):], True
-            for i, entry in enumerate(varying):
-                texts = kept.get(id(entry))
-                parts[2 * i + 1::len(row)] = (_texts(entry[lo:hi], string) if texts is None
-                                              else texts[lo:hi])
-            fh.write("".join(parts))
+            fh.write("".join(_chunk(row, varying, floats, kept, lo, hi, string))[
+                len(sep) * (not wrote):])
+            wrote = True
     if fmt == "json":
         fh.write("\n  ]\n}\n" if wrote else "]\n}\n")
 

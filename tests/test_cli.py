@@ -188,7 +188,10 @@ def _warm_run_peak(tmp_path, body) -> int:
 
 # (emit_density, observables_every, bound in bytes): the series alone, and
 # the density of every tenth state (31 float64 rows of 2048, 0.5 MB).  A complex
-# snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.
+# snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.  The
+# Crank-Nicolson runs peak at about 1.0 MB and 1.4 MB while stepping, and
+# their writes at about 0.63 MB (the series' 2,107 float cells take one call
+# of the float kernel) and 0.99 MB.
 @pytest.mark.parametrize("density, every, bound", [(False, 1, 2_000_000), (True, 10, 1_500_000)])
 @pytest.mark.parametrize("method", sorted(STEPPERS))
 def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, bound):
@@ -239,9 +242,10 @@ def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
 
 
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
-    # Eight states of 4001 points as JSON peak at about 1.16 MB; formatting
-    # each block's x and value entries whole, in place of one chunk at a
-    # time, peaks at about 1.6 MB.
+    # Eight states of 4001 points as JSON peak at about 1.14 MB, and their
+    # write, 1,024-row chunks, at about 1.13 MB; formatting each block's x
+    # and value entries whole, in place of one chunk at a time, peaks at
+    # about 1.95 MB.
     body = {
         "command": "spectrum", "constants": {"profile": "natural"},
         "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
@@ -984,10 +988,11 @@ def test_writers_match_csv_writer_and_json_dump(blocks):
         assert written.getvalue() == _reference_text(fmt, MIXED_COLUMNS, blocks)
 
 
-# Block lengths around the writers' chunk of 256 rows, and the cells of the
-# mixed lists: strings csv.writer quotes or json.dumps escapes, booleans,
-# ints beyond 64 bits and floats at the edges of the shortest round-trip text.
-ROW_COUNTS = [0, 1, 255, 256, 257, 600]
+# Block lengths around the writers' chunk of 1024 rows (and the 256 rows of
+# earlier writers), and the cells of the mixed lists: strings csv.writer
+# quotes or json.dumps escapes, booleans, ints beyond 64 bits and floats at
+# the edges of the shortest round-trip text.
+ROW_COUNTS = [0, 1, 255, 256, 257, 600, 1023, 1024, 1025]
 ENTRY_KINDS = ["float", "int", "bool", "mixed", "cell"]
 MIXED_CELLS = ["", "a", "x,y", 'say "hi"', "two\nlines", "cr\r", "tab\t", "\u00e9\u2603", " ",
                True, False, 0, -7, 10**20, -0.0, 0.1, 5e-324, 1e16, 1.7976931348623157e308]

@@ -17,7 +17,7 @@ def _tool(name):
     return module
 
 
-pairs, corpus = _tool("pairs"), _tool("corpus")
+pairs, corpus, repr_sample = _tool("pairs"), _tool("corpus"), _tool("repr_sample")
 
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 # Quartile spread 1.0, wider than a bound of 0.25 of the median 1.5.
@@ -125,6 +125,20 @@ def test_coldstart_probe_reports_exit_code_scipy_linalg_and_peak_rss(monkeypatch
     assert 1.0 < rss_mb < 1000.0
 
 
+# (this side's spawns, the other side's, the ratio column)
+@pytest.mark.parametrize("this, against, expected", [
+    ([0.20, 0.21, 0.22, 0.23], [0.30, 0.31, 0.32, 0.33], "0.68"),
+    ([0.30, 0.31, 0.32, 0.33], [0.20, 0.21, 0.22, 0.23], "1.47"),
+    # validate's 0.340 against 0.214 s medians, from spreads that overlap
+    ([0.20, 0.30, 0.34, 0.38, 0.45], [0.19, 0.20, 0.214, 0.31, 0.40], "unresolved"),
+    ([0.1, 0.2, 0.3], [0.2, 0.3, 0.4], "unresolved"),  # quartiles meet at 0.25
+])
+def test_coldstart_ratio_is_unresolved_when_quartiles_overlap(monkeypatch, this, against,
+                                                              expected):
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
+    assert _tool("coldstart").ratio(this, against) == expected
+
+
 def test_coldstart_children_write_bytecode(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
     coldstart = _tool("coldstart")
@@ -138,3 +152,23 @@ def test_coldstart_children_write_bytecode(monkeypatch, tmp_path):
     assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
     assert coldstart.probe(env, ["version"])[0] == 0
     assert list((tmp_path / "qm1d" / "__pycache__").glob("cli.*.pyc"))
+
+
+def test_repr_sample_checks_the_finite_doubles_of_its_sample(capsys):
+    assert repr_sample.main(["--seed", "7", "--count", "300000"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("Float kernel against repr, seed 7: ")
+    assert "of 300,000 random bit patterns, all equal to repr" in line
+
+
+def test_repr_sample_reports_the_first_cell_that_differs(monkeypatch, capsys):
+    def off_by_one_cell(x):
+        out = [repr(v) for v in x.tolist()]
+        out[5] += "0"
+        return out
+
+    monkeypatch.setattr(repr_sample, "texts", off_by_one_cell)
+    assert repr_sample.main(["--seed", "7", "--count", "1000"]) == 1
+    assert "DIFFERS at bits 0x" in capsys.readouterr().out
+    checked, difference = repr_sample.first_difference(7, 1000)
+    assert checked == 6 and "kernel '" in difference

@@ -11,7 +11,10 @@ first compiles and writes bytecode, so compilation is neither timed nor
 counted in memory, and the second reports whether the
 command loaded ``scipy.linalg`` and its peak RSS (``ru_maxrss``, KiB on
 Linux).  The output is a markdown table of each side's median and quartiles,
-with the peak RSS of each side.  Timing has no pass/fail
+the ratio of the medians and the peak RSS of each side.  The ratio reads
+``unresolved`` when the two sides' quartile ranges overlap: on a shared
+2-vCPU VM a row's quartiles spread up to 0.1 s around a 0.25 s median, so a
+ratio from such rows tells nothing.  Timing has no pass/fail
 gate; the exit status is 1 only if a command fails on either side.
 """
 
@@ -87,6 +90,16 @@ def summary(samples: list[float]) -> str:
     return f"{median:.3f} s ({q1:.3f}-{q3:.3f})"
 
 
+def ratio(this: list[float], against: list[float]) -> str:
+    """The ratio of the medians, or ``unresolved`` when the quartile ranges
+    of the two sides overlap."""
+    (low, _, high), (other_low, _, other_high) = (
+        statistics.quantiles(samples, n=4, method="inclusive") for samples in (this, against))
+    if low <= other_high and other_low <= high:
+        return "unresolved"
+    return f"{statistics.median(this) / statistics.median(against):.2f}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, type=Path,
@@ -121,9 +134,9 @@ def main(argv=None) -> int:
           "| peak RSS MB (this, against) | scipy.linalg loaded (this, against) |")
     print("|---|---:|---:|---:|---:|---|")
     for label, times, loaded, rss in rows:
-        ratio = statistics.median(times["this"]) / statistics.median(times["against"])
         print(f"| {label} | {summary(times['this'])} | {summary(times['against'])} "
-              f"| {ratio:.2f} | {rss['this']:.1f}, {rss['against']:.1f} "
+              f"| {ratio(times['this'], times['against'])} "
+              f"| {rss['this']:.1f}, {rss['against']:.1f} "
               f"| {loaded['this']}, {loaded['against']} |")
     for line in sorted(set(failures)):
         print(f"\n- FAILED {line}")

@@ -5,7 +5,8 @@
 
 The corpus holds all six commands in csv and json (with ``emit_states``,
 ``emit_density``, an SI profile, a ``sampled`` potential and tables whose
-blocks end at, just before and just after the writers' 256-row chunks) plus
+blocks end at, just before and just after the writers' 1024-row chunks and
+the 256-row chunks of earlier writers, one a five-column scatter table) plus
 the perfbench scenarios of seeds 1-3 of every workload, in their own format.
 Library results that no CLI scenario reaches are hashed as well: bound
 states (energies, states, residuals) of both stencils, ``h.apply`` across a
@@ -251,6 +252,15 @@ def _chunk_packet(n: int) -> dict:
     }
 
 
+def _chunk_states(n: int) -> dict:
+    return {
+        "command": "spectrum", "constants": NATURAL,
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n": n},
+        "potential": {"kind": "harmonic", "omega": 1.0}, "count": 3,
+        "emit_states": True,
+    }
+
+
 def hand_written() -> dict[str, dict]:
     """Scenarios that run in both csv and json, by name."""
     well_grid = {"x_min": 0.0, "x_max": 1.0, "n": 801}
@@ -307,15 +317,21 @@ def hand_written() -> dict[str, dict]:
             "packet": {"alpha": 0.7, "k0": 2.0}, "times": [0.0, 0.5, 1.5],
             "grid": {"x_min": -6.0, "x_max": 10.0, "n": 65}, "emit_density": True,
         },
-        # Blocks of 255, 256 and 257 rows around the writers' 256-row chunk;
-        # the density blocks of a packet share their x entry.
+        # Blocks of 255, 256 and 257 rows around the 256-row chunk of earlier
+        # writers, and of 1023, 1024 and 1025 rows around the writers' chunk;
+        # the density blocks of a packet share their x entry, and a scatter
+        # table's five float columns share one call of the float kernel.
         "packet_256": _chunk_packet(256),
         "packet_257": _chunk_packet(257),
-        "states_255": {
-            "command": "spectrum", "constants": NATURAL,
-            "grid": {"x_min": -10.0, "x_max": 10.0, "n": 255},
-            "potential": {"kind": "harmonic", "omega": 1.0}, "count": 3,
-            "emit_states": True,
+        "states_255": _chunk_states(255),
+        "packet_1024": _chunk_packet(1024),
+        "packet_1025": _chunk_packet(1025),
+        "states_1023": _chunk_states(1023),
+        "scatter_1025": {
+            "command": "scatter", "constants": NATURAL,
+            "potential": {"kind": "piecewise_constant",
+                          "segments": [[0.0, 0.5, 1.5], [0.9, 1.3, 0.7]]},
+            "energies": {"start": 0.01, "stop": 5.0, "count": 1025},
         },
         "blackbody": {
             "command": "blackbody", "constants": NATURAL, "temperature": 1.5,
