@@ -1,7 +1,9 @@
 """Shortest round-trip text of float arrays, equal to ``repr`` cell by cell.
 
-``texts(values)`` returns ``[repr(float(v)) for v in values]`` for a 1-D
-array of finite floats, computed over whole arrays.  The digits are
+``rows(values)`` returns, for a 1-D array of finite floats, a (cells, 24)
+uint8 array whose row i is the ASCII of ``repr(float(values[i]))`` padded
+with ``PAD``, computed over whole arrays; ``texts(values)`` decodes the rows
+to strings.  The digits are
 Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020): the
 shortest decimal inside the double's rounding interval, the one closest to
 the double when several are that short, ties to even, as CPython's ``dtoa``
@@ -15,11 +17,11 @@ digits or more, and subnormals are not scaled by ten.
 The text then takes CPython's layout: fixed notation for a value
 0.d1d2...dn 10^point with point from -3 to 16, else ``d.ddde±XX``, a ``-``
 sign, and ``0.0``/``-0.0``.  A cell's source holds its 17 digits, its
-exponent's sign and 3 digits, and a few constant characters; every cell with
+exponent's sign and 3 digits, and a few constant bytes; every cell with
 the same sign, digit count and layout (one of 20 decimal points, or an
 exponent of 2 or 3 digits) takes the same row of indices into its source.
 The 792 rows, 19 KB, are built on first use, and one gather per slice of
-cells writes a ``<U24`` array whose ``tolist()`` gives the strings.
+cells writes their rows of the output.
 
 No uint64 array meets an int64 one in an operation: numpy promotes that pair
 to float64.
@@ -37,6 +39,7 @@ _0, _1, _2, _3, _10, _32, _63 = (_U(v) for v in (0, 1, 2, 3, 10, 32, 63))
 _E_MIN, _E_MAX = -292, 324  # the range of -k over all doubles: 617 powers
 _DIGITS = 17  # every decimal significand is padded to this many digits
 _WIDTH = 24  # len("-1.2345678901234567e-308")
+PAD = 0xFF  # fills each row after its text: no UTF-8 text holds this byte
 _POW10 = 10 ** np.arange(_DIGITS + 1, dtype=np.uint64)
 # floor(x / 10^j) is floor((x + 1/2) float32(10^-j)) in float32 for integers
 # x < 10^6: the product's error stays below a fifth of its distance to the
@@ -44,15 +47,14 @@ _POW10 = 10 ** np.arange(_DIGITS + 1, dtype=np.uint64)
 _INVERSE_POWERS = (10.0 ** -np.arange(5.0, -1.0, -1.0)[:, None]).astype(np.float32)
 _PLACE = np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]
 # A cell's source: its 17 digit characters, the exponent's sign and 3
-# digits, then these constants ("\0" pads).
+# digits, then these constants.
 _EXPONENT = _DIGITS
-_CONSTANTS = "\0-.0e"
-_NUL, _MINUS, _DOT, _ZERO, _E = (_EXPONENT + 4 + i for i in range(len(_CONSTANTS)))
-_SOURCE = np.array([ord(ch) for ch in _CONSTANTS], dtype=np.uint8)
+_SOURCE = np.array([PAD, *b"-.0e"], dtype=np.uint8)
+_PAD, _MINUS, _DOT, _ZERO, _E = range(_EXPONENT + 4, _EXPONENT + 4 + len(_SOURCE))
 _LAYOUTS = 22  # fixed notation for 20 points, exponential for 2 exponent widths
-# Cells formatted at once: 2048 to 4095, about 190 bytes of temporaries a
+# Cells formatted at once: 1024 to 2047, about 190 bytes of temporaries a
 # cell.  A block's fixed cost is that of about 250 cells of repr.
-_BLOCK = 2048
+_BLOCK = 1024
 _GATHER = 256  # cells per gather: its index takes 24 intp a cell
 
 
@@ -173,7 +175,7 @@ def _row(negative: bool, n: int, layout: int) -> list[int]:
     else:
         body = digits + [_ZERO] * (point - n) + [_DOT, _ZERO]
     row = [_MINUS] * negative + body
-    return row + [_NUL] * (_WIDTH - len(row))
+    return row + [_PAD] * (_WIDTH - len(row))
 
 
 @functools.cache
@@ -185,7 +187,8 @@ def _layouts() -> np.ndarray:
                             dtype=np.uint8))
 
 
-def _block(x: np.ndarray) -> list[str]:
+def _block(x: np.ndarray, out: np.ndarray):
+    """Write the rows of the cells ``x`` to ``out``."""
     bits = np.ascontiguousarray(x).view(np.uint64)
     magnitude = bits & _M63
     zero = magnitude == _0
@@ -227,23 +230,29 @@ def _block(x: np.ndarray) -> list[str]:
     layout = np.where(layout.view(np.uint64) < _U(20), layout, 20 + (exponent >= 100))
     keys = ((bits >> _63).astype(np.intp) * (_DIGITS + 1) + n) * _LAYOUTS + layout
     del f, k, count, small, point, exponent, top, middle, n, zero, layout  # before the gathers
-    return [text for lo in range(0, len(x), _GATHER)
-            for text in _gather(source[lo:lo + _GATHER], keys[lo:lo + _GATHER])]
+    for lo in range(0, len(x), _GATHER):
+        part = source[lo:lo + _GATHER]
+        index = np.take(_layouts(), keys[lo:lo + _GATHER], axis=0)
+        np.take(part, index + np.arange(0, part.size, part.shape[1])[:, None],
+                out=out[lo:lo + _GATHER])
 
 
-def _gather(source: np.ndarray, keys: np.ndarray) -> list[str]:
-    """The texts of cells by their rows of ``source`` and their layout keys."""
-    index = np.take(_layouts(), keys, axis=0) + np.arange(0, source.size, source.shape[1])[:, None]
-    chars = np.take(source, index).astype(np.uint32)
-    return chars.view(f"<U{_WIDTH}").ravel().tolist()
-
-
-def texts(values) -> list[str]:
-    """``[repr(float(v)) for v in values]`` for a 1-D array of finite floats
-    (float32 and float16 cells as the doubles they widen to)."""
+def rows(values) -> np.ndarray:
+    """(cells, 24) uint8: row i is the ASCII of ``repr(float(values[i]))``
+    followed by ``PAD``, for a 1-D array of finite floats (float32 and float16
+    cells as the doubles they widen to)."""
     x = np.asarray(values, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("only finite floats have a shortest round-trip text")
+    out = np.empty((len(x), _WIDTH), dtype=np.uint8)
     blocks = len(x) // _BLOCK or 1  # blocks of _BLOCK to 2 _BLOCK - 1 cells
     bounds = [len(x) * i // blocks for i in range(blocks + 1)]
-    return [text for lo, hi in zip(bounds, bounds[1:]) for text in _block(x[lo:hi])]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _block(x[lo:hi], out[lo:hi])
+    return out
+
+
+def texts(values) -> list[str]:
+    """``[repr(float(v)) for v in values]``, from ``rows(values)``."""
+    padded = rows(values)
+    return np.where(padded == PAD, 0, padded).view(f"S{_WIDTH}").ravel().astype(str).tolist()

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -266,9 +267,10 @@ def _parse_gaussian(obj, where: str) -> dict:
 # rows, each a tuple of one entry per column.  An entry is an ndarray or a
 # list (one cell per row) or any other value (one cell repeated on every row
 # of the block), and every block holds at least one ndarray or list.  The
-# writers format and write the rows in order, _CHUNK_ROWS at a time; the
-# float ndarray cells of a chunk take one call of the vectorized
-# shortest round-trip kernel (qm1d._shortest), the bytes of repr.
+# writers keep cells as bytes from formatting to the file: each ndarray or
+# list becomes a matrix of padded UTF-8 cell rows, a float ndarray's from the
+# vectorized shortest round-trip kernel (qm1d._shortest, the bytes of repr),
+# and the rows are written in order, _CHUNK_ROWS at a time.
 
 _PLOT_COLUMNS = ("series", "t", "x", "value")
 
@@ -450,11 +452,11 @@ COMMANDS = {
 # Serialization
 
 
-# Rows per write and per call of the float kernel, whose fixed cost is that
-# of about 250 cells of repr.  A chunk of text stays below glibc's default
-# 128 KiB mmap threshold (90 KiB for a JSON states chunk); writing whole
-# 2,000-row blocks raised peak RSS by 0.5 MB.
+# Rows per write.  A chunk of text stays below glibc's default 128 KiB mmap
+# threshold (90 KiB for a JSON states chunk); writing whole 2,000-row blocks
+# raised peak RSS by 0.5 MB.
 _CHUNK_ROWS = 1024
+_PAD = bytes([shortest.PAD])
 
 
 def _check_finite(name: str, table):
@@ -480,48 +482,28 @@ def _csv_string(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _texts(cells, string: Callable[[str], str]) -> list[str]:
-    """The texts of a list or an ndarray of cells: the repr of a number (for
-    a float, its shortest round-trip text), true/false, or ``string`` of a
-    string.  A float ndarray goes to the kernel a chunk at a time, which
-    bounds its temporaries."""
-    if isinstance(cells, np.ndarray):
-        if cells.dtype.kind == "f":
-            return [text for lo in range(0, len(cells), _CHUNK_ROWS)
-                    for text in shortest.texts(cells[lo:lo + _CHUNK_ROWS])]
-        if cells.dtype.kind in "iu":
-            return list(map(repr, cells.tolist()))
-        cells = cells.tolist()
-    return [string(cell) if isinstance(cell, str) else json.dumps(cell)
-            if isinstance(cell, bool) else repr(cell) for cell in cells]
-
-
-def _chunk(row, varying, floats, kept, lo, hi, string) -> list[str]:
-    """``row`` repeated for rows ``lo`` to ``hi`` of the ``varying`` entries,
-    its slots filled.  The float ndarrays numbered in ``floats`` share one
-    call of the kernel."""
-    texts = {}
-    if floats:
-        flat = shortest.texts(np.concatenate([varying[i][lo:hi] for i in floats]))
-        texts = {i: flat[j * (hi - lo):(j + 1) * (hi - lo)] for j, i in enumerate(floats)}
-    parts = row * (hi - lo)
-    for i, entry in enumerate(varying):
-        cells = texts.get(i)
-        if cells is None:
-            cells = kept[id(entry)][lo:hi] if id(entry) in kept else _texts(entry[lo:hi], string)
-        parts[2 * i + 1::len(row)] = cells
-    return parts
+def _cells(entry, string: Callable[[str], str]) -> np.ndarray:
+    """(cells, width) uint8: the UTF-8 text of each cell of a list or an
+    ndarray (the repr of a number, true/false, or ``string`` of a string),
+    padded with ``shortest.PAD``; a float ndarray's come from the kernel."""
+    if isinstance(entry, np.ndarray) and entry.dtype.kind == "f":
+        return shortest.rows(entry)
+    texts = [(string(cell) if isinstance(cell, str) else json.dumps(cell)
+              if isinstance(cell, bool) else repr(cell)).encode()
+             for cell in (entry.tolist() if isinstance(entry, np.ndarray) else entry)]
+    width = max(map(len, texts), default=0)
+    padded = b"".join(text.ljust(width, _PAD) for text in texts)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
 
 
 def _write_table(fh, fmt: str, table):
     """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
     (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
     indent=2).  A row is ``sep`` (dropped by the table's first row), ``pre``,
-    its cells with ``mid`` between them, and ``post``.  Each block builds one
-    row as a list of literals, which hold that punctuation and the repeated
-    cells, around one None slot per varying entry; a chunk fills the slots
-    of the row repeated and joins it.  An entry that the next block holds
-    too is formatted once and kept, and any other one a chunk at a time."""
+    its cells with ``mid`` between them, and ``post``.  A block is a list of
+    byte matrices with one row per row (a literal or a repeated cell
+    broadcast); a chunk joins their rows and writes them without the
+    padding.  An entry that the next block holds too is formatted once."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
@@ -532,28 +514,23 @@ def _write_table(fh, fmt: str, table):
         string = _csv_string if len(columns) != 1 else lambda text: _csv_string(text) or '""'
         fh.write(",".join(map(string, columns)) + "\n")
         sep, pre, mid, post = "", "", ",", "\n"
-    wrote, kept = False, {}  # kept: texts by entry id
-    for block, after in zip(blocks, [*blocks[1:], ()]):
-        row, varying, text = [], [], sep + pre
-        for entry in block:
-            if isinstance(entry, (list, np.ndarray)):
-                row += [text, None]
-                varying.append(entry)
-                text = mid
-            else:
-                text += _texts([entry], string)[0] + mid
-        row.append(text[:-len(mid)] + post)
-        reused = set(map(id, after))
-        kept = {id(entry): kept.get(id(entry)) or _texts(entry, string)
-                for entry in varying if id(entry) in reused or id(entry) in kept}
-        floats = [i for i, entry in enumerate(varying) if id(entry) not in kept
-                  and isinstance(entry, np.ndarray) and entry.dtype.kind == "f"]
+    wrote, cells = False, {}  # cells: the matrices of the block's varying entries by id
+    for block in blocks:
+        varying = [entry for entry in block if isinstance(entry, (list, np.ndarray))]
         rows = min(map(len, varying))
+        # Release the last block's matrices before this one's are formatted.
+        matrices = chunk = None
+        cells = {id(entry): cells[id(entry)] for entry in varying if id(entry) in cells}
+        cells.update({id(entry): _cells(entry, string) for entry in varying
+                      if id(entry) not in cells})
+        matrices = [_cells([sep + pre], str)]
+        for entry, text in zip(block, [mid] * (len(block) - 1) + [post]):
+            matrices += [cells[id(entry)] if id(entry) in cells else _cells([entry], string),
+                         _cells([text], str)]
+        matrices = [np.broadcast_to(m[:rows], (rows, m.shape[1])) for m in matrices]
         for lo in range(0, rows, _CHUNK_ROWS):
-            # No chunk's text or cells are alive while the next one is formatted.
-            hi = min(lo + _CHUNK_ROWS, rows)
-            fh.write("".join(_chunk(row, varying, floats, kept, lo, hi, string))[
-                len(sep) * (not wrote):])
+            chunk = np.concatenate([m[lo:lo + _CHUNK_ROWS] for m in matrices], axis=1)
+            fh.write(chunk[chunk != shortest.PAD][len(sep) * (not wrote):].tobytes().decode())
             wrote = True
     if fmt == "json":
         fh.write("\n  ]\n}\n" if wrote else "]\n}\n")
@@ -679,8 +656,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message} ({self.format_usage().strip()})")
 
 
-def _fail(exit_code: int, exc: Exception) -> int:
-    error = {"exit_code": exit_code, "type": type(exc).__name__, "message": str(exc)}
+def _fail(exit_code: int, exc: Exception, held=()) -> int:
+    error = {"exit_code": exit_code, "type": type(exc).__name__, "message": str(exc),
+             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                          for w in held]}
     print(json.dumps({"error": error}), file=sys.stderr)
     return exit_code
 
@@ -717,18 +696,25 @@ def main(argv: list[str] | None = None) -> int:
         print(__version__)
         return 0
 
-    try:
-        if args.subcommand == "validate":
-            spec = load_scenario(args.scenario)
-            lines = [f"{args.scenario}: valid {spec['command']} scenario"]
-        else:
-            lines = run_scenario(args.scenario, args.out, args.format)
-    except SchemaError as exc:
-        return _fail(2, exc)
-    except QmError as exc:
-        return _fail(3, exc)
-    except OSError as exc:
-        return _fail(4, exc)
+    # A run's warnings are held until it succeeds: a failing run's stderr is
+    # its JSON error alone, which lists them.
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            if args.subcommand == "validate":
+                spec = load_scenario(args.scenario)
+                lines = [f"{args.scenario}: valid {spec['command']} scenario"]
+            else:
+                lines = run_scenario(args.scenario, args.out, args.format)
+        except SchemaError as exc:
+            return _fail(2, exc, held)
+        except QmError as exc:
+            return _fail(3, exc, held)
+        except OSError as exc:
+            return _fail(4, exc, held)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # the filters passed each of them once already
+        for w in held:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     for line in lines:
         print(line)
     return 0

@@ -31,6 +31,7 @@ from .errors import (
     ConfigurationError,
     EdgeAmplitudeError,
     ParameterError,
+    SolverError,
     UnsupportedMethodError,
     positive,
 )
@@ -126,6 +127,9 @@ class _CrankNicolson:
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
         off = 1j * lam * h.band[1, :-1]
         *self.lu, _ = lapack.zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
+        if not all(np.isfinite(factor).all() for factor in self.lu[:4]):
+            raise SolverError(f"Crank-Nicolson at dt = {dt!r}: the LU factors of "
+                              f"(1 + i dt H / 2 hbar) are not finite")
 
     def step_values(self, values: np.ndarray) -> np.ndarray:
         """The next state's values."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,8 +191,8 @@ def _warm_run_peak(tmp_path, body) -> int:
 # the density of every tenth state (31 float64 rows of 2048, 0.5 MB).  A complex
 # snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.  The
 # Crank-Nicolson runs peak at about 1.0 MB and 1.4 MB while stepping, and
-# their writes at about 0.63 MB (the series' 2,107 float cells take one call
-# of the float kernel) and 0.99 MB.
+# their writes at about 0.27 MB (each series column is one call of the float
+# kernel) and 0.92 MB.
 @pytest.mark.parametrize("density, every, bound", [(False, 1, 2_000_000), (True, 10, 1_500_000)])
 @pytest.mark.parametrize("method", sorted(STEPPERS))
 def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, bound):
@@ -242,10 +243,11 @@ def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
 
 
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
-    # Eight states of 4001 points as JSON peak at about 1.14 MB, and their
-    # write, 1,024-row chunks, at about 1.13 MB; formatting each block's x
-    # and value entries whole, in place of one chunk at a time, peaks at
-    # about 1.95 MB.
+    # Eight states of 4001 points as JSON peak at about 1.14 MB in the
+    # eigensolve, and their write at about 1.13 MB: a block's x and value
+    # matrices (96 KB each), the kernel's temporaries and a 1,024-row chunk.
+    # Kernel blocks of 2,048 to 4,095 cells, in place of 1,024 to 2,047, and
+    # the write peaks at about 1.86 MB.
     body = {
         "command": "spectrum", "constants": {"profile": "natural"},
         "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
@@ -253,6 +255,30 @@ def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
         "output": {"format": "json", "path": "levels.json"},
     }
     assert _warm_run_peak(tmp_path, body) < 1_300_000
+
+
+def test_spectrum_states_write_holds_a_bounded_increment(tmp_path, monkeypatch):
+    # The run's peak above is the eigensolve's or the write's, whichever is
+    # higher; this bounds the write's own, its peak above the memory traced
+    # when it starts: about 0.58 MB.
+    write, increments = cli._write_outputs, []
+
+    def traced_write(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return write(*args)
+        finally:
+            increments.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(cli, "_write_outputs", traced_write)
+    _warm_run_peak(tmp_path, {
+        "command": "spectrum", "constants": {"profile": "natural"},
+        "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
+        "potential": {"kind": "harmonic", "omega": 1.0}, "count": 8, "emit_states": True,
+        "output": {"format": "json", "path": "levels.json"},
+    })
+    assert 0 < increments[-1] < 800_000
 
 
 def test_packet_scenario_width_series(tmp_path):
@@ -590,6 +616,43 @@ def test_overflow_stderr_is_one_json_error(tmp_path):
     assert json.loads(result.stderr)["error"]["exit_code"] == 3
 
 
+# Failing runs and the warnings they held.  A split step at dt = 1e308 steps
+# nan states (its observables warn that the norm is nan) until the finite
+# check refuses row 2; Crank-Nicolson refuses that dt when it factors,
+# before any state is stepped; a grid out to 1e300 has the packet at its
+# edge (the transform warns) and overflows.
+SPLIT_STEP_1E308 = {
+    "command": "evolve", "grid": {"x_min": -12.0, "x_max": 12.0, "n": 128},
+    "potential": {"kind": "piecewise_constant", "segments": []},
+    "initial": {"alpha": 1.0, "k0": 0.5}, "method": "split_step", "dt": 1e308, "steps": 4,
+}
+FAILING_RUNS = [
+    (SPLIT_STEP_1E308, "row 2 holds the non-finite value nan", ["NormalizationWarning"]),
+    ({**SPLIT_STEP_1E308, "method": "crank_nicolson"}, "Crank-Nicolson at dt = 1e+308", []),
+    ({"command": "uncertainty", "grid": {"x_min": -16.0, "x_max": 1e300, "n": 256},
+      "state": {"kind": "gaussian", "alpha": 1.0, "k0": 0.0}}, "OverflowError",
+     ["EdgeAmplitudeWarning"]),
+]
+
+
+@pytest.mark.parametrize("body, message, held", FAILING_RUNS,
+                         ids=["split_step", "crank_nicolson", "uncertainty"])
+def test_failing_run_is_one_json_error_listing_its_warnings(tmp_path, body, message, held):
+    body = {"constants": {"profile": "natural"},
+            "output": {"format": "csv", "path": "out.csv"}, **body}
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qm1d.cli", "run", write_scenario(tmp_path, body),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 3
+    [line] = result.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["exit_code"] == 3 and message in error["message"]
+    assert [w["category"] for w in error["warnings"]] == held
+    assert not (tmp_path / "out").exists()
+
+
 def test_uncertainty_stderr_is_one_edge_warning(tmp_path):
     # The README's scenario: both momentum transforms warn alike and name the
     # same caller line, so the default filter prints the warning once.
@@ -604,6 +667,17 @@ def test_uncertainty_stderr_is_one_edge_warning(tmp_path):
     assert result.returncode == 0
     warned = [line for line in result.stderr.splitlines() if "EdgeAmplitudeWarning" in line]
     assert len(warned) == 1
+
+
+def test_successful_run_reissues_its_warnings_at_the_callers_line(tmp_path):
+    body = _schema_case("uncertainty", grid={"x_min": -3.0, "x_max": 3.0, "n": 256})
+    argv = ["run", write_scenario(tmp_path, body), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("default")
+        line = sys._getframe().f_lineno + 1
+        assert main(argv) == 0
+    assert [(w.category.__name__, w.filename, w.lineno) for w in caught] == [
+        ("EdgeAmplitudeWarning", __file__, line)]
 
 
 def test_failed_write_leaves_no_partial_outputs(tmp_path, capsys):
@@ -990,11 +1064,13 @@ def test_writers_match_csv_writer_and_json_dump(blocks):
 
 # Block lengths around the writers' chunk of 1024 rows (and the 256 rows of
 # earlier writers), and the cells of the mixed lists: strings csv.writer
-# quotes or json.dumps escapes, booleans, ints beyond 64 bits and floats at
-# the edges of the shortest round-trip text.
+# quotes or json.dumps escapes, a NUL and U+00FF (UTF-8 C3 BF, beside the
+# writers' 0xFF pad byte), booleans, ints beyond 64 bits and floats at the
+# edges of the shortest round-trip text.
 ROW_COUNTS = [0, 1, 255, 256, 257, 600, 1023, 1024, 1025]
 ENTRY_KINDS = ["float", "int", "bool", "mixed", "cell"]
 MIXED_CELLS = ["", "a", "x,y", 'say "hi"', "two\nlines", "cr\r", "tab\t", "\u00e9\u2603", " ",
+               "nul\x00", "\u00ff",
                True, False, 0, -7, 10**20, -0.0, 0.1, 5e-324, 1e16, 1.7976931348623157e308]
 CHUNK_X = np.linspace(-1.0, 1.0, 257)
 CELLS = st.one_of(st.text(max_size=6), st.booleans(), st.integers(),

@@ -40,6 +40,7 @@ from qm1d.errors import (
     GridMismatchError,
     NormalizationWarning,
     ParameterError,
+    SolverError,
     UnsupportedMethodError,
 )
 from qm1d.core import peak_fraction
@@ -95,6 +96,15 @@ def test_cn_identity_at_vanishing_dt():
     assert diffs[1] < 1e-5
     # the departure from the identity is first order in dt
     assert diffs[0] / diffs[1] == pytest.approx(10.0, rel=0.05)
+
+
+def test_cn_refuses_a_dt_whose_factors_overflow():
+    # lam H overflows at dt = 1e308: the stepper refuses it when it factors,
+    # where before each step turned the state into nan.
+    g = make_grid(-12, 12, 128)
+    h = build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"dt = 1e\+308"):
+        crank_nicolson_step(gaussian_on(g), h, 1e308, NATURAL)
 
 
 def test_cn_preserves_norm_per_step():

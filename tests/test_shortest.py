@@ -1,4 +1,4 @@
-"""The CLI's float kernel, qm1d._shortest.texts, against repr cell by cell."""
+"""The CLI's float kernel, qm1d._shortest, against repr cell by cell."""
 
 import os
 import subprocess
@@ -99,6 +99,20 @@ def test_blocks_and_empty_input():
     assert_repr(x)
     assert_repr(x[::3])  # not contiguous
     assert texts(np.array([])) == []
+
+
+def test_rows_are_the_ascii_repr_then_pad_only():
+    # Every cell width, 3 ("0.0") to 24 ("-1.2345678901234567e-308").
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** np.linspace(-9.0, 21.0, 3_000)
+    x = np.concatenate([rng.standard_normal(3_000) * scales,
+                        *(np.round(rng.standard_normal(300) * 1e4, places) for places in range(8)),
+                        [0.0, -0.0, 5e-324, -1.2345678901234567e-308, FLOAT_MAX, 1e-5, 1e16]])
+    assert {len(repr(v)) for v in x.tolist()} == set(range(3, 25))
+    rows = _shortest.rows(x)
+    assert rows.shape == (len(x), 24) and rows.dtype == np.uint8
+    pad = bytes([_shortest.PAD])
+    assert rows.tobytes() == b"".join(repr(v).encode("ascii").ljust(24, pad) for v in x.tolist())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
