@@ -1,10 +1,9 @@
 """Shortest round-trip text of float arrays, equal to ``repr`` cell by cell.
 
-``rows(values)`` returns, for a 1-D array of finite floats, a (cells, 24)
-uint8 array whose row i is the ASCII of ``repr(float(values[i]))`` padded
-with ``PAD``, computed over whole arrays; ``texts(values)`` decodes the rows
-to strings.  The digits are
-Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020): the
+``rows(values)`` returns, for finite floats of any shape, a ``shape + (24,)``
+uint8 array: the ASCII of each cell's ``repr`` padded with ``PAD``, computed
+over whole arrays; ``texts(values)`` decodes a 1-D array's rows to strings.
+The digits are Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020): the
 shortest decimal inside the double's rounding interval, the one closest to
 the double when several are that short, ties to even, as CPython's ``dtoa``
 chooses.  A cell takes three round-to-odd products of its interval bounds
@@ -238,18 +237,19 @@ def _block(x: np.ndarray, out: np.ndarray):
 
 
 def rows(values) -> np.ndarray:
-    """(cells, 24) uint8: row i is the ASCII of ``repr(float(values[i]))``
-    followed by ``PAD``, for a 1-D array of finite floats (float32 and float16
-    cells as the doubles they widen to)."""
+    """``shape + (24,)`` uint8 for finite floats of any shape: each cell's row
+    is the ASCII of ``repr(float(cell))`` followed by ``PAD`` (float32 and
+    float16 cells as the doubles they widen to)."""
     x = np.asarray(values, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("only finite floats have a shortest round-trip text")
+    shape, x = x.shape, x.ravel()
     out = np.empty((len(x), _WIDTH), dtype=np.uint8)
     blocks = len(x) // _BLOCK or 1  # blocks of _BLOCK to 2 _BLOCK - 1 cells
     bounds = [len(x) * i // blocks for i in range(blocks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         _block(x[lo:hi], out[lo:hi])
-    return out
+    return out.reshape(shape + (_WIDTH,))
 
 
 def texts(values) -> list[str]:

@@ -483,11 +483,8 @@ def _csv_string(text: str) -> str:
 
 
 def _cells(entry, string: Callable[[str], str]) -> np.ndarray:
-    """(cells, width) uint8: the UTF-8 text of each cell of a list or an
-    ndarray (the repr of a number, true/false, or ``string`` of a string),
-    padded with ``shortest.PAD``; a float ndarray's come from the kernel."""
-    if isinstance(entry, np.ndarray) and entry.dtype.kind == "f":
-        return shortest.rows(entry)
+    """(cells, width) uint8: the UTF-8 text of each cell of a list or an ndarray (the
+    repr of a number, true/false, or ``string`` of a string), padded with ``shortest.PAD``."""
     texts = [(string(cell) if isinstance(cell, str) else json.dumps(cell)
               if isinstance(cell, bool) else repr(cell)).encode()
              for cell in (entry.tolist() if isinstance(entry, np.ndarray) else entry)]
@@ -503,7 +500,8 @@ def _write_table(fh, fmt: str, table):
     its cells with ``mid`` between them, and ``post``.  A block is a list of
     byte matrices with one row per row (a literal or a repeated cell
     broadcast); a chunk joins their rows and writes them without the
-    padding.  An entry that the next block holds too is formatted once."""
+    padding.  A block's new float ndarrays are one kernel call; an entry
+    that the next block holds too is formatted once."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
@@ -517,17 +515,21 @@ def _write_table(fh, fmt: str, table):
     wrote, cells = False, {}  # cells: the matrices of the block's varying entries by id
     for block in blocks:
         varying = [entry for entry in block if isinstance(entry, (list, np.ndarray))]
-        rows = min(map(len, varying))
-        # Release the last block's matrices before this one's are formatted.
+        rows = len(varying[0])
+        # Release the last block's matrices first; a kept one is copied to pin no kernel output.
         matrices = chunk = None
-        cells = {id(entry): cells[id(entry)] for entry in varying if id(entry) in cells}
+        cells = {id(entry): cells[id(entry)].copy() for entry in varying if id(entry) in cells}
+        floats = [entry for entry in varying if id(entry) not in cells
+                  and isinstance(entry, np.ndarray) and entry.dtype.kind == "f"]
+        if floats:
+            cells.update(zip(map(id, floats), shortest.rows(floats)))
         cells.update({id(entry): _cells(entry, string) for entry in varying
                       if id(entry) not in cells})
         matrices = [_cells([sep + pre], str)]
         for entry, text in zip(block, [mid] * (len(block) - 1) + [post]):
             matrices += [cells[id(entry)] if id(entry) in cells else _cells([entry], string),
                          _cells([text], str)]
-        matrices = [np.broadcast_to(m[:rows], (rows, m.shape[1])) for m in matrices]
+        matrices = [np.broadcast_to(m, (rows, m.shape[1])) for m in matrices]
         for lo in range(0, rows, _CHUNK_ROWS):
             chunk = np.concatenate([m[lo:lo + _CHUNK_ROWS] for m in matrices], axis=1)
             fh.write(chunk[chunk != shortest.PAD][len(sep) * (not wrote):].tobytes().decode())

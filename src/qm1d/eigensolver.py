@@ -49,6 +49,16 @@ _TAIL_FLOOR = 1e-12
 _INVERSE_SWEEPS = 3
 
 
+def band_product(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix in lower band storage ``band``, as H.band holds H, times v."""
+    y = band[0] * v
+    for d in range(1, len(band)):
+        coupling = band[d, :-d]
+        y[:-d] += coupling * v[d:]
+        y[d:] += coupling * v[:-d]
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteHamiltonian:
     """Banded symmetric H over the active grid points.
@@ -109,12 +119,7 @@ class DiscreteHamiltonian:
 
     def apply_active(self, v: np.ndarray) -> np.ndarray:
         """H acting on a vector already restricted to the active points."""
-        y = self.band[0] * v
-        for d in range(1, len(self.band)):
-            coupling = self.band[d, :-d]
-            y[:-d] += coupling * v[d:]
-            y[d:] += coupling * v[:-d]
-        return y
+        return band_product(self.band, v)
 
     def kinetic_symbol(self) -> np.ndarray:
         """The Fourier symbol T(p) of the kinetic stencil, in numpy's FFT order:

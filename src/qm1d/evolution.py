@@ -26,7 +26,7 @@ import numpy as np
 from ._lapack import flapack
 from .constants import NATURAL, PhysicalConstants
 from .core import Space, WaveFunction, check_state, peak_fraction
-from .eigensolver import DiscreteHamiltonian, build_hamiltonian
+from .eigensolver import DiscreteHamiltonian, band_product, build_hamiltonian
 from .errors import (
     ConfigurationError,
     EdgeAmplitudeError,
@@ -92,8 +92,8 @@ def _check_step(h: DiscreteHamiltonian, dt: float, constants: PhysicalConstants)
 
 class _CrankNicolson:
     """Stepper for one Hamiltonian at a fixed dt: (1 + i lam H) is LU-factored
-    once (LAPACK zgttrf) and the two diagonals of (1 - i lam H) are kept, so
-    each step is one band product and one zgttrs solve.
+    once (LAPACK zgttrf) and the band of (1 - i lam H) is kept, so each step
+    is one eigensolver.band_product and one zgttrs solve.
 
     The implicit side is a tridiagonal solve, so only the 3-point (order 2)
     Hamiltonian is accepted: with a 5-point H the two sides of the Cayley
@@ -121,9 +121,8 @@ class _CrankNicolson:
         self.masked = np.flatnonzero(h.mask)
         # Its mean is <T> of the band for every state zero at the excluded points.
         self.kinetic_symbol = h.kinetic_symbol()
-        # The explicit half (1 - i lam H): its diagonal and its one coupling.
-        self.diagonal = 1.0 - 1j * lam * h.band[0]
-        self.coupling = -1j * lam * h.band[1, :-1]
+        # The explicit half (1 - i lam H), in the band storage of H.
+        self.explicit = np.array([1.0 - 1j * lam * h.band[0], -1j * lam * h.band[1]])
         # Every eigenvalue 1 + i lam E has modulus >= 1: the LU cannot break down.
         off = 1j * lam * h.band[1, :-1]
         *self.lu, _ = lapack.zgttrf(off, 1.0 + 1j * lam * h.band[0], off)
@@ -141,10 +140,7 @@ class _CrankNicolson:
                 f"state has {fraction:.2e} of its peak amplitude at an excluded "
                 "(hard-wall or boundary) point; it does not represent an admissible state"
             )
-        v = values[self.active]
-        rhs = self.diagonal * v
-        rhs[:-1] += self.coupling * v[1:]
-        rhs[1:] += self.coupling * v[:-1]
+        rhs = band_product(self.explicit, values[self.active])
         # The solution is always written back, whether zgttrs returned rhs or
         # a new buffer.
         out = np.zeros(values.shape, np.complex128)
@@ -185,6 +181,8 @@ class _SplitStep:
         self.half_potential = np.exp(-0.5j * h.potential_values * dt / constants.hbar)
         p, _ = fft_momenta(h.grid, constants)
         self.kinetic_phase = np.exp(-0.5j * p**2 * dt / (h.mass * constants.hbar))
+        if not (np.isfinite(self.half_potential).all() and np.isfinite(self.kinetic_phase).all()):
+            raise SolverError(f"split step at dt = {dt!r}: a kinetic or potential phase is nan")
         # The Fourier-grid T (Kosloff & Kosloff, J. Comput. Phys. 52, 35 (1983)):
         # its mean plus <V> is conserved exactly for V = 0, else to O(dt^2).
         self.kinetic_symbol = p**2 / (2.0 * h.mass)

@@ -122,20 +122,16 @@ def _moments(coords: np.ndarray, density: np.ndarray, scale, variance: bool = Tr
     return mean, _dot(np.square(centred, out=centred), density) * scale
 
 
-def _floats(mean, var) -> tuple[float, float | None]:
-    return float(mean), None if var is None else float(var)
-
-
 def _position_moments(op: Operator, values: np.ndarray, forward,
                       variance: bool = True) -> tuple[float, float | None]:
-    return _floats(*_moments(op.grid.points, _density(values), op.grid.dx, variance))
+    return _moments(op.grid.points, _density(values), op.grid.dx, variance)
 
 
 def _fourier_moments(op: Operator, values: np.ndarray, forward,
                      variance: bool = True) -> tuple[float, float | None]:
     """The moments of |phi(p)|^2 dp, with forward = fft(values)."""
     p, weight = fft_momenta(op.grid, op.constants)
-    return _floats(*_moments(p, _density(forward), weight, variance))
+    return _moments(p, _density(forward), weight, variance)
 
 
 def _fourier_act(op: Operator, values: np.ndarray, forward) -> np.ndarray:

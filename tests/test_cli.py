@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qm1d
 import qm1d.cli as cli
+from qm1d import _shortest
 from qm1d import (
     GaussianPacketParams,
     Harmonic,
@@ -616,18 +617,18 @@ def test_overflow_stderr_is_one_json_error(tmp_path):
     assert json.loads(result.stderr)["error"]["exit_code"] == 3
 
 
-# Failing runs and the warnings they held.  A split step at dt = 1e308 steps
-# nan states (its observables warn that the norm is nan) until the finite
-# check refuses row 2; Crank-Nicolson refuses that dt when it factors,
-# before any state is stepped; a grid out to 1e300 has the packet at its
-# edge (the transform warns) and overflows.
+# Failing runs and the warnings they held.  At dt = 1e308 the split step
+# refuses its nan kinetic phases and Crank-Nicolson its non-finite LU
+# factors, each at construction, before any state is stepped or warns; a
+# grid out to 1e300 has the packet at its edge (the transform warns) and
+# overflows.
 SPLIT_STEP_1E308 = {
     "command": "evolve", "grid": {"x_min": -12.0, "x_max": 12.0, "n": 128},
     "potential": {"kind": "piecewise_constant", "segments": []},
     "initial": {"alpha": 1.0, "k0": 0.5}, "method": "split_step", "dt": 1e308, "steps": 4,
 }
 FAILING_RUNS = [
-    (SPLIT_STEP_1E308, "row 2 holds the non-finite value nan", ["NormalizationWarning"]),
+    (SPLIT_STEP_1E308, "split step at dt = 1e+308", []),
     ({**SPLIT_STEP_1E308, "method": "crank_nicolson"}, "Crank-Nicolson at dt = 1e+308", []),
     ({"command": "uncertainty", "grid": {"x_min": -16.0, "x_max": 1e300, "n": 256},
       "state": {"kind": "gaussian", "alpha": 1.0, "k0": 0.0}}, "OverflowError",
@@ -972,6 +973,46 @@ def test_cli_contract_holds_for_mutated_scenarios(body):
         assert not (root / "escape.csv").exists()
 
 
+# Numbers swapped into numeric fields: the overflow and underflow edges of a
+# double, signed zeros and moderate values.
+EXTREME_NUMBERS = [1e308, -1e308, 1e300, 1e154, 1e-154, 1e-300, 1e-308, 5e-324, 0.0, -0.0,
+                   1e-12, 1e12, 0.5, -0.5, 2, 3.0, 1e6, -1e6, 1e-6]
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """A valid FORMAT_SCENARIOS body with 1-3 of its numeric fields replaced
+    from EXTREME_NUMBERS; a size key takes only those within SIZE_LIMITS."""
+    body = _schema_case(draw(st.sampled_from(sorted(FORMAT_SCENARIOS))))
+    numeric = [path for path in _paths(body) if type(_at(body, path)) in (int, float)]
+    for *owner, key in draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3,
+                                     unique=True)):
+        limit = SIZE_LIMITS.get(key, math.inf)
+        _at(body, owner)[key] = draw(st.sampled_from([v for v in EXTREME_NUMBERS if v <= limit]))
+    return body
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(body=extreme_scenarios())
+def test_failing_run_on_extreme_numbers_is_one_json_line_and_no_warning(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(body))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(["run", str(scenario), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert not caught
+            [line] = stderr.getvalue().splitlines()
+            assert json.loads(line)["error"]["exit_code"] == code
+        else:
+            for line in stdout.getvalue().splitlines():
+                assert all(_finite(cell) for cell in _cells(Path(line)))
+
+
 def _spectrum_levels(tmp_path, name, body):
     scenario = write_scenario(tmp_path, body, name=f"{name}.json")
     written = run_scenario(scenario, out_dir=str(tmp_path / name))
@@ -1155,6 +1196,32 @@ def test_writes_hold_at_most_one_chunk_of_rows(fmt, row_start):
     longest = max(map(len, rows)) + len(row_start)
     assert max(written.lengths) <= len(header) + _CHUNK_ROWS * longest
     assert len(written.lengths) > 20_000 / _CHUNK_ROWS
+
+
+def test_a_block_formats_its_new_float_entries_in_one_kernel_call(monkeypatch):
+    calls = []
+    rows = _shortest.rows
+
+    def counted(values):
+        calls.append(len(values))
+        return rows(values)
+
+    monkeypatch.setattr(_shortest, "rows", counted)
+    t = np.linspace(0.0, 3.0, 301)
+    series = [t, *(np.sin(k * t) for k in range(1, 7))]
+    _write_table(io.StringIO(), "csv", ([f"c{i}" for i in range(7)], [series]))
+    assert calls == [7]
+    # Shared entries are formatted once, and a block with no new float entry
+    # makes no call.
+    calls.clear()
+    x, y = np.linspace(-1.0, 1.0, 50), np.linspace(2.0, 3.0, 50)
+    blocks = [("a", 0.5, x, np.exp(-x**2)), ("b", 1.5, x, y), ("c", 2.5, x, y),
+              ("d", 3.5, x.tolist(), np.arange(50))]
+    for fmt in ("csv", "json"):
+        written = io.StringIO()
+        _write_table(written, fmt, (_PLOT_COLUMNS, blocks))
+        assert written.getvalue() == _reference_text(fmt, _PLOT_COLUMNS, blocks)
+    assert calls == [2, 1] * 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

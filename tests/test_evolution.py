@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 import qm1d
 from qm1d import (
@@ -46,7 +47,7 @@ from qm1d.errors import (
 from qm1d.core import peak_fraction
 from qm1d.evolution import STEPPERS, _CrankNicolson, _SplitStep
 from qm1d.observables import _SnapshotObservables
-from qm1d.spectral import EDGES
+from qm1d.spectral import EDGES, fft_momenta
 
 
 def gaussian_on(grid, alpha=1.0, k0=0.0, x0=0.0):
@@ -190,6 +191,68 @@ def test_split_step_edge_guard():
     psi = gaussian_on(g, alpha=4.0)  # wide packet, live edges
     with pytest.raises(EdgeAmplitudeError):
         split_step(psi, PiecewiseConstant(), 1e-3, 1.0, NATURAL)
+
+
+def test_split_step_refuses_a_dt_whose_phases_are_not_finite():
+    # p^2 dt overflows at dt = 1e308, so every kinetic phase is nan: both
+    # entries refuse it when they build the stepper, before any step (evolve
+    # prefixes a step's error with "step k: "); at 1e300 the phases are finite.
+    g = make_grid(-12, 12, 128)
+    psi = gaussian_on(g, k0=0.5)
+    _SplitStep(build_hamiltonian(g, PiecewiseConstant(), 1.0, NATURAL), 1e300, NATURAL)
+    config = EvolutionConfig(dt=1e308, steps=4, method="split_step")
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError, match=r"^split step at dt = 1e\+308"):
+            split_step(psi, PiecewiseConstant(), 1e308)
+        with pytest.raises(SolverError, match=r"^split step at dt = 1e\+308"):
+            evolve(psi, PiecewiseConstant(), config)
+
+
+# Scheme-exact oracles: with V = 0, 200 steps of 0.01 T (T = m L^2 / hbar) of
+# a packet from x = -6 L with k0 = 3 / L on [-24 L, 42 L], n = 512, in
+# natural units (L = 1) and for an electron on L = 1 nm.
+ORACLE_UNITS = {"natural": (NATURAL, 1.0), "si": (si_constants(9.1093837015e-31), 1e-9)}
+
+
+def _free_run(units, method):
+    """psi0, the final evolve snapshot's values, the config and the constants."""
+    constants, length = ORACLE_UNITS[units]
+    g = make_grid(-24.0 * length, 42.0 * length, 512)
+    x = g.points / length + 6.0
+    psi0 = normalize(WaveFunction(g, np.exp(3j * x - x**2 / 4.0)))
+    dt = 0.01 * constants.mass * length**2 / constants.hbar
+    config = EvolutionConfig(dt=dt, steps=200, method=method, observables_every=200)
+    final = evolve(psi0, PiecewiseConstant(), config, constants.mass, constants).snapshots[-1]
+    return psi0, final.values, config, constants
+
+
+@pytest.mark.parametrize("units", sorted(ORACLE_UNITS))
+def test_crank_nicolson_is_its_sine_transform_solution(units):
+    # The closed box's 3-point H is diagonal in the DST-I basis, with
+    # eigenvalues 4c sin^2(k pi / 2(m + 1)) over its m interior points, so N
+    # steps multiply mode k by ((1 - i lam eps_k) / (1 + i lam eps_k))^N.
+    psi0, final, config, constants = _free_run(units, "crank_nicolson")
+    g = psi0.grid
+    m = g.n - 2
+    c = constants.hbar**2 / (2.0 * constants.mass * g.dx**2)
+    lam = config.dt / (2.0 * constants.hbar)
+    eps = 4.0 * c * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
+    factor = ((1.0 - 1j * lam * eps) / (1.0 + 1j * lam * eps)) ** config.steps
+    exact = np.zeros(g.n, dtype=np.complex128)
+    exact[1:-1] = dst(factor * dst(psi0.values[1:-1], type=1, norm="ortho"), type=1, norm="ortho")
+    assert np.max(np.abs(final - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("units", sorted(ORACLE_UNITS))
+def test_split_step_is_the_free_fourier_solution(units):
+    # With V = 0 each step is exact on the FFT grid: N steps are one kinetic
+    # phase exp(-i p^2 t / 2 m hbar) at t = N dt.
+    psi0, final, config, constants = _free_run(units, "split_step")
+    p, _ = fft_momenta(psi0.grid, constants)
+    t = config.steps * config.dt
+    phase = np.exp(-1j * p**2 * t / (2.0 * constants.mass * constants.hbar))
+    exact = np.fft.ifft(phase * np.fft.fft(psi0.values))
+    assert np.max(np.abs(final - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 def test_free_packet_width_and_transport():

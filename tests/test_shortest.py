@@ -101,6 +101,16 @@ def test_blocks_and_empty_input():
     assert texts(np.array([])) == []
 
 
+def test_rows_of_any_shape_are_its_rows_rows_stacked():
+    # 2,100 cells: two kernel blocks, whose boundary falls inside a row.
+    x = np.random.default_rng(6).standard_normal((3, 700)) * [[1e-5], [1.0], [1e17]]
+    stacked = np.stack([_shortest.rows(row) for row in x])
+    assert stacked.shape == (3, 700, 24)
+    assert np.array_equal(_shortest.rows(x), stacked)
+    assert np.array_equal(_shortest.rows(list(x)), stacked)  # a list of arrays
+    assert _shortest.rows([]).shape == (0, 24)
+
+
 def test_rows_are_the_ascii_repr_then_pad_only():
     # Every cell width, 3 ("0.0") to 24 ("-1.2345678901234567e-308").
     rng = np.random.default_rng(11)
