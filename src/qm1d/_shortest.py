@@ -16,11 +16,13 @@ digits or more, and subnormals are not scaled by ten.
 The text then takes CPython's layout: fixed notation for a value
 0.d1d2...dn 10^point with point from -3 to 16, else ``d.ddde±XX``, a ``-``
 sign, and ``0.0``/``-0.0``.  A cell's source holds its 17 digits, its
-exponent's sign and 3 digits, and a few constant bytes; every cell with
-the same sign, digit count and layout (one of 20 decimal points, or an
-exponent of 2 or 3 digits) takes the same row of indices into its source.
-The 792 rows, 19 KB, are built on first use, and one gather per slice of
-cells writes their rows of the output.
+exponent's sign and 3 digits, and a few constant bytes, and a block's
+source is laid out by byte: its row j holds byte j of every cell.  Every
+cell with the same sign, digit count and layout (one of 20 decimal points,
+or an exponent of 2 or 3 digits) takes the same row of offsets into that
+source.  The 792 rows, 152 KB of intp, are built on first use; one gather
+per slice of cells adds each cell's index to its rows of offsets and writes
+their bytes to the output.
 
 No uint64 array meets an int64 one in an operation: numpy promotes that pair
 to float64.
@@ -54,7 +56,9 @@ _LAYOUTS = 22  # fixed notation for 20 points, exponential for 2 exponent widths
 # Cells formatted at once: 1024 to 2047, about 190 bytes of temporaries a
 # cell.  A block's fixed cost is that of about 250 cells of repr.
 _BLOCK = 1024
+_STRIDE = 2 * _BLOCK  # a source row holds the byte of every cell of a block
 _GATHER = 256  # cells per gather: its index takes 24 intp a cell
+_CELLS = np.arange(_STRIDE, dtype=np.intp)[:, None]
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -106,12 +110,14 @@ def _bounds(magnitude):
     # floor(log10(2^q)), or floor(log10(3/4 2^q)) when irregular
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + _flog2pow10(-k) + 2).view(np.uint64)
-    g = np.take(_powers(), np.subtract(-_E_MIN, k), axis=1)
+    g = _powers().take(-_E_MIN - k, axis=1)
 
     # g c' for c' = 4c (row 1) and the bounds 4c - 2 (4c - 1 when irregular,
     # row 0) and 4c + 2 (row 2): exact 128-bit products, high and low words,
     # of g1 (g[0]) and of g0 (g[1]).
-    product = _product(g, np.broadcast_to(c << _2, g.shape).copy())  # no broadcast: faster
+    scaled = np.empty_like(g)
+    scaled[:] = c << _2  # no broadcast operand: faster
+    product = _product(g, scaled)
     high, low = np.empty((2, 3, 2, len(c)), dtype=np.uint64)
     high[1], low[1] = product
     del product
@@ -179,11 +185,11 @@ def _row(negative: bool, n: int, layout: int) -> list[int]:
 
 @functools.cache
 def _layouts() -> np.ndarray:
-    """(792, 24) uint8: the row of every layout key,
-    (negative (_DIGITS + 1) + n) _LAYOUTS + layout."""
+    """(792, 24) intp: the offsets into a block's source of the row of every
+    layout key, (negative (_DIGITS + 1) + n) _LAYOUTS + layout."""
     return _frozen(np.array([_row(negative, n, layout) for negative in (False, True)
                              for n in range(_DIGITS + 1) for layout in range(_LAYOUTS)],
-                            dtype=np.uint8))
+                            dtype=np.intp) * _STRIDE)
 
 
 def _block(x: np.ndarray, out: np.ndarray):
@@ -217,12 +223,13 @@ def _block(x: np.ndarray, out: np.ndarray):
     n = ((significand != 0) * _PLACE).max(axis=0)  # significant digits
     n[zero] = 0
     digits += np.float32(ord("0"))
-    source = np.empty((len(x), _EXPONENT + 4 + len(_SOURCE)), dtype=np.uint8)
-    source[:, :_DIGITS] = significand.T
-    source[:, _EXPONENT] = np.where(point > 0, ord("+"), ord("-"))
-    source[:, _EXPONENT + 1:_EXPONENT + 4] = digits[3, 3:].T
-    source[:, _EXPONENT + 4:] = _SOURCE
-    del digits, significand
+    source = np.empty((_EXPONENT + 4 + len(_SOURCE), _STRIDE), dtype=np.uint8)
+    cells = source[:, :len(x)]  # byte j of cell i is source[j, i]
+    cells[:_DIGITS] = significand
+    cells[_EXPONENT] = np.where(point > 0, ord("+"), ord("-"))
+    cells[_EXPONENT + 1:_EXPONENT + 4] = digits[3, 3:]
+    cells[_EXPONENT + 4:] = _SOURCE[:, None]
+    del digits, significand, cells
 
     # The layout: fixed notation for a point from -3 to 16, else exponential.
     layout = point + 3
@@ -230,10 +237,9 @@ def _block(x: np.ndarray, out: np.ndarray):
     keys = ((bits >> _63).astype(np.intp) * (_DIGITS + 1) + n) * _LAYOUTS + layout
     del f, k, count, small, point, exponent, top, middle, n, zero, layout  # before the gathers
     for lo in range(0, len(x), _GATHER):
-        part = source[lo:lo + _GATHER]
-        index = np.take(_layouts(), keys[lo:lo + _GATHER], axis=0)
-        np.take(part, index + np.arange(0, part.size, part.shape[1])[:, None],
-                out=out[lo:lo + _GATHER])
+        index = _layouts().take(keys[lo:lo + _GATHER], axis=0)
+        index += _CELLS[lo:lo + len(index)]
+        source.take(index, out=out[lo:lo + _GATHER])
 
 
 def rows(values) -> np.ndarray:

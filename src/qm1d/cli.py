@@ -270,7 +270,8 @@ def _parse_gaussian(obj, where: str) -> dict:
 # writers keep cells as bytes from formatting to the file: each ndarray or
 # list becomes a matrix of padded UTF-8 cell rows, a float ndarray's from the
 # vectorized shortest round-trip kernel (qm1d._shortest, the bytes of repr),
-# and the rows are written in order, _CHUNK_ROWS at a time.
+# and each block's rows are written in order through one row template,
+# _CHUNK_ROWS at a time.
 
 _PLOT_COLUMNS = ("series", "t", "x", "value")
 
@@ -484,10 +485,12 @@ def _csv_string(text: str) -> str:
 
 def _cells(entry, string: Callable[[str], str]) -> np.ndarray:
     """(cells, width) uint8: the UTF-8 text of each cell of a list or an ndarray (the
-    repr of a number, true/false, or ``string`` of a string), padded with ``shortest.PAD``."""
+    repr of a number, a numpy scalar's as its Python value, true/false, or ``string``
+    of a string), padded with ``shortest.PAD``."""
+    cells = entry.tolist() if isinstance(entry, np.ndarray) else entry
     texts = [(string(cell) if isinstance(cell, str) else json.dumps(cell)
               if isinstance(cell, bool) else repr(cell)).encode()
-             for cell in (entry.tolist() if isinstance(entry, np.ndarray) else entry)]
+             for cell in (c.item() if isinstance(c, np.generic) else c for c in cells)]
     width = max(map(len, texts), default=0)
     padded = b"".join(text.ljust(width, _PAD) for text in texts)
     return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
@@ -497,11 +500,12 @@ def _write_table(fh, fmt: str, table):
     """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
     (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
     indent=2).  A row is ``sep`` (dropped by the table's first row), ``pre``,
-    its cells with ``mid`` between them, and ``post``.  A block is a list of
-    byte matrices with one row per row (a literal or a repeated cell
-    broadcast); a chunk joins their rows and writes them without the
-    padding.  A block's new float ndarrays are one kernel call; an entry
-    that the next block holds too is formatted once."""
+    its cells with ``mid`` between them, and ``post``.  A block is a row
+    template: each run of literals (the repeated cells and the text around
+    them) is filled once, and a chunk copies its rows of the varying
+    entries' byte matrices into their columns and writes the template's rows
+    without the padding.  A block's new float ndarrays are one kernel call;
+    an entry that the next block holds too is formatted once."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
@@ -514,10 +518,10 @@ def _write_table(fh, fmt: str, table):
         sep, pre, mid, post = "", "", ",", "\n"
     wrote, cells = False, {}  # cells: the matrices of the block's varying entries by id
     for block in blocks:
+        # Release the last block's rows first; a kept matrix is copied to pin no kernel output.
+        pieces = template = slots = slot = matrix = chunk = None
         varying = [entry for entry in block if isinstance(entry, (list, np.ndarray))]
         rows = len(varying[0])
-        # Release the last block's matrices first; a kept one is copied to pin no kernel output.
-        matrices = chunk = None
         cells = {id(entry): cells[id(entry)].copy() for entry in varying if id(entry) in cells}
         floats = [entry for entry in varying if id(entry) not in cells
                   and isinstance(entry, np.ndarray) and entry.dtype.kind == "f"]
@@ -525,13 +529,24 @@ def _write_table(fh, fmt: str, table):
             cells.update(zip(map(id, floats), shortest.rows(floats)))
         cells.update({id(entry): _cells(entry, string) for entry in varying
                       if id(entry) not in cells})
-        matrices = [_cells([sep + pre], str)]
+        pieces = [(sep + pre).encode()]  # literal bytes and the varying entries' matrices
         for entry, text in zip(block, [mid] * (len(block) - 1) + [post]):
-            matrices += [cells[id(entry)] if id(entry) in cells else _cells([entry], string),
-                         _cells([text], str)]
-        matrices = [np.broadcast_to(m, (rows, m.shape[1])) for m in matrices]
+            if id(entry) in cells:
+                pieces += [cells[id(entry)], text.encode()]
+            else:  # a repeated cell: its one-cell matrix is its text
+                pieces[-1] += _cells([entry], string).tobytes() + text.encode()
+        edges = np.cumsum([0] + [len(p) if isinstance(p, bytes) else p.shape[1] for p in pieces])
+        template = np.empty((min(rows, _CHUNK_ROWS), edges[-1]), dtype=np.uint8)
+        slots = []  # (the template's columns, the matrix of their cells)
+        for p, lo, hi in zip(pieces, edges, edges[1:]):
+            if isinstance(p, bytes):
+                template[:, lo:hi] = np.frombuffer(p, dtype=np.uint8)
+            else:
+                slots.append((template[:, lo:hi], p))
         for lo in range(0, rows, _CHUNK_ROWS):
-            chunk = np.concatenate([m[lo:lo + _CHUNK_ROWS] for m in matrices], axis=1)
+            for slot, matrix in slots:
+                slot[:rows - lo] = matrix[lo:lo + _CHUNK_ROWS]
+            chunk = template[:rows - lo]
             fh.write(chunk[chunk != shortest.PAD][len(sep) * (not wrote):].tobytes().decode())
             wrote = True
     if fmt == "json":

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,8 @@ def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
 
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
     # Eight states of 4001 points as JSON peak at about 1.14 MB in the
-    # eigensolve, and their write at about 1.13 MB: a block's x and value
-    # matrices (96 KB each), the kernel's temporaries and a 1,024-row chunk.
+    # eigensolve, and their write at about 1.15 MB: a block's x and value
+    # matrices (96 KB each), the kernel's temporaries and a 1,024-row template.
     # Kernel blocks of 2,048 to 4,095 cells, in place of 1,024 to 2,047, and
     # the write peaks at about 1.86 MB.
     body = {
@@ -261,7 +262,7 @@ def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
 def test_spectrum_states_write_holds_a_bounded_increment(tmp_path, monkeypatch):
     # The run's peak above is the eigensolve's or the write's, whichever is
     # higher; this bounds the write's own, its peak above the memory traced
-    # when it starts: about 0.58 MB.
+    # when it starts: about 0.60 MB.
     write, increments = cli._write_outputs, []
 
     def traced_write(*args):
@@ -1222,6 +1223,51 @@ def test_a_block_formats_its_new_float_entries_in_one_kernel_call(monkeypatch):
         _write_table(written, fmt, (_PLOT_COLUMNS, blocks))
         assert written.getvalue() == _reference_text(fmt, _PLOT_COLUMNS, blocks)
     assert calls == [2, 1] * 2
+
+
+# The 8 states of 4001 points as JSON, and 31 density blocks of 2048 points.
+@pytest.mark.parametrize("body", [
+    {"command": "spectrum", "constants": {"profile": "natural"},
+     "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
+     "potential": {"kind": "harmonic", "omega": 1.0}, "count": 8, "emit_states": True,
+     "output": {"format": "json", "path": "levels.json"}},
+    {"command": "evolve", "constants": {"profile": "natural"},
+     "grid": {"x_min": -24.0, "x_max": 42.0, "n": 2048},
+     "potential": {"kind": "piecewise_constant", "segments": []},
+     "initial": {"alpha": 0.5, "k0": 6.0}, "method": "crank_nicolson", "dt": 0.01,
+     "steps": 300, "observables_every": 10, "emit_density": True,
+     "output": {"format": "csv", "path": "run.csv"}},
+], ids=["states", "density"])
+def test_a_block_releases_the_last_blocks_kernel_output(tmp_path, monkeypatch, body):
+    # An entry kept for the next block is a copy, so by the next kernel call
+    # nothing of the earlier outputs' memory may be held.
+    rows, outputs = _shortest.rows, []
+
+    def recorded(values):
+        assert [ref() for ref in outputs] == [None] * len(outputs)
+        out = rows(values)
+        outputs.append(weakref.ref(out if out.base is None else out.base))
+        return out
+
+    monkeypatch.setattr(cli.shortest, "rows", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", write_scenario(tmp_path, body), "--out", str(tmp_path)]) == 0
+    assert len(outputs) >= 8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numpy_scalar_cells_are_written_as_their_python_values(fmt):
+    # In a list and as a repeated cell; a float32 as the double it widens to.
+    scalars = [np.float64(1.0), np.float32(0.1), np.int64(2), np.bool_(True)]
+    expected = ["1.0", "0.10000000149011612", "2", "true"]
+    written = io.StringIO()
+    _write_table(written, fmt, (["a", "b"], [(cell, scalars) for cell in scalars]))
+    values = [cell.item() for cell in scalars]
+    assert written.getvalue() == _reference_text(fmt, ["a", "b"],
+                                                 [(cell, values) for cell in values])
+    if fmt == "csv":
+        assert written.getvalue().splitlines()[1:] == [f"{a},{b}" for a in expected
+                                                       for b in expected]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

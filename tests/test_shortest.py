@@ -101,6 +101,18 @@ def test_blocks_and_empty_input():
     assert texts(np.array([])) == []
 
 
+# Around the gather of 256 cells and the block of 1,024 to 2,047: 2,047
+# cells fill a block's source to its last column.
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1023, 1024, 2047, 2048, 4095])
+def test_cell_counts_at_the_gather_and_block_edges(count):
+    assert _shortest._STRIDE >= 2 * _shortest._BLOCK - 1
+    bits = np.random.default_rng(count).integers(0, 2**64, 2 * count, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)][:count]
+    assert len(x) == count
+    assert_repr(x)
+
+
 def test_rows_of_any_shape_are_its_rows_rows_stacked():
     # 2,100 cells: two kernel blocks, whose boundary falls inside a row.
     x = np.random.default_rng(6).standard_normal((3, 700)) * [[1e-5], [1.0], [1e17]]

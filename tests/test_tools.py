@@ -154,6 +154,18 @@ def test_coldstart_children_write_bytecode(monkeypatch, tmp_path):
     assert list((tmp_path / "qm1d" / "__pycache__").glob("cli.*.pyc"))
 
 
+def test_cellbench_times_every_case_against_its_own_src(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "corpus", corpus)  # coldstart imports it by name
+    monkeypatch.setitem(sys.modules, "coldstart", _tool("coldstart"))  # cellbench does
+    cellbench = _tool("cellbench")
+    assert cellbench.main(["--against", str(corpus.REPO / "src"), "--repeat", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("### Serialization per call: median (quartiles) of 2 processes\n")
+    cases = [line.split(" | ")[0] for line in out.splitlines() if line.startswith("| ")][1:]
+    assert cases == ["| rows, 1 cell", "| rows, 1,024 cells", "| rows, 2,047 cells",
+                     "| rows, 63,488 cells", "| write, states JSON", "| write, density CSV"]
+
+
 def test_repr_sample_checks_the_finite_doubles_of_its_sample(capsys):
     assert repr_sample.main(["--seed", "7", "--count", "300000"]) == 0
     line = capsys.readouterr().out
