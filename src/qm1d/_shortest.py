@@ -2,16 +2,17 @@
 
 ``rows(values)`` returns, for finite floats of any shape, a ``shape + (24,)``
 uint8 array: the ASCII of each cell's ``repr`` padded with ``PAD``, computed
-over whole arrays; ``texts(values)`` decodes a 1-D array's rows to strings.
-The digits are Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020): the
-shortest decimal inside the double's rounding interval, the one closest to
-the double when several are that short, ties to even, as CPython's ``dtoa``
-chooses.  A cell takes three round-to-odd products of its interval bounds
-with a 126-bit power of ten, the values of Java's ``rop``, here from exact
-128-bit products on 32-bit limbs in uint64 arrays.  Unlike Java's
-``Double.toString``, which Schubfach's reference code serves, one digit
-suffices: the candidate one digit shorter is tried for every cell of two
-digits or more, and subnormals are not scaled by ten.
+over as few blocks of at most 2,048 cells as hold them; ``texts(values)``
+decodes a 1-D array's rows to strings.  The digits are Schubfach's (R.
+Giulietti, "The Schubfach way to render doubles", 2020): the shortest decimal
+inside the double's rounding interval, the one closest to the double when
+several are that short, ties to even, as CPython's ``dtoa`` chooses.  A cell
+takes three round-to-odd products of its interval bounds with a 126-bit power
+of ten, the values of Java's ``rop``, here from exact 128-bit products on
+32-bit limbs, written in place into the uint64 array that then holds the
+bounds.  Unlike Java's ``Double.toString``, which Schubfach's reference code
+serves, one digit suffices: the candidate one digit shorter is tried for
+every cell of two digits or more, and subnormals are not scaled by ten.
 
 The text then takes CPython's layout: fixed notation for a value
 0.d1d2...dn 10^point with point from -3 to 16, else ``d.ddde±XX``, a ``-``
@@ -53,10 +54,10 @@ _EXPONENT = _DIGITS
 _SOURCE = np.array([PAD, *b"-.0e"], dtype=np.uint8)
 _PAD, _MINUS, _DOT, _ZERO, _E = range(_EXPONENT + 4, _EXPONENT + 4 + len(_SOURCE))
 _LAYOUTS = 22  # fixed notation for 20 points, exponential for 2 exponent widths
-# Cells formatted at once: 1024 to 2047, about 190 bytes of temporaries a
-# cell.  A block's fixed cost is that of about 250 cells of repr.
-_BLOCK = 1024
-_STRIDE = 2 * _BLOCK  # a source row holds the byte of every cell of a block
+# Cells formatted at once: at most 2,048.  A block's temporaries peak at about
+# 171 bytes a cell; its fixed cost, about 130 us, is that of 260 cells of repr.
+_BLOCK = 2048
+_STRIDE = _BLOCK  # a source row holds the byte of every cell of a block
 _GATHER = 256  # cells per gather: its index takes 24 intp a cell
 _CELLS = np.arange(_STRIDE, dtype=np.intp)[:, None]
 
@@ -87,64 +88,72 @@ def _powers() -> np.ndarray:
     return _frozen(np.array(words, dtype=np.uint64).T.copy())
 
 
-def _product(a, b):
-    """(high, low) 64-bit words of a b, exact, by 32-bit limbs."""
-    a_hi, a_lo, b_hi, b_lo = a >> _32, a & _M32, b >> _32, b & _M32
-    ll = a_lo * b_lo
-    hl = a_hi * b_lo
-    cross = (ll >> _32) + (hl & _M32) + a_lo * b_hi
-    return a_hi * b_hi + (hl >> _32) + (cross >> _32), (cross << _32) | (ll & _M32)
-
-
 def _bounds(magnitude):
     """(c, k, v) for nonzero finite doubles given by their bits without the
-    sign: the significand c, the decimal exponent k and, as v[0], v[1],
-    v[2], Schubfach's vbl, vb and vbr, 4 10^-k times the lower bound, the
-    value and the upper bound of the double's rounding interval, rounded
-    to odd (Java's ``rop(g1, g0, c' << h)``)."""
-    t = magnitude & _M52
+    sign, overwritten by c: the significand c, the decimal exponent k and, as
+    v[0], v[1], v[2], Schubfach's vbl, vb and vbr: 4 10^-k times the lower
+    bound, value and upper bound of the rounding interval, rounded to odd."""
     biased = magnitude.view(np.int64) >> 52
-    c = np.where(biased != 0, t | _U(2**52), t)
-    q = np.maximum(biased, 1) - 1075
+    t = np.bitwise_and(magnitude, _M52, out=magnitude)
     irregular = (t == _0) & (biased > 1)  # c = 2^52: the gap below is half
+    c = np.bitwise_or(t, _U(2**52), out=magnitude, where=biased != 0)
+    q = np.maximum(biased, 1, out=biased)
+    q -= 1075
     # floor(log10(2^q)), or floor(log10(3/4 2^q)) when irregular
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).view(np.uint64)
+    h = np.add(q, _flog2pow10(-k) + 2, out=q).view(np.uint64)
     g = _powers().take(-_E_MIN - k, axis=1)
 
     # g c' for c' = 4c (row 1) and the bounds 4c - 2 (4c - 1 when irregular,
     # row 0) and 4c + 2 (row 2): exact 128-bit products, high and low words,
-    # of g1 (g[0]) and of g0 (g[1]).
-    scaled = np.empty_like(g)
-    scaled[:] = c << _2  # no broadcast operand: faster
-    product = _product(g, scaled)
+    # of g1 (g[0]) and g0 (g[1]) by 32-bit limbs of a = g and b = c' (rows 0, 2).
     high, low = np.empty((2, 3, 2, len(c)), dtype=np.uint64)
-    high[1], low[1] = product
-    del product
-    step = g << _1
+    a_hi, b_hi, a_lo, b_lo = high[0], high[2], low[0], low[2]
+    np.right_shift(g, _32, out=a_hi)
+    np.bitwise_and(g, _M32, out=a_lo)
+    np.right_shift(c, _U(30), out=b_hi)  # both rows: no broadcast operand, faster
+    np.bitwise_and(c << _2, _M32, out=b_lo)
+    np.multiply(a_lo, b_lo, out=low[1])
+    np.multiply(a_hi, b_lo, out=high[1])
+    a_lo *= b_hi
+    a_lo += np.right_shift(low[1], _32, out=b_lo)
+    a_lo += np.bitwise_and(high[1], _M32, out=b_lo)  # the cross sum
+    high[1] >>= _32
+    high[1] += np.multiply(a_hi, b_hi, out=a_hi)
+    high[1] += np.right_shift(a_lo, _32, out=b_hi)
+    low[1] &= _M32
+    low[1] |= np.left_shift(a_lo, _32, out=a_lo)
+    step = np.left_shift(g, _1, out=g)
     np.add(low[1], step, out=low[2])
     np.add(high[1], low[2] < step, out=high[2])
-    step[:, irregular] = g[:, irregular]
+    step[:, irregular] >>= _1
     np.subtract(low[1], step, out=low[0])
     np.subtract(high[1], low[1] < step, out=high[0])
-    del g, step
+    del g, step, irregular
 
-    # rop: y1 = g1 c' 2^h / 2^64 and x1 = g0 c' 2^h / 2^64 rounded down, in
-    # ``high``; y0, the low word of g1 c' 2^h; z = y0 / 2 + x1.
-    z = low[:, 0] << h
+    # Java's rop(g1, g0, c' << h): y1 and x1, g1 c' 2^h and g0 c' 2^h over 2^64
+    # rounded down, in ``high``; y0, the low word of g1 c' 2^h; z = y0 / 2 + x1.
+    y1, x1, y0, z = high[:, 0], high[:, 1], low[:, 0], low[:, 1]
     high <<= h
-    high |= np.right_shift(low, _U(64) - h, out=low)
+    x1 |= np.right_shift(z, _U(64) - h, out=z)
+    np.left_shift(y0, h, out=z)
+    y1 |= np.right_shift(y0, _U(64) - h, out=y0)
     z >>= _1
-    z += high[:, 1]
-    return c, k, (high[:, 0] + (z >> _63)) | (((z & _M63) + _M63) >> _63)
+    z += x1
+    y1 += np.right_shift(z, _63, out=y0)
+    z &= _M63
+    z += _M63
+    y1 |= np.right_shift(z, _63, out=z)
+    return c, k, y1
 
 
 def _decimal(magnitude):
     """(f, k) with f 10^k the shortest round-trip decimal of each nonzero
     finite double, given by its bits without the sign."""
-    c, k, (vbl, vb, vbr) = _bounds(magnitude)
+    c, k, (lowest, vb, highest) = _bounds(magnitude)
     out = c & _1  # an odd significand's interval is open
-    lowest, highest = vbl + out, vbr - out  # 4x is inside iff lowest <= 4x <= highest
+    lowest += out  # 4x is inside iff lowest <= 4x <= highest
+    highest -= out
     s = vb >> _2
     # One digit shorter: the multiple of 10 next to s, if exactly one of the
     # two lies in the interval.
@@ -216,9 +225,12 @@ def _block(x: np.ndarray, out: np.ndarray):
     digits[1, 0] = middle = f // _U(10**6)
     digits[2, 0] = f - middle * _U(10**6)
     digits[3, 0] = exponent = np.abs(point - 1)
+    del f, k, count, small, top, middle
     digits += np.float32(0.5)
-    digits = np.floor(digits * _INVERSE_POWERS)
-    digits[:, 1:] -= np.float32(10.0) * digits[:, :-1]
+    digits = digits * _INVERSE_POWERS
+    np.floor(digits, out=digits)
+    digits[:, 3:] -= np.float32(10.0) * digits[:, 2:5]  # less ten times the row above,
+    digits[:, 1:3] -= np.float32(10.0) * digits[:, :2]  # 3 rows at a time
     significand = digits[:3].reshape(18, len(x))[1:]
     n = ((significand != 0) * _PLACE).max(axis=0)  # significant digits
     n[zero] = 0
@@ -235,7 +247,7 @@ def _block(x: np.ndarray, out: np.ndarray):
     layout = point + 3
     layout = np.where(layout.view(np.uint64) < _U(20), layout, 20 + (exponent >= 100))
     keys = ((bits >> _63).astype(np.intp) * (_DIGITS + 1) + n) * _LAYOUTS + layout
-    del f, k, count, small, point, exponent, top, middle, n, zero, layout  # before the gathers
+    del point, exponent, n, zero, layout  # before the gathers
     for lo in range(0, len(x), _GATHER):
         index = _layouts().take(keys[lo:lo + _GATHER], axis=0)
         index += _CELLS[lo:lo + len(index)]
@@ -251,7 +263,7 @@ def rows(values) -> np.ndarray:
         raise ValueError("only finite floats have a shortest round-trip text")
     shape, x = x.shape, x.ravel()
     out = np.empty((len(x), _WIDTH), dtype=np.uint8)
-    blocks = len(x) // _BLOCK or 1  # blocks of _BLOCK to 2 _BLOCK - 1 cells
+    blocks = -(-len(x) // _BLOCK) or 1  # as few blocks as hold the cells
     bounds = [len(x) * i // blocks for i in range(blocks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         _block(x[lo:hi], out[lo:hi])

@@ -193,8 +193,8 @@ def _warm_run_peak(tmp_path, body) -> int:
 # the density of every tenth state (31 float64 rows of 2048, 0.5 MB).  A complex
 # snapshot of every recorded state would peak at 10.5 MB and 2.1 MB.  The
 # Crank-Nicolson runs peak at about 1.0 MB and 1.4 MB while stepping, and
-# their writes at about 0.27 MB (each series column is one call of the float
-# kernel) and 0.92 MB.
+# their writes at about 0.32 MB (the series table is one call of the float
+# kernel, two blocks) and 1.03 MB (one 2,048-cell block a density row).
 @pytest.mark.parametrize("density, every, bound", [(False, 1, 2_000_000), (True, 10, 1_500_000)])
 @pytest.mark.parametrize("method", sorted(STEPPERS))
 def test_evolve_holds_one_state_at_a_time(tmp_path, method, density, every, bound):
@@ -246,10 +246,11 @@ def test_evolve_data_does_not_depend_on_the_blas_thread_count(tmp_path, method):
 
 def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
     # Eight states of 4001 points as JSON peak at about 1.14 MB in the
-    # eigensolve, and their write at about 1.15 MB: a block's x and value
-    # matrices (96 KB each), the kernel's temporaries and a 1,024-row template.
-    # Kernel blocks of 2,048 to 4,095 cells, in place of 1,024 to 2,047, and
-    # the write peaks at about 1.86 MB.
+    # eigensolve, and their write at about 1.16 MB: a block's x and value
+    # matrices (96 KB each), the kernel's temporaries (two blocks of about
+    # 2,000 cells a column, about 171 bytes a cell) and a 1,024-row template.
+    # At 268 bytes a cell, with the kernel's limb products in fresh arrays,
+    # such blocks took the write to about 1.36 MB.
     body = {
         "command": "spectrum", "constants": {"profile": "natural"},
         "grid": {"x_min": -12.0, "x_max": 12.0, "n": 4001},
@@ -262,7 +263,7 @@ def test_spectrum_states_table_formats_a_chunk_at_a_time(tmp_path):
 def test_spectrum_states_write_holds_a_bounded_increment(tmp_path, monkeypatch):
     # The run's peak above is the eigensolve's or the write's, whichever is
     # higher; this bounds the write's own, its peak above the memory traced
-    # when it starts: about 0.60 MB.
+    # when it starts: about 0.61 MB (0.81 MB at 268 kernel bytes a cell).
     write, increments = cli._write_outputs, []
 
     def traced_write(*args):

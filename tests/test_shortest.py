@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,16 +102,44 @@ def test_blocks_and_empty_input():
     assert texts(np.array([])) == []
 
 
-# Around the gather of 256 cells and the block of 1,024 to 2,047: 2,047
+# Around the gather of 256 cells and the block of at most 2,048: 2,048
 # cells fill a block's source to its last column.
-@pytest.mark.parametrize("count", [1, 255, 256, 257, 1023, 1024, 2047, 2048, 4095])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1023, 1024, 2047, 2048, 2049, 4095,
+                                   4096, 4097])
 def test_cell_counts_at_the_gather_and_block_edges(count):
-    assert _shortest._STRIDE >= 2 * _shortest._BLOCK - 1
+    assert _shortest._STRIDE >= _shortest._BLOCK
     bits = np.random.default_rng(count).integers(0, 2**64, 2 * count, dtype=np.uint64)
     x = bits.view(np.float64)
     x = x[np.isfinite(x)][:count]
     assert len(x) == count
     assert_repr(x)
+
+
+# One block of 2,048 cells peaks at about 171 bytes a cell above its 24-byte
+# rows; the limb products in fresh arrays would take it to about 268.
+def test_a_full_block_holds_a_bounded_peak_a_cell():
+    x = np.random.default_rng(2048).standard_normal(_shortest._BLOCK)
+    _shortest.rows(x)  # the cached tables are not the block's
+    tracemalloc.start()
+    try:
+        out = _shortest.rows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 187 * len(x)
+
+
+@pytest.mark.parametrize("count, calls", [(1, 1), (2048, 1), (2049, 2), (4001, 2), (10_000, 5)])
+def test_rows_takes_as_few_blocks_as_hold_the_cells(monkeypatch, count, calls):
+    block, sizes = _shortest._block, []
+
+    def counted(x, out):
+        sizes.append(len(x))
+        block(x, out)
+
+    monkeypatch.setattr(_shortest, "_block", counted)
+    assert_repr(np.random.default_rng(count).standard_normal(count))
+    assert len(sizes) == calls and sum(sizes) == count and max(sizes) <= _shortest._BLOCK
 
 
 def test_rows_of_any_shape_are_its_rows_rows_stacked():

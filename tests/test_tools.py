@@ -161,9 +161,14 @@ def test_cellbench_times_every_case_against_its_own_src(monkeypatch, capsys):
     assert cellbench.main(["--against", str(corpus.REPO / "src"), "--repeat", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("### Serialization per call: median (quartiles) of 2 processes\n")
-    cases = [line.split(" | ")[0] for line in out.splitlines() if line.startswith("| ")][1:]
-    assert cases == ["| rows, 1 cell", "| rows, 1,024 cells", "| rows, 2,047 cells",
-                     "| rows, 63,488 cells", "| write, states JSON", "| write, density CSV"]
+    timing, peaks = out.split("### Float kernel traced peak per cell, its output excluded\n")
+    cases = [line.split(" | ")[0] for line in timing.splitlines() if line.startswith("| ")][1:]
+    kernel = ["| rows, 1 cell", "| rows, 2,048 cells", "| rows, 2,049 cells", "| rows, 63,488 cells"]
+    assert cases == kernel + ["| write, states JSON", "| write, density CSV"]
+    rows = [line.split(" | ") for line in peaks.splitlines() if line.startswith("| rows")]
+    assert [row[0] for row in rows] == kernel
+    assert all(float(cell.removesuffix(" |").removesuffix(" B").replace(",", "")) > 0
+               for row in rows for cell in row[1:])
 
 
 def test_repr_sample_checks_the_finite_doubles_of_its_sample(capsys):

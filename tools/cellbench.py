@@ -4,16 +4,18 @@
     python tools/cellbench.py --against OTHER_CHECKOUT/src [--repeat 7]
 
 Each sample is a child process with ``PYTHONPATH`` set to one tree's source.
-It times ``qm1d._shortest.rows`` on 1, 1,024, 2,047 (the largest block) and
+It times ``qm1d._shortest.rows`` on 1, 2,048 (the largest block), 2,049 and
 63,488 seeded random doubles, and ``qm1d.cli._write_table`` into a StringIO
 on seeded stand-ins for the tables of perfbench's table_dump workload: 8
 states of 4,001 points as JSON and 31 densities of 2,048 points as CSV (no
 solve).  Every case is called once untimed, then timed as the median of 5
-runs of a fixed number of calls.  The two trees alternate child by child,
-and the output is a markdown table of each side's median and quartiles per
-call and the ratio of the medians, ``unresolved`` when the quartile ranges
-overlap.  Timing has no pass/fail gate; the exit status is 1 only if a child
-fails.
+runs of a fixed number of calls.  After the timing, each ``rows`` case is
+called once more under tracemalloc for its traced peak per cell, its output
+excluded.  The two trees alternate child by child, and the output is two
+markdown tables: each side's median and quartiles per call and the ratio of
+the medians, ``unresolved`` when the quartile ranges overlap, then each
+side's median kernel peak per cell.  Neither has a pass/fail gate; the exit
+status is 1 only if a child fails.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ import coldstart
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Prints {case: median seconds per call} as JSON.
+# Prints [{case: median seconds per call}, {rows case: traced peak bytes a
+# cell}] as JSON.
 _CHILD = """
-import io, json, statistics, time
+import io, json, statistics, time, tracemalloc
 import numpy as np
 from qm1d import _shortest
 from qm1d.cli import _PLOT_COLUMNS, _write_table
@@ -50,9 +53,9 @@ def write(fmt, blocks):
 
 
 # (a call, the calls per timed run)
-cases = {f"rows, {n:,} cell{'s' * (n > 1)}": (lambda v=rng.standard_normal(n): _shortest.rows(v),
-                                             number)
-         for n, number in ((1, 100), (1024, 20), (2047, 10), (63488, 1))}
+cells = {f"rows, {n:,} cell{'s' * (n > 1)}": (rng.standard_normal(n), number)
+         for n, number in ((1, 100), (2048, 10), (2049, 10), (63488, 1))}
+cases = {case: (lambda v=v: _shortest.rows(v), number) for case, (v, number) in cells.items()}
 cases["write, states JSON"] = write("json", states), 1
 cases["write, density CSV"] = write("csv", density), 1
 medians = {}
@@ -65,12 +68,19 @@ for case, (call, number) in cases.items():
             call()
         times.append((time.perf_counter() - start) / number)
     medians[case] = statistics.median(times)
-print(json.dumps(medians))
+peaks = {}
+for case, (v, _) in cells.items():
+    tracemalloc.start()
+    out = _shortest.rows(v)
+    peaks[case] = (tracemalloc.get_traced_memory()[1] - out.nbytes) / len(v)
+    tracemalloc.stop()
+print(json.dumps([medians, peaks]))
 """
 
 
-def sample(src: Path) -> dict[str, float]:
-    """Median seconds per call of each case, from one child process."""
+def sample(src: Path) -> list[dict[str, float]]:
+    """Median seconds per call of each case and the kernel's traced peak
+    bytes a cell of each ``rows`` case, from one child process."""
     done = subprocess.run([sys.executable, "-c", _CHILD], env=coldstart.child_env(src),
                           capture_output=True, text=True)
     if done.returncode:
@@ -94,12 +104,14 @@ def main(argv=None) -> int:
         parser.error("--repeat needs at least 2 children for quartiles")
     sides = {"this": REPO / "src", "against": args.against}
     times: dict[str, dict[str, list[float]]] = {}
+    peaks: dict[str, dict[str, list[float]]] = {}
     try:
         for i in range(args.repeat):
             # alternate which tree goes first
             for side in sorted(sides, reverse=bool(i % 2)):
-                for case, seconds in sample(sides[side]).items():
-                    times.setdefault(case, {s: [] for s in sides})[side].append(seconds)
+                for table, values in zip((times, peaks), sample(sides[side])):
+                    for case, value in values.items():
+                        table.setdefault(case, {s: [] for s in sides})[side].append(value)
     except RuntimeError as error:
         print(f"- FAILED {error}")
         return 1
@@ -109,6 +121,12 @@ def main(argv=None) -> int:
     for case, by_side in times.items():
         print(f"| {case} | {summary(by_side['this'])} | {summary(by_side['against'])} "
               f"| {coldstart.ratio(by_side['this'], by_side['against'])} |")
+    print("\n### Float kernel traced peak per cell, its output excluded\n")
+    print("| case | this tree | against |")
+    print("|---|---:|---:|")
+    for case, by_side in peaks.items():
+        print(f"| {case} | {statistics.median(by_side['this']):,.1f} B "
+              f"| {statistics.median(by_side['against']):,.1f} B |")
     return 0
 
 
