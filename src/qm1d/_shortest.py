@@ -2,17 +2,17 @@
 
 ``rows(values)`` returns, for finite floats of any shape, a ``shape + (24,)``
 uint8 array: the ASCII of each cell's ``repr`` padded with ``PAD``, computed
-over as few blocks of at most 2,048 cells as hold them; ``texts(values)``
-decodes a 1-D array's rows to strings.  The digits are Schubfach's (R.
-Giulietti, "The Schubfach way to render doubles", 2020): the shortest decimal
-inside the double's rounding interval, the one closest to the double when
-several are that short, ties to even, as CPython's ``dtoa`` chooses.  A cell
-takes three round-to-odd products of its interval bounds with a 126-bit power
-of ten, the values of Java's ``rop``, here from exact 128-bit products on
-32-bit limbs, written in place into the uint64 array that then holds the
-bounds.  Unlike Java's ``Double.toString``, which Schubfach's reference code
-serves, one digit suffices: the candidate one digit shorter is tried for
-every cell of two digits or more, and subnormals are not scaled by ten.
+over as few blocks of at most 2,048 cells as hold them.  The digits are
+Schubfach's (R. Giulietti, "The Schubfach way to render doubles", 2020): the
+shortest decimal inside the double's rounding interval, the one closest to
+the double when several are that short, ties to even, as CPython's ``dtoa``
+chooses.  A cell takes three round-to-odd products of its interval bounds
+with a 126-bit power of ten, the values of Java's ``rop``, here from exact
+128-bit products on 32-bit limbs, written in place into the uint64 array that
+then holds the bounds.  Unlike Java's ``Double.toString``, which Schubfach's
+reference code serves, one digit suffices: the candidate one digit shorter is
+tried for every cell of two digits or more, and subnormals are not scaled by
+ten.
 
 The text then takes CPython's layout: fixed notation for a value
 0.d1d2...dn 10^point with point from -3 to 16, else ``d.ddde±XX``, a ``-``
@@ -54,12 +54,12 @@ _EXPONENT = _DIGITS
 _SOURCE = np.array([PAD, *b"-.0e"], dtype=np.uint8)
 _PAD, _MINUS, _DOT, _ZERO, _E = range(_EXPONENT + 4, _EXPONENT + 4 + len(_SOURCE))
 _LAYOUTS = 22  # fixed notation for 20 points, exponential for 2 exponent widths
-# Cells formatted at once: at most 2,048.  A block's temporaries peak at about
+# Cells formatted at once, and the length of a source row, which holds the
+# byte of every cell of a block: 2,048.  A block's temporaries peak at about
 # 171 bytes a cell; its fixed cost, about 130 us, is that of 260 cells of repr.
 _BLOCK = 2048
-_STRIDE = _BLOCK  # a source row holds the byte of every cell of a block
 _GATHER = 256  # cells per gather: its index takes 24 intp a cell
-_CELLS = np.arange(_STRIDE, dtype=np.intp)[:, None]
+_CELLS = np.arange(_BLOCK, dtype=np.intp)[:, None]
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -198,7 +198,7 @@ def _layouts() -> np.ndarray:
     layout key, (negative (_DIGITS + 1) + n) _LAYOUTS + layout."""
     return _frozen(np.array([_row(negative, n, layout) for negative in (False, True)
                              for n in range(_DIGITS + 1) for layout in range(_LAYOUTS)],
-                            dtype=np.intp) * _STRIDE)
+                            dtype=np.intp) * _BLOCK)
 
 
 def _block(x: np.ndarray, out: np.ndarray):
@@ -235,7 +235,7 @@ def _block(x: np.ndarray, out: np.ndarray):
     n = ((significand != 0) * _PLACE).max(axis=0)  # significant digits
     n[zero] = 0
     digits += np.float32(ord("0"))
-    source = np.empty((_EXPONENT + 4 + len(_SOURCE), _STRIDE), dtype=np.uint8)
+    source = np.empty((_EXPONENT + 4 + len(_SOURCE), _BLOCK), dtype=np.uint8)
     cells = source[:, :len(x)]  # byte j of cell i is source[j, i]
     cells[:_DIGITS] = significand
     cells[_EXPONENT] = np.where(point > 0, ord("+"), ord("-"))
@@ -268,9 +268,3 @@ def rows(values) -> np.ndarray:
     for lo, hi in zip(bounds, bounds[1:]):
         _block(x[lo:hi], out[lo:hi])
     return out.reshape(shape + (_WIDTH,))
-
-
-def texts(values) -> list[str]:
-    """``[repr(float(v)) for v in values]``, from ``rows(values)``."""
-    padded = rows(values)
-    return np.where(padded == PAD, 0, padded).view(f"S{_WIDTH}").ravel().astype(str).tolist()

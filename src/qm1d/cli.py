@@ -1,12 +1,14 @@
 """Batch front end: JSON scenarios in, CSV or JSON tables out.
 
-The scenario file is validated against a strict schema (unknown keys are
-rejected) before any computation runs.  Data outputs are byte-identical
-across repeated runs: floats are serialized with their shortest round-trip
-representation and row order is fixed.  Run metadata that legitimately
-varies (timestamps, library versions) goes to a ``<output>.meta.json``
-sidecar, never into the data files.  A run writes all of its files or none
-of them, and never writes a non-finite value.
+The scenario file is parsed from its bytes (UTF-8, UTF-16 or UTF-32, as
+JSON detects them) and validated against a strict schema (unknown keys are
+rejected) before any computation runs.  Data outputs are UTF-8 bytes,
+byte-identical across repeated runs: floats are serialized with their
+shortest round-trip representation and row order is fixed; no locale decodes
+or encodes any file.  Run metadata that legitimately varies (timestamps,
+library versions) goes to a ``<output>.meta.json`` sidecar, never into the
+data files.  A run writes all of its files or none of them, and never writes
+a non-finite value.
 
 Exit codes: 0 success, 2 schema violation, 3 numerical failure, 4 I/O
 failure.
@@ -173,7 +175,11 @@ def _relative_path(value, where: str) -> str:
     # "" and "." have no parts: they name the output directory, not a file in it
     if not path.parts or path.is_absolute() or ".." in path.parts:
         raise SchemaError(f"{where} must be a relative file path inside the output directory")
-    return value
+    with contextlib.suppress(UnicodeEncodeError):  # beyond the file system encoding
+        if b"\0" not in os.fsencode(value):
+            return value
+    raise SchemaError(f"{where} must hold no NUL and only characters the file system "
+                      f"encoding ({sys.getfilesystemencoding()}) can encode")
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +503,24 @@ def _cells(entry, string: Callable[[str], str]) -> np.ndarray:
 
 
 def _write_table(fh, fmt: str, table):
-    """Write a table _CHUNK_ROWS rows at a time, in the bytes of csv.writer
-    (booleans as true/false) or of json.dump({"columns": ..., "rows": ...},
-    indent=2).  A row is ``sep`` (dropped by the table's first row), ``pre``,
-    its cells with ``mid`` between them, and ``post``.  A block is a row
-    template: each run of literals (the repeated cells and the text around
-    them) is filled once, and a chunk copies its rows of the varying
-    entries' byte matrices into their columns and writes the template's rows
-    without the padding.  A block's new float ndarrays are one kernel call;
-    an entry that the next block holds too is formatted once."""
+    """Write a table _CHUNK_ROWS rows at a time to the binary file ``fh``, in
+    the bytes of csv.writer (booleans as true/false) or of json.dump({"columns":
+    ..., "rows": ...}, indent=2), UTF-8.  A row is ``sep`` (dropped by the
+    table's first row), ``pre``, its cells with ``mid`` between them, and
+    ``post``.  A block is a row template: each run of literals (the repeated
+    cells and the text around them) is filled once, and a chunk copies its
+    rows of the varying entries' byte matrices into their columns and writes
+    the template's rows without the padding.  A block's new float ndarrays are
+    one kernel call; an entry that the next block holds too is formatted once."""
     columns, blocks = table
     if fmt == "json":
         names = json.dumps(columns, indent=2).replace("\n", "\n  ")
-        fh.write(f'{{\n  "columns": {names},\n  "rows": [')
+        fh.write(f'{{\n  "columns": {names},\n  "rows": ['.encode())
         string, sep, pre, mid, post = json.dumps, ",", "\n    [\n      ", ",\n      ", "\n    ]"
     else:
         # csv.writer quotes an empty field when it is the whole row
         string = _csv_string if len(columns) != 1 else lambda text: _csv_string(text) or '""'
-        fh.write(",".join(map(string, columns)) + "\n")
+        fh.write((",".join(map(string, columns)) + "\n").encode())
         sep, pre, mid, post = "", "", ",", "\n"
     wrote, cells = False, {}  # cells: the matrices of the block's varying entries by id
     for block in blocks:
@@ -547,17 +553,17 @@ def _write_table(fh, fmt: str, table):
             for slot, matrix in slots:
                 slot[:rows - lo] = matrix[lo:lo + _CHUNK_ROWS]
             chunk = template[:rows - lo]
-            fh.write(chunk[chunk != shortest.PAD][len(sep) * (not wrote):].tobytes().decode())
+            fh.write(chunk[chunk != shortest.PAD][len(sep) * (not wrote):].tobytes())
             wrote = True
     if fmt == "json":
-        fh.write("\n  ]\n}\n" if wrote else "]\n}\n")
+        fh.write(b"\n  ]\n}\n" if wrote else b"]\n}\n")
 
 
 def _staged(final: Path, staged: list[tuple[Path, Path]]):
     """Open a temporary file beside ``final`` and record the pair."""
     tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
     staged.append((tmp, final))
-    return open(tmp, "w", newline="")
+    return open(tmp, "wb")
 
 
 def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path]:
@@ -573,8 +579,7 @@ def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path
             with _staged(target, staged) as fh:
                 _write_table(fh, fmt, table)
             with _staged(target.with_name(target.name + ".meta.json"), staged) as fh:
-                json.dump(meta, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(meta, indent=2).encode() + b"\n")
         for tmp, final in staged:
             os.replace(tmp, final)
             placed.append(final)
@@ -589,11 +594,10 @@ def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path
 def load_scenario(path: str) -> dict:
     """Read, JSON-parse, and fully schema-check a scenario; returns the
     parsed spec with constructed objects (grid, potential, ...)."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        body = json.loads(text)
-    except json.JSONDecodeError as exc:
+    data = Path(path).read_bytes()
+    try:  # JSON detects UTF-8, -16 or -32 from the bytes: no locale decodes them
+        body = json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     name = _obj(body, "scenario").get("command")
     if not isinstance(name, str) or name not in COMMANDS:

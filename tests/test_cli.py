@@ -832,6 +832,8 @@ SCHEMA_ERRORS = {
         "sampled potential requires a grid",
     ),
     "invalid_json": ('{"command": "spectrum",', "not valid JSON"),
+    # json.loads refuses an integer of more than 4,300 digits with a ValueError.
+    "integer_too_long": ('{"command": 1' + "0" * 5000 + "}", "not valid JSON"),
     "unknown_command": (_schema_case("spectrum", command="teleport"), "command must be one of"),
     "density_without_grid": (
         _schema_case("packet", grid=None), "emit_density requires a grid"
@@ -863,6 +865,15 @@ SCHEMA_ERRORS = {
         _schema_case("scatter", potential={"kind": "piecewise_constant",
                                            "segments": [[1.0, 1.0, 1.0]]}),
         "scenario: segment [1.0, 1.0) is empty",
+    ),
+    # Output paths no file system can name.
+    "output_path_nul": (
+        _schema_case("spectrum", output={"format": "csv", "path": "a\u0000b.csv"}),
+        "output.path must hold no NUL",
+    ),
+    "output_path_lone_surrogate": (
+        _schema_case("spectrum", output={"format": "csv", "path": "\ud800.csv"}),
+        "characters the file system encoding",
     ),
 }
 
@@ -1080,16 +1091,16 @@ def _reference_rows(blocks):
 
 
 def _reference_text(fmt, columns, blocks):
-    """A columnar table as csv.writer (booleans as true/false) or
-    json.dump(indent=2) writes its expanded rows."""
+    """The UTF-8 bytes of a columnar table as csv.writer (booleans as
+    true/false) or json.dump(indent=2) writes its expanded rows."""
     rows = _reference_rows(blocks)
     if fmt == "json":
-        return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
+        return (json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n").encode()
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([[json.dumps(v) if isinstance(v, bool) else v for v in row] for row in rows])
-    return expected.getvalue()
+    return expected.getvalue().encode()
 
 
 # The table's first row, which alone has no leading separator, after a block
@@ -1100,7 +1111,7 @@ def _reference_text(fmt, columns, blocks):
 ], ids=["mixed", "no_blocks", "no_rows", "rows_after_no_rows", "rows_after_shared_no_rows"])
 def test_writers_match_csv_writer_and_json_dump(blocks):
     for fmt in ("csv", "json"):
-        written = io.StringIO()
+        written = io.BytesIO()
         _write_table(written, fmt, (MIXED_COLUMNS, blocks))
         assert written.getvalue() == _reference_text(fmt, MIXED_COLUMNS, blocks)
 
@@ -1168,24 +1179,24 @@ def columnar_tables(draw):
 def test_writers_match_csv_writer_and_json_dump_property(table):
     columns, blocks = table
     for fmt in ("csv", "json"):
-        written = io.StringIO()
+        written = io.BytesIO()
         _write_table(written, fmt, table)
         assert written.getvalue() == _reference_text(fmt, columns, blocks)
 
 
-class _RecordedWrites(io.StringIO):
-    """A StringIO that records the length of every write."""
+class _RecordedWrites(io.BytesIO):
+    """A BytesIO that records the length of every write."""
 
     def __init__(self):
         super().__init__()
         self.lengths = []
 
-    def write(self, text):
-        self.lengths.append(len(text))
-        return super().write(text)
+    def write(self, data):
+        self.lengths.append(len(data))
+        return super().write(data)
 
 
-@pytest.mark.parametrize("fmt,row_start", [("csv", "\n"), ("json", "\n    [")])
+@pytest.mark.parametrize("fmt,row_start", [("csv", b"\n"), ("json", b"\n    [")])
 def test_writes_hold_at_most_one_chunk_of_rows(fmt, row_start):
     x = np.linspace(-40.0, 40.0, 10_000)
     blocks = [("density", t, x, np.exp(-x**2 / t)) for t in (0.5, 1.5)]
@@ -1211,7 +1222,7 @@ def test_a_block_formats_its_new_float_entries_in_one_kernel_call(monkeypatch):
     monkeypatch.setattr(_shortest, "rows", counted)
     t = np.linspace(0.0, 3.0, 301)
     series = [t, *(np.sin(k * t) for k in range(1, 7))]
-    _write_table(io.StringIO(), "csv", ([f"c{i}" for i in range(7)], [series]))
+    _write_table(io.BytesIO(), "csv", ([f"c{i}" for i in range(7)], [series]))
     assert calls == [7]
     # Shared entries are formatted once, and a block with no new float entry
     # makes no call.
@@ -1220,7 +1231,7 @@ def test_a_block_formats_its_new_float_entries_in_one_kernel_call(monkeypatch):
     blocks = [("a", 0.5, x, np.exp(-x**2)), ("b", 1.5, x, y), ("c", 2.5, x, y),
               ("d", 3.5, x.tolist(), np.arange(50))]
     for fmt in ("csv", "json"):
-        written = io.StringIO()
+        written = io.BytesIO()
         _write_table(written, fmt, (_PLOT_COLUMNS, blocks))
         assert written.getvalue() == _reference_text(fmt, _PLOT_COLUMNS, blocks)
     assert calls == [2, 1] * 2
@@ -1261,13 +1272,13 @@ def test_numpy_scalar_cells_are_written_as_their_python_values(fmt):
     # In a list and as a repeated cell; a float32 as the double it widens to.
     scalars = [np.float64(1.0), np.float32(0.1), np.int64(2), np.bool_(True)]
     expected = ["1.0", "0.10000000149011612", "2", "true"]
-    written = io.StringIO()
+    written = io.BytesIO()
     _write_table(written, fmt, (["a", "b"], [(cell, scalars) for cell in scalars]))
     values = [cell.item() for cell in scalars]
     assert written.getvalue() == _reference_text(fmt, ["a", "b"],
                                                  [(cell, values) for cell in values])
     if fmt == "csv":
-        assert written.getvalue().splitlines()[1:] == [f"{a},{b}" for a in expected
+        assert written.getvalue().splitlines()[1:] == [f"{a},{b}".encode() for a in expected
                                                        for b in expected]
 
 
@@ -1321,6 +1332,44 @@ def test_usage_error_from_the_command_line_is_one_json_line():
     assert result.returncode == 2
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]["type"] == "UsageError"
+
+
+def test_scenario_files_are_parsed_from_their_bytes_in_any_locale(tmp_path):
+    # Scenario bytes reach the JSON parser undecoded: a file no JSON encoding
+    # reads and one nested deeper than the parser recurses are schema errors,
+    # and a UTF-8 file is read under an ASCII locale.
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+
+    def run_cli(data, *argv, utf8_mode="1", lc_all=None):
+        scenario.write_bytes(data)
+        env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1])}
+        env.update({"LC_ALL": lc_all} if lc_all else {})
+        return subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-m", "qm1d.cli",
+                               *argv, str(scenario)], capture_output=True, text=True, env=env)
+
+    for data in (b"\xff\xfe\xff", b"[" * 5000):
+        for argv in (["validate"], ["run", "--out", str(out)]):
+            result = run_cli(data, *argv)
+            assert (result.returncode, result.stdout) == (2, "")
+            [line] = result.stderr.splitlines()
+            error = json.loads(line)["error"]
+            assert error["type"] == "SchemaError"
+            assert error["message"].startswith("scenario is not valid JSON: ")
+            assert not out.exists()
+
+    bom = b"\xef\xbb\xbf" + json.dumps(spectrum_scenario()).encode()
+    result = run_cli(bom, "validate", utf8_mode="0", lc_all="C")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith(": valid spectrum scenario\n")
+
+    # A non-ASCII output path is valid where the file system encoding holds
+    # it, and refused where it is ASCII (glibc's C locale), as run would fail.
+    named = json.dumps(spectrum_scenario(out_name="énergies.csv"), ensure_ascii=False)
+    result = run_cli(named.encode(), "validate", lc_all="C")
+    assert (result.returncode, result.stderr) == (0, "")
+    result = run_cli(named.encode(), "validate", utf8_mode="0", lc_all="C")
+    assert result.returncode == 0 or (result.returncode == 2 and "file system encoding" in
+                                      json.loads(result.stderr)["error"]["message"])
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])

@@ -11,20 +11,27 @@ import pytest
 
 import qm1d
 from qm1d import _shortest
-from qm1d._shortest import texts
 
 FLOAT_MAX = 1.7976931348623157e308
 SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
+def padded(texts):
+    """(len(texts), 24) uint8: the ASCII of each text followed by PAD."""
+    joined = b"".join(text.encode("ascii").ljust(24, bytes([_shortest.PAD])) for text in texts)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(-1, 24)
+
+
 def assert_repr(values):
-    """texts(values) is repr of every cell, as the double it widens to."""
-    got, want = texts(values), list(map(repr, np.asarray(values).tolist()))
-    if got != want:
-        bad = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-        raise AssertionError(f"cell {bad}: {got[bad]!r} != repr {want[bad]!r}"
+    """rows(values) is repr of every cell, as the double it widens to, padded
+    with PAD to 24 bytes."""
+    got, want = _shortest.rows(values), padded(map(repr, np.asarray(values).tolist()))
+    assert got.shape == want.shape
+    differs = np.flatnonzero((got != want).any(axis=1))
+    if len(differs):
+        bad = differs[0]
+        raise AssertionError(f"cell {bad}: {bytes(got[bad])!r} != repr {bytes(want[bad])!r}"
                              f" ({np.float64(values[bad]).view(np.uint64):#018x})")
-    assert len(got) == len(want)
 
 
 def neighbours(values):
@@ -56,8 +63,8 @@ def test_subnormals_extremes_and_zeros():
         neighbours([5e-324, SMALLEST_NORMAL, FLOAT_MAX, -FLOAT_MAX]),
         [0.0, -0.0, 5e-324, -5e-324, SMALLEST_NORMAL, FLOAT_MAX],
     ]))
-    assert texts(np.array([0.0, -0.0, 5e-324, FLOAT_MAX])) == [
-        "0.0", "-0.0", "5e-324", "1.7976931348623157e+308"]
+    assert np.array_equal(_shortest.rows(np.array([0.0, -0.0, 5e-324, FLOAT_MAX])),
+                          padded(["0.0", "-0.0", "5e-324", "1.7976931348623157e+308"]))
 
 
 def test_integers_across_two_to_the_53():
@@ -72,8 +79,8 @@ def test_layout_edges():
     edges = [1e-4, 1e-5, 9999999999999998.0, 1e16, 0.1, 0.5, 1.0, 10.0, 123.456,
              1.5e-4, 1.5e-5, 1234567890123456.7, 12345678901234568.0, 1e22, 1e23]
     assert_repr(neighbours(edges + [-e for e in edges]))
-    assert texts(np.array([1e-4, 1e-5, 9999999999999998.0, 1e16, -0.5])) == [
-        "0.0001", "1e-05", "9999999999999998.0", "1e+16", "-0.5"]
+    assert np.array_equal(_shortest.rows(np.array([1e-4, 1e-5, 9999999999999998.0, 1e16, -0.5])),
+                          padded(["0.0001", "1e-05", "9999999999999998.0", "1e+16", "-0.5"]))
 
 
 def test_decimal_fractions():
@@ -92,14 +99,15 @@ def test_float32_cells_are_written_as_the_widened_double():
     x = bits.astype(np.uint32).view(np.float32)
     x = x[np.isfinite(x)]
     assert_repr(x)
-    assert texts(np.array([0.1], dtype=np.float32)) == ["0.10000000149011612"]
+    assert np.array_equal(_shortest.rows(np.array([0.1], dtype=np.float32)),
+                          padded(["0.10000000149011612"]))
 
 
 def test_blocks_and_empty_input():
     x = np.random.default_rng(5).standard_normal(3 * _shortest._BLOCK + 5)
     assert_repr(x)
     assert_repr(x[::3])  # not contiguous
-    assert texts(np.array([])) == []
+    assert _shortest.rows(np.array([])).shape == (0, 24)
 
 
 # Around the gather of 256 cells and the block of at most 2,048: 2,048
@@ -107,7 +115,6 @@ def test_blocks_and_empty_input():
 @pytest.mark.parametrize("count", [1, 255, 256, 257, 1023, 1024, 2047, 2048, 2049, 4095,
                                    4096, 4097])
 def test_cell_counts_at_the_gather_and_block_edges(count):
-    assert _shortest._STRIDE >= _shortest._BLOCK
     bits = np.random.default_rng(count).integers(0, 2**64, 2 * count, dtype=np.uint64)
     x = bits.view(np.float64)
     x = x[np.isfinite(x)][:count]
@@ -169,7 +176,7 @@ def test_rows_are_the_ascii_repr_then_pad_only():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cells_are_refused(bad):
     with pytest.raises(ValueError):
-        texts(np.array([1.0, bad]))
+        _shortest.rows(np.array([1.0, bad]))
 
 
 def test_power_table_brackets_each_power_of_ten():

@@ -179,13 +179,15 @@ def test_repr_sample_checks_the_finite_doubles_of_its_sample(capsys):
 
 
 def test_repr_sample_reports_the_first_cell_that_differs(monkeypatch, capsys):
+    rows = repr_sample.rows
+
     def off_by_one_cell(x):
-        out = [repr(v) for v in x.tolist()]
-        out[5] += "0"
+        out = rows(x)
+        out[5, out[5].argmax()] = ord("0")  # a "0" in cell 5's first PAD byte
         return out
 
-    monkeypatch.setattr(repr_sample, "texts", off_by_one_cell)
+    monkeypatch.setattr(repr_sample, "rows", off_by_one_cell)
     assert repr_sample.main(["--seed", "7", "--count", "1000"]) == 1
     assert "DIFFERS at bits 0x" in capsys.readouterr().out
     checked, difference = repr_sample.first_difference(7, 1000)
-    assert checked == 6 and "kernel '" in difference
+    assert checked == 6 and "kernel b'" in difference

@@ -5,10 +5,12 @@
 
 Each sample is a child process with ``PYTHONPATH`` set to one tree's source.
 It times ``qm1d._shortest.rows`` on 1, 2,048 (the largest block), 2,049 and
-63,488 seeded random doubles, and ``qm1d.cli._write_table`` into a StringIO
-on seeded stand-ins for the tables of perfbench's table_dump workload: 8
-states of 4,001 points as JSON and 31 densities of 2,048 points as CSV (no
-solve).  Every case is called once untimed, then timed as the median of 5
+63,488 seeded random doubles, and ``qm1d.cli._write_table`` on seeded
+stand-ins for the tables of perfbench's table_dump workload: 8 states of
+4,001 points as JSON and 31 densities of 2,048 points as CSV (no solve).  The
+writer writes into a null sink whose ``write`` takes ``str`` or ``bytes``, so
+a tree whose writer writes text can be timed against one whose writer writes
+bytes.  Every case is called once untimed, then timed as the median of 5
 runs of a fixed number of calls.  After the timing, each ``rows`` case is
 called once more under tracemalloc for its traced peak per cell, its output
 excluded.  The two trees alternate child by child, and the output is two
@@ -34,7 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 # Prints [{case: median seconds per call}, {rows case: traced peak bytes a
 # cell}] as JSON.
 _CHILD = """
-import io, json, statistics, time, tracemalloc
+import json, statistics, time, tracemalloc, types
 import numpy as np
 from qm1d import _shortest
 from qm1d.cli import _PLOT_COLUMNS, _write_table
@@ -48,8 +50,11 @@ density = [("density", t, x, np.exp(-(x - 6.0 * t) ** 2 / (1.0 + t)) * rng.rando
            for t in np.linspace(0.0, 3.0, 31).tolist()]
 
 
+sink = types.SimpleNamespace(write=len)  # takes str or bytes, keeps nothing
+
+
 def write(fmt, blocks):
-    return lambda: _write_table(io.StringIO(), fmt, (_PLOT_COLUMNS, blocks))
+    return lambda: _write_table(sink, fmt, (_PLOT_COLUMNS, blocks))
 
 
 # (a call, the calls per timed run)

@@ -4,12 +4,13 @@
 
 Draws ``--count`` random 64-bit patterns from numpy's default generator
 seeded with ``--seed``, keeps the finite doubles among them, and compares
-``qm1d._shortest.texts`` with ``repr`` of every one, a slice of 2^17 cells
-at a time.  Prints one Markdown line with the seed, the number of doubles
-checked and the result, and exits 1 at the first cell that differs (its bit
-pattern, the kernel's text and repr's) or 0 when all are equal.  CI runs it
-with a new seed every run, so the fixed sample of Tier-1 is not the only
-evidence of exactness.
+the rows of ``qm1d._shortest.rows`` with the ASCII of ``repr`` of every one
+padded with ``PAD`` to 24 bytes, a slice of 2^17 cells at a time.  Prints
+one Markdown line with the seed, the number of doubles checked and the
+result, and exits 1 at the first cell that differs (its bit pattern, the
+kernel's row and repr's) or 0 when all are equal.  CI runs it with a new
+seed every run, so the fixed sample of Tier-1 is not the only evidence of
+exactness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from qm1d._shortest import texts  # noqa: E402
+from qm1d._shortest import PAD, rows  # noqa: E402
 
 SLICE = 2**17
 
@@ -34,11 +35,13 @@ def first_difference(seed: int, count: int) -> tuple[int, str | None]:
     for lo in range(0, count, SLICE):
         x = rng.integers(0, 2**64, min(SLICE, count - lo), dtype=np.uint64).view(np.float64)
         x = x[np.isfinite(x)]
-        got, want = texts(x), list(map(repr, x.tolist()))
+        got = rows(x).tobytes()
+        want = b"".join(repr(v).encode().ljust(24, bytes([PAD])) for v in x.tolist())
         if got != want:
-            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-            bits = int(x[i:i + 1].view(np.uint64)[0])
-            return checked + i + 1, f"bits {bits:#018x}: kernel {got[i]!r}, repr {want[i]!r}"
+            at = next(at for at in range(0, len(want), 24) if got[at:at + 24] != want[at:at + 24])
+            bits = int(x[at // 24:at // 24 + 1].view(np.uint64)[0])
+            return at // 24 + checked + 1, (f"bits {bits:#018x}: kernel {got[at:at + 24]!r}, "
+                                            f"repr {want[at:at + 24]!r}")
         checked += len(x)
     return checked, None
 
