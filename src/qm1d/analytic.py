@@ -111,9 +111,9 @@ class ScatteringResult:
     """Reflection/transmission amplitudes for unit incidence from the left.
 
     c_plus and c_minus are the interior coefficients of exp(+beta x) and
-    exp(-beta x) (below the barrier top), of exp(+i kB x) and exp(-i kB x)
-    (above it), or the constant and slope of the linear interior solution at
-    the E = V0 branch.  They are None when not applicable.
+    exp(-beta x) (below the barrier top) or of exp(+i kB x) and exp(-i kB x)
+    (above it); within E = V0's 1e-12 band, where E = V alone sets an output's
+    form, the constant and slope of the linear solution.  None if not applicable.
     """
 
     r: complex
@@ -130,7 +130,7 @@ _EQUAL_ENERGY_RTOL = 1e-12
 
 def _equal_energies(E, V):
     """Elementwise E == V to _EQUAL_ENERGY_RTOL of the larger magnitude: where
-    a constant-potential region takes its linear (E = V) solution."""
+    a region's solution is written in its linear (E = V) form."""
     return np.abs(E - V) <= _EQUAL_ENERGY_RTOL * np.maximum(np.abs(E), np.abs(V))
 
 
@@ -145,8 +145,9 @@ def barrier_scattering(
 
     One code path covers both E < v0 (evanescent interior, real beta) and
     E > v0 (oscillatory interior) through the complex continuation
-    beta = sqrt(2 m (v0 - E) + 0j) / hbar.  The degenerate E = v0 case uses
-    the sinh(a beta)/beta -> a limit, where the interior solution is linear.
+    beta = sqrt(2 m (v0 - E) + 0j) / hbar, 1 - exp(-2 a beta) written without
+    cancellation on each side.  The degenerate E = v0 case uses the
+    sinh(a beta)/beta -> a limit, where the interior solution is linear.
     """
     positive("energy", E)
     positive("barrier height and width", v0, a)
@@ -164,8 +165,12 @@ def barrier_scattering(
         beta = np.sqrt(np.complex128(2.0 * mass * (v0 - E))) / hbar
         # Scale by exp(-a beta) so nothing overflows for thick barriers.
         e2 = np.exp(-2.0 * a * beta)
-        denom = 0.5 * (k * k - beta * beta) * (1.0 - e2) + 1j * k * beta * (1.0 + e2)
-        r = 0.5 * (k * k + beta * beta) * (1.0 - e2) / denom
+        # 1 - e2 for thin barriers too: -expm1(-2 a beta) below the top and
+        # 2i e^{-i a beta'} sin(a beta') above it, where beta = i beta'
+        gap = (-math.expm1(-2.0 * a * beta.real) if E < v0
+               else 2j * np.exp(-1j * a * beta.imag) * math.sin(a * beta.imag))
+        denom = 0.5 * (k * k - beta * beta) * gap + 1j * k * beta * (1.0 + e2)
+        r = 0.5 * (k * k + beta * beta) * gap / denom
         t = 2.0j * k * beta * np.exp(-1j * k * a) * np.exp(-a * beta) / denom
         c_plus = -k * (k - 1j * beta) * e2 / denom
         c_minus = k * (k + 1j * beta) / denom

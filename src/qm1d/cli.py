@@ -175,11 +175,9 @@ def _relative_path(value, where: str) -> str:
     # "" and "." have no parts: they name the output directory, not a file in it
     if not path.parts or path.is_absolute() or ".." in path.parts:
         raise SchemaError(f"{where} must be a relative file path inside the output directory")
-    with contextlib.suppress(UnicodeEncodeError):  # beyond the file system encoding
-        if b"\0" not in os.fsencode(value):
-            return value
-    raise SchemaError(f"{where} must hold no NUL and only characters the file system "
-                      f"encoding ({sys.getfilesystemencoding()}) can encode")
+    if "\0" in value or any("\ud800" <= char <= "\udfff" for char in value):  # NUL, lone surrogate
+        raise SchemaError(f"{where} must hold no NUL and only characters UTF-8 can encode")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +557,9 @@ def _write_table(fh, fmt: str, table):
         fh.write(b"\n  ]\n}\n" if wrote else b"]\n}\n")
 
 
-def _staged(final: Path, staged: list[tuple[Path, Path]]):
+def _staged(final: bytes, staged: list[tuple[bytes, bytes]]):
     """Open a temporary file beside ``final`` and record the pair."""
-    tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    tmp = b"%s/.%s.%d.tmp" % (*os.path.split(final), os.getpid())
     staged.append((tmp, final))
     return open(tmp, "wb")
 
@@ -569,16 +567,18 @@ def _staged(final: Path, staged: list[tuple[Path, Path]]):
 def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path]:
     """Write every table and its sidecar under a temporary name in its
     target directory, then rename them all into place.  If any step fails,
-    every file of the run is removed again and the error propagates."""
-    staged: list[tuple[Path, Path]] = []
-    placed: list[Path] = []
+    every file of the run is removed again and the error propagates.  Files
+    are named by their output paths' UTF-8 bytes, whatever the locale."""
+    targets = [os.path.join(os.fsencode(base), str(Path(rel_path)).encode())
+               for rel_path in outputs]
+    staged: list[tuple[bytes, bytes]] = []
+    placed: list[bytes] = []
     try:
-        for rel_path, table in outputs.items():
-            target = base / rel_path
-            target.parent.mkdir(parents=True, exist_ok=True)
+        for target, table in zip(targets, outputs.values()):
+            os.makedirs(os.path.dirname(target), exist_ok=True)
             with _staged(target, staged) as fh:
                 _write_table(fh, fmt, table)
-            with _staged(target.with_name(target.name + ".meta.json"), staged) as fh:
+            with _staged(target + b".meta.json", staged) as fh:
                 fh.write(json.dumps(meta, indent=2).encode() + b"\n")
         for tmp, final in staged:
             os.replace(tmp, final)
@@ -586,9 +586,9 @@ def _write_outputs(base: Path, fmt: str, outputs: dict, meta: dict) -> list[Path
     except BaseException:
         for path in [tmp for tmp, _ in staged] + placed:
             with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
+                os.unlink(path)
         raise
-    return [base / rel_path for rel_path in outputs]
+    return [Path(os.fsdecode(target)) for target in targets]
 
 
 def load_scenario(path: str) -> dict:

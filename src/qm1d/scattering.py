@@ -1,26 +1,28 @@
 """Reflection and transmission for piecewise-constant potentials.
 
-Each region carries a two-component amplitude for its forward and backward
-basis solutions; 2x2 interface matrices map them left to right by matching
-the wavefunction and its derivative (Ando & Itoh, J. Appl. Phys. 61, 1497
-(1987)), written out in closed form on (nE,) arrays.  Region 0 is referenced
-to its right edge and every later region to its left edge, so interface j's
-matrix W_{j+1}(0)^-1 W_j(delta_j) holds only region j's width.  Between
-exponential regions it is [[u (1+q), d (1-q)], [u (1-q), d (1+q)]] / 2, with
-q = k_j/k_{j+1} and u = 1/d = exp(i k_j delta_j); a region at E = V takes its
-linear solution instead.  With the total chain M, R = -M21/M22 and
-T = det(M)/M22, where det(M) telescopes to k_left/k_right, read only its
-second row, so ``_chain`` carries (0, 1) times the matrices, last to first,
-as two (nE,) arrays.  Evanescent regions have their growth factored into a
-separate log-domain scale, so thick barriers neither overflow nor lose the
-transmitted amplitude to cancellation.
+The kernel carries (psi, psi'), continuous at every interface, across the
+stack (Griffiths & Steinke, Am. J. Phys. 69, 137 (2001)).  Region j of width
+delta maps it from its left edge to its right by P_j = [[c, s], [q, c]] with
+c = cos K delta, s = sin(K delta)/K, q = -K sin K delta, K^2 = 2m(E - V_j)/hbar^2:
+cosh, sinh/kappa and kappa sinh below the potential, and 1, delta and 0 at
+E = V, the same formula's limit.  W = [[1, 1], [i k, -i k]] splits the outer
+regions into waves, so M = W_N^-1 P_{N-1} ... P_1 W_0, and R = -M21/M22 and
+T = (k_0/k_N)/M22 read its second row: ``_chain`` carries 2 k_N (0, 1) W_N^-1
+= (k_N, i) right to left as two (nE,) arrays.  An evanescent P is e^{kappa delta}
+[[1 + m/2, -m/(2 kappa)], [-kappa m/2, 1 + m/2]], m = expm1(-2 kappa delta), so
+no exponentials cancel and thin, tall layers keep their digits; past the
+threshold e^{kappa delta} goes into a log-domain scale, so thick barriers
+neither overflow nor lose t.  E = V decides only an output's form
+(`analytic._equal_energies`): a `RegionWave`'s kind and a single barrier's
+constant and slope.
 
-numpy's complex multiply loop may fuse multiply-adds, an ulp apart from one CPU
-to another, so every complex-by-complex product that reaches a result goes
-through `_times`: q dl, u (s + q dl), d (s - q dl), i k v2 and the E = V rows'
-products by u and d in `_advance`, r's phase and c_plus/c_minus.  Products by
-+-1j or a real round each part once, and numpy's complex divisions (q,
-dl/(i k), M21/M22, T) give the same bits at any batch size; they stay numpy.
+numpy's real exp, expm1, sin and cos loops are vectorised per CPU, an ulp
+apart from libm, so a region's cos and sin, or e^{kappa delta}, come from one
+complex np.exp and m from the complex np.expm1, both libm per element.  The
+complex multiply loop may fuse multiply-adds, so the complex-by-complex
+products that reach a result go through `_times`: r's phase and
+c_plus/c_minus.  P is real; products by a real or by +-1j and the complex
+divisions (M21/M22, T) give the same bits on any CPU and at any batch size.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ _SCALE_EXTRACT_THRESHOLD = 300.0
 # the kernel's r to this absolute error.  Valid stacks give below 1e-13; an
 # amplitude that underflowed or overflowed on the way gives O(1).
 _ASSEMBLY_TOL = 1e-10
-_EYE = np.eye(2, dtype=np.complex128)[:, :, None]  # (v1, v2) of both rows: _advance gives columns
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ def _region_layout(potential: Potential) -> tuple[list[float], list[float]]:
 
 
 def _prepare(potential, energies, mass, constants, sweep=False):
-    """Layout, energies, (nE, regions) wavenumbers and the E == V mask.
+    """Layout, region potentials, energies and the (nE, regions) wavenumbers
+    K = sqrt(K^2): k above the potential, i kappa below it and 0 at E = V.
 
     The rows are converted with float() and checked as one array, then the
     first bad one alone for its message: sign, equal asymptotes, open incident
@@ -130,13 +132,10 @@ def _prepare(potential, energies, mass, constants, sweep=False):
         if sweep:  # a single energy keeps float()'s own message
             failed.args = (f"sweep row {len(values)} (E={rows[len(values)]}): {failed}",)
         raise failed
-    v = np.array(region_v, dtype=float)
-    linear = _equal_energies(E[:, None], v)
-    k = (2.0 * mass * (E[:, None] - v)).astype(np.complex128)
+    k = (2.0 * mass * (E[:, None] - np.array(region_v, dtype=float))).astype(np.complex128)
     np.sqrt(k, out=k)
     k /= constants.hbar
-    k[linear] = 0.0
-    return interfaces, E, linear, k
+    return interfaces, region_v, E, k
 
 
 def _times(a, b):
@@ -148,82 +147,69 @@ def _times(a, b):
     return out
 
 
-def _advance(k, linear, j, delta, v1, v2, extract=False):
-    """(v1, v2) W_{j+1}(0)^-1 W_j(delta) on arrays (..., nE), and the log-scale
-    taken out.  Region j's wave has value u f + d b and derivative
-    i k_j (u f - d b) at the interface (f + delta b and b at E = V), which
-    region j+1 splits as (value +- derivative / (i k_{j+1})) / 2, so with
-    s = v1 + v2, dl = v1 - v2 the row is (u (s + q dl), d (s - q dl)) / 2,
-    (s, delta s + dl / (i k_{j+1})) / 2 from E = V, (u (v1 + i k_j v2),
-    d (v1 - i k_j v2)) into E = V and (v1, delta v1 + v2) between two.
-    `extract` takes region j's e-folds past the threshold out of u and d as
-    the shift.  Real k_j take d = conj(u) (libm's exp to the bit, but for the
-    sign of a zero); only evanescent rows (k_j = i beta) take a second exp."""
-    k_left, beta = k[:, j], k[:, j].imag  # beta is 0 on propagating and E = V rows
-    arg, shift = 1j * k_left * delta, 0.0
-    if extract and beta.max(initial=0.0) * delta > _SCALE_EXTRACT_THRESHOLD:
-        shift = np.where(beta * delta > _SCALE_EXTRACT_THRESHOLD, beta * delta, 0.0)
-        arg = arg - shift
-    up = np.exp(arg)
-    down = up.conj()
-    if beta.any():
-        np.exp(-1j * k_left * delta - shift, out=down, where=beta != 0.0)
-    lin_left, lin_right = linear[:, j], linear[:, j + 1]
-    plateau = lin_left.any() or lin_right.any()
-    k_right = np.where(lin_right, 1.0, k[:, j + 1]) if plateau else k[:, j + 1]  # not 0 at E = V
-    s, dl = v1 + v2, v1 - v2
-    w = _times(k_left / k_right, dl)
-    row = 0.5 * _times(up, s + w), 0.5 * _times(down, s - w)
-    if not plateau:
-        return *row, shift
-    ikv, cases = _times(1j * k_left, v2), [lin_left & lin_right, lin_left, lin_right]
-    return (np.select(cases, [v1, 0.5 * s, _times(up, v1 + ikv)], row[0]),
-            np.select(cases, [delta * v1 + v2, 0.5 * (delta * s + dl / (1j * k_right)),
-                              _times(down, v1 - ikv)], row[1]),
-            shift)
+def _region(k, j, delta, extract=False):
+    """c, s, q of region j's P = [[c, s], [q, c]] over its width delta on (nE,)
+    rows, and the log-scale taken out (`extract`: e-folds past the threshold).
+    z = e^{-i k delta} gives cos and -sin, or z = e^{kappa delta} and
+    m = expm1(-2 kappa delta) give cosh = z (1 + m/2) and sinh = -z m/2.  At
+    K = 0, s = sin(K delta)/K takes its limit, delta."""
+    K, n = k[:, j], k.shape[0]
+    kappa, shift = K.imag, 0.0  # kappa is 0 on propagating rows and at E = V
+    if extract and kappa.max(initial=0.0) * delta > _SCALE_EXTRACT_THRESHOLD:
+        shift = np.where(kappa * delta > _SCALE_EXTRACT_THRESHOLD, kappa * delta, 0.0)
+    z = np.exp(K * (-1j * delta) - shift)
+    m = np.expm1(K * (2j * delta), out=np.zeros(n, np.complex128), where=kappa > 0.0).real
+    half = z.real * m * 0.5
+    sine = -z.imag - half  # sin k delta, or sinh kappa delta with the shift out
+    size = K.real + kappa
+    s = np.divide(sine, size, out=np.full(n, delta), where=size != 0.0)
+    return z.real + half, s, (kappa - K.real) * sine, shift
 
 
-def _chain(interfaces, linear, k):
-    """r, t and (c_plus, c_minus) per energy for unit incidence from the left
-    (the pair for one region on [0, a), else None)."""
-    n = k.shape[0]
+def _chain(interfaces, k):
+    """r, t, and M22 and the log-scale that t takes apart, per energy, for
+    unit incidence from the left."""
     if not interfaces:  # uniform potential: the incident wave passes unchanged
-        return np.zeros(n, np.complex128), np.ones(n, np.complex128), None
-    # (0, 1) times the matrices from the last interface back is (M21, M22);
-    # region 0 is referenced to its right edge, so interface 0 has no width
-    widths = [0.0] + [right - left for left, right in zip(interfaces, interfaces[1:])]
-    v1, v2, log_scale = np.zeros(n, np.complex128), np.ones(n, np.complex128), 0.0
-    for j in reversed(range(len(interfaces))):
-        v1, v2, shift = _advance(k, linear, j, widths[j], v1, v2, extract=True)
-        log_scale += shift
-        if j == len(interfaces) - 1:
-            m21, m22 = v1, v2  # the last interface's own second row
-    k0, x0, xm = k[:, 0], interfaces[0], interfaces[-1]
-    r = _times(-(v1 / v2), np.exp(2j * k0 * x0))
-    # T from the determinant identity avoids the catastrophic cancellation of
-    # M11 - M12 M21 / M22 for thick barriers; equal asymptotes make det(M) = 1
-    # but for the scale.  The complex exp calls libm's exp, like math.exp
-    # (numpy's real exp loop is vectorised per CPU, an ulp apart).
-    det_total = np.exp(-log_scale + 0j).real
-    t = np.exp(1j * k0 * (x0 - xm)) * det_total / v2
-    if len(interfaces) != 2 or x0 != 0.0:
-        return r, t, None
-    # region 1's amplitudes from the transmitted side, as in region_waves: the
-    # last interface's adjugate over the Wronskian ratio (k1/k0, or 1/(-2i k0)
-    # for a linear region 1) applied to (t e^{i k0 a}, 0), i.e. (1/M22, 0) with
-    # region 1's scale put back, which the row has out, so neither overflows
-    # where t underflows.  Below the barrier top exp(+beta x) is the backward one
-    over = _times(np.where(linear[:, 1], 0.5j, k[:, 1]) / k0, v2)
-    f1, b1 = m22 / over, -m21 / over
-    decaying = ~linear[:, 1] & (k[:, 1].real == 0.0)
-    return r, t, (np.where(decaying, b1, f1), np.where(decaying, f1, b1))
+        one = np.ones(k.shape[0], np.complex128)
+        return 0.0 * one, one, one, 0.0
+    # regions 0 and N are referenced to x0 and xm, where W_0 and W_N act; k_N = k_0
+    k0, x0, xm = k[:, 0].real, interfaces[0], interfaces[-1]
+    a, b, log_scale = k[:, -1], np.full(k.shape[0], 1j), 0.0
+    for j in reversed(range(1, len(interfaces))):
+        c, s, q, shift = _region(k, j, interfaces[j] - interfaces[j - 1], extract=True)
+        a, b, log_scale = a * c + b * q, a * s + b * c, log_scale + shift
+    ikb = k0 * b * 1j
+    m22 = (a - ikb) / (2.0 * k0)
+    r = _times(-((a + ikb) / (a - ikb)), np.exp(2j * k0 * x0))
+    # det(M) = 1 but for the scale, so T needs no M11; the complex exp is libm's
+    t = np.exp(1j * k0 * (x0 - xm)) * np.exp(-log_scale + 0j).real / m22
+    return r, t, m22, log_scale
+
+
+def _barrier_pair(E, v0, a, k, m22, log_scale):
+    """(c_plus, c_minus) of one region on [0, a), from the transmitted side:
+    (psi, psi')(a) = t e^{ika} (1, ik) is (1, ik)/M22 with the scale out, so
+    neither overflows where t underflows.  With K = conj(k_1) (e^{iKx} is
+    e^{+beta x} below the top): (1 +- k/K) e^{-+iKa}/(2 M22); at E = V the
+    linear solution's constant psi(a) - a psi'(a) and slope psi'(a)."""
+    k0, K = k[:, 0].real, np.conj(k[:, 1])
+    linear, psi = _equal_energies(E, v0), 1.0 / m22
+    ratio = 0.5 * k0 / np.where(linear, 1.0, K)  # not 0 at E = V
+    phase = K * (1j * a)
+    c_plus = _times(psi, _times(0.5 + ratio, np.exp(-phase - log_scale)))
+    c_minus = _times(psi, _times(0.5 - ratio, np.exp(phase - log_scale)))
+    slope = k0 * psi * 1j
+    return np.where(linear, psi - a * slope, c_plus), np.where(linear, slope, c_minus)
 
 
 def _scatter(potential, energies, mass, constants, sweep):
     """The kernel, in input order: E; r, t, |r|^2 and |t|^2 as lists, by scalar abs
-    (numpy's abs loop may round apart from libm's hypot); (c_plus, c_minus) or None."""
-    interfaces, E, linear, k = _prepare(potential, energies, mass, constants, sweep)
-    r, t, pair = _chain(interfaces, linear, k)
+    (numpy's abs loop may round apart from libm's hypot); (c_plus, c_minus) of
+    one region on [0, a), else None."""
+    interfaces, region_v, E, k = _prepare(potential, energies, mass, constants, sweep)
+    r, t, m22, log_scale = _chain(interfaces, k)
+    pair = (_barrier_pair(E, region_v[1], interfaces[1], k, m22, log_scale)
+            if len(interfaces) == 2 and interfaces[0] == 0.0 else None)
     r, t = r.tolist(), t.tolist()
     return E, r, t, [abs(c) ** 2 for c in r], [abs(c) ** 2 for c in t], pair
 
@@ -265,34 +251,38 @@ def region_waves(
 ) -> list[RegionWave]:
     """The fully assembled per-region solution, outermost regions included.
 
-    Applies each interface's inverse (adjugate over the ratio of the regions'
-    Wronskians) right to left from the transmitted wave (t, 0), so through an
-    evanescent region the chain follows the growing solution and amplifies no
-    error.  Raises ParameterError when t or an evanescent amplitude is below
-    the smallest normal float (a growing one, referenced to its region's left
+    Carries (psi, psi') right to left from the transmitted wave through each
+    inverse propagator [[c, -s], [-q, c]], so through an evanescent region it
+    follows the growing solution and amplifies no error.  A region's forward
+    amplitude is read at its left edge and its backward one at its right edge,
+    where below the potential it does not cancel (psi and the slope at E = V).
+    Raises ParameterError when t or an evanescent amplitude is below the
+    smallest normal float (a growing one, referenced to its region's left
     edge, underflows past about 360 e-folds), or when the incident region
     misses unit incidence and the kernel's r by over _ASSEMBLY_TOL."""
-    interfaces, _, linear, k = _prepare(potential, [E], mass, constants)
-    r, t = (complex(c[0]) for c in _chain(interfaces, linear, k)[:2])
+    interfaces, region_v, energy, k = _prepare(potential, [E], mass, constants)
+    r, t = (complex(c[0]) for c in _chain(interfaces, k)[:2])
     if abs(t) < sys.float_info.min:
         raise ParameterError(
             f"E={E}: the transmitted amplitude |t| = {abs(t):.3g} underflows; "
             "the stack is too opaque to assemble region by region")
-    ks = [0.0 if flag else complex(kj) for flag, kj in zip(linear[0], k[0])]
-    wronskian = [1.0 if flag else -2j * kj for flag, kj in zip(linear[0], ks)]
+    linear = _equal_energies(energy[0], np.array(region_v)).tolist()
+    linear[0] = linear[-1] = False  # E > V in the outer regions
+    ks = [0.0 if flag else kj for flag, kj in zip(linear, k[0].tolist())]
     refs = (interfaces[:1] or [0.0]) + interfaces
-    pairs = [(t * cmath.exp(1j * ks[-1] * refs[-1]), 0j)]
+    psi = t * cmath.exp(1j * ks[-1] * refs[-1])
+    pairs, dpsi = [(psi, 0j)], 1j * ks[-1] * psi
     with np.errstate(all="ignore"):  # under- and overflow fail the checks below
-        for j in reversed(range(len(interfaces))):
-            columns = _advance(k, linear, j, interfaces[j] - refs[j], *_EYE)[:2]
-            (m11, m21), (m12, m22) = (column[:, 0].tolist() for column in columns)
-            det, (f, b) = wronskian[j] / wronskian[j + 1], pairs[-1]
-            pairs.append(((m22 * f - m12 * b) / det, (m11 * b - m21 * f) / det))
+        for j in reversed(range(len(interfaces))):  # region 0's width is 0: P = 1
+            delta, kj = interfaces[j] - refs[j], ks[j]
+            back = dpsi if linear[j] else (psi - dpsi / (1j * kj)) / 2 * cmath.exp(1j * kj * delta)
+            c, s, q = (float(p[0]) for p in _region(k, j, delta)[:3])
+            psi, dpsi = c * psi - s * dpsi, c * dpsi - q * psi
+            pairs.append((psi if linear[j] else (psi + dpsi / (1j * kj)) / 2, back))
     pairs.reverse()
-    k0, x0 = ks[0], refs[0]
-    incident = np.array([cmath.exp(1j * k0 * x0), r * cmath.exp(-1j * k0 * x0)])
+    incident = np.array([cmath.exp(1j * ks[0] * refs[0]), r * cmath.exp(-1j * ks[0] * refs[0])])
     off = np.max(np.abs(np.array(pairs[0]) - incident))
-    tiny = min((abs(c) for flag, kj, pair in zip(linear[0], ks, pairs)
+    tiny = min((abs(c) for flag, kj, pair in zip(linear, ks, pairs)
                 if not flag and kj.real == 0.0 for c in pair), default=math.inf)
     if not (off <= _ASSEMBLY_TOL and tiny >= sys.float_info.min):  # also catches nan
         raise ParameterError(
@@ -302,6 +292,6 @@ def region_waves(
     bounds = [-math.inf] + interfaces + [math.inf]
     return [
         RegionWave(ks[j], complex(f), complex(b), refs[j], bounds[j], bounds[j + 1],
-                   "linear" if linear[0, j] else "exp")
+                   "linear" if linear[j] else "exp")
         for j, (f, b) in enumerate(pairs)
     ]

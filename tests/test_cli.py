@@ -708,6 +708,18 @@ def test_output_path_must_stay_inside_out(tmp_path, capsys, path):
     assert not (tmp_path / "escape.csv").exists()
 
 
+@pytest.mark.parametrize("path", ["x.csv/", "./x.csv", ".//x.csv"])
+def test_output_path_is_written_and_printed_normalised(tmp_path, capsys, path):
+    body = spectrum_scenario(out_name=path, emit_states=True)
+    body["grid"]["n"] = 201
+    scenario = write_scenario(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{out}/x.csv", f"{out}/x_states.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "x.csv", "x.csv.meta.json", "x_states.csv", "x_states.csv.meta.json"]
+
+
 FORMAT_SCENARIOS = {
     "spectrum": {
         "grid": {"x_min": -8.0, "x_max": 8.0, "n": 161},
@@ -873,7 +885,7 @@ SCHEMA_ERRORS = {
     ),
     "output_path_lone_surrogate": (
         _schema_case("spectrum", output={"format": "csv", "path": "\ud800.csv"}),
-        "characters the file system encoding",
+        "only characters UTF-8 can encode",
     ),
 }
 
@@ -1370,6 +1382,25 @@ def test_scenario_files_are_parsed_from_their_bytes_in_any_locale(tmp_path):
     result = run_cli(named.encode(), "validate", utf8_mode="0", lc_all="C")
     assert result.returncode == 0 or (result.returncode == 2 and "file system encoding" in
                                       json.loads(result.stderr)["error"]["message"])
+
+
+def test_output_files_are_named_from_utf8_bytes_in_any_locale(tmp_path):
+    # Under glibc's C locale without UTF-8 mode the file system encoding is
+    # ASCII; the file is still named by the path's UTF-8 bytes, and run prints
+    # those bytes.
+    named = json.dumps(spectrum_scenario(out_name="\u00e9nergies.csv"), ensure_ascii=False)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(named.encode())
+    env = {**os.environ, "PYTHONPATH": str(Path(qm1d.__file__).parents[1]), "LC_ALL": "C"}
+    for utf8_mode in ("0", "1"):
+        out = tmp_path / f"out{utf8_mode}"
+        results = [subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-m", "qm1d.cli",
+                                   *argv, str(scenario)], capture_output=True, env=env)
+                   for argv in (["validate"], ["run", "--out", str(out)])]
+        assert [(r.returncode, r.stderr) for r in results] == [(0, b""), (0, b"")]
+        name = "\u00e9nergies.csv".encode()
+        assert results[1].stdout == os.fsencode(out) + b"/" + name + b"\n"
+        assert sorted(os.listdir(os.fsencode(out))) == [name, name + b".meta.json"]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["run", "--help"]])

@@ -21,7 +21,9 @@ from qm1d import (
     InfiniteWell,
     PiecewiseConstant,
     Sampled,
+    Barrier,
     WaveFunction,
+    barrier_scattering,
     build_hamiltonian,
     crank_nicolson_step,
     custom_operator,
@@ -34,6 +36,7 @@ from qm1d import (
     solve_bound_states,
     split_step,
     to_momentum_space,
+    transfer_scattering,
     transmission_sweep,
 )
 from qm1d.errors import NearDegeneracyWarning, NormalizationWarning, QmError
@@ -253,6 +256,19 @@ def test_scattering_is_unit_free(stack, energies, mass, length):
     for nat, twin in zip(natural, si):
         assert abs(nat.r - twin.r) <= 1e-11
         assert abs(nat.t - twin.t) <= 1e-11 * abs(nat.t)
+
+
+def test_thin_tall_barrier_in_si_keeps_the_delta_barrier_limit():
+    # Barrier(v0=1e20, a=1e-20) at E = 1 in natural units, for an electron on
+    # a 1 angstrom length scale: |T|^2 = 2/3 to double precision
+    length = 1e-10
+    energy = HBAR_SI**2 / (ELECTRON_KG * length**2)
+    si = si_constants(ELECTRON_KG)
+    barrier = Barrier(v0=1e20 * energy, a=1e-20 * length)
+    kernel = transfer_scattering(barrier, energy, ELECTRON_KG, si)
+    closed = barrier_scattering(energy, 1e20 * energy, 1e-20 * length, ELECTRON_KG, si)
+    for result in (kernel, closed):
+        assert abs(result.prob_t - 2.0 / 3.0) <= 1e-15
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)

@@ -19,7 +19,9 @@ states (a partial last batch of the evolve snapshot kernel), a barrier and a
 segment stack sampled on a grid with points on their interfaces, and the
 barrier's ``c_plus``/``c_minus``, the stack's ``region_waves`` amplitudes, a
 sweep across one of its plateaus, a thick barrier's r, t, ``c_plus`` and
-``c_minus`` on both sides of the log-scale threshold, a walled ``Sampled``
+``c_minus`` on both sides of the log-scale threshold, the same four of a
+thin, tall barrier (``Barrier(v0=1e20, a=1e-20)``) and of a sweep next to a
+barrier top, inside and outside E = V's band, a walled ``Sampled``
 table read at its cell midpoints, one with walls of both signs sampled on its
 grid, and the
 observables no CLI scenario measures:
@@ -206,6 +208,15 @@ record("library/segments/stack/transmission_sweep", np.array([(s.r, s.t) for s i
 # a thick barrier's amplitudes: below E = 0.875 its e-folds pass the log-scale threshold
 sweep = transmission_sweep(Barrier(v0=4.0, a=120.0), [0.05, 0.3, 0.6, 0.85, 1.5, 3.0, 4.0, 6.0])
 record("library/segments/thick/transmission_sweep",
+       **{n: np.array([getattr(s, n) for s in sweep]) for n in ("r", "t", "c_plus", "c_minus")})
+# a thin, tall barrier at its delta-barrier limit (|T|^2 = 2/3), and energies
+# inside, at and outside the 1e-12 band of E = V around a barrier top
+sweep = transmission_sweep(Barrier(v0=1e20, a=1e-20), [1.0])
+record("library/segments/thin/transmission_sweep",
+       **{n: np.array([getattr(s, n) for s in sweep]) for n in ("r", "t", "c_plus", "c_minus")})
+sweep = transmission_sweep(Barrier(v0=4.0, a=1.0), [4.0 * (1.0 + f) for f in (
+    -1e-11, -1.01e-12, -1e-13, 0.0, 1e-13, 1.01e-12, 1e-11)])
+record("library/segments/near_top/transmission_sweep",
        **{n: np.array([getattr(s, n) for s in sweep]) for n in ("r", "t", "c_plus", "c_minus")})
 
 # Observables that no CLI scenario measures: <A> and dA of the harmonic H and
